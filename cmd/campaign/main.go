@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -54,10 +53,6 @@ func main() {
 		err = cmdGC(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "work":
-		err = cmdWork(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -82,8 +77,6 @@ func usage() {
   campaign fsck   [flags]   scan a cache for corrupt/orphaned entries
   campaign gc     [flags]   evict cache entries by age / grid membership
   campaign replay [flags] <dump>  re-run a quarantined cell, full-depth trace
-  campaign serve  [flags]   coordinate a distributed campaign over HTTP
-  campaign work   [flags]   join a served campaign as a worker
 
 run flags:
   -grid name          predefined grid: %s (default "headline")
@@ -124,23 +117,9 @@ replay flags:
   -depth N            replay trace capacity in events (default %d)
   -trace-out file     write the replay's full event trace ("-" = stdout)
 
-serve flags:
-  -grid/-workloads/-policies/-seeds/-instructions   as "run"
-  -cache dir          shared cache + journals (default ".campaign")
-  -http addr          listen address (default ":8080")
-  -ttl N              lease lifetime in ticks (default %d)
-  -tick dur           logical clock period (default 1s)
-  -span-out file      write lease/heartbeat/reclaim spans as JSONL at exit
-
-work flags:
-  -coordinator url    coordinator base URL (required, e.g. http://host:8080)
-  -cache dir          worker-local cache (default ".campaign-worker")
-  -id name            worker identity (default host-pid)
-  -renew-every dur    heartbeat period (default 5s)
-
 policies: %s
 `, strings.Join(campaign.GridNames(), "|"), runtime.GOMAXPROCS(0),
-		campaign.ReplayDepth, fabric.DefaultTTLTicks, policyNames())
+		campaign.ReplayDepth, policyNames())
 }
 
 func policyNames() string {
@@ -485,8 +464,7 @@ func cmdExport(args []string) error {
 }
 
 // resolveGrid expands a named grid with the CLI's override flags applied
-// — the shared front half of `campaign run`, `campaign serve`, and
-// `campaign gc -grid`.
+// — the shared front half of `campaign run` and `campaign gc -grid`.
 func resolveGrid(gridName, workloadsF, policiesF, seedsF string, instructions uint64) (campaign.Grid, []campaign.Job, error) {
 	seeds, err := campaign.ParseSeeds(seedsF)
 	if err != nil {

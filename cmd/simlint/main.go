@@ -9,13 +9,12 @@
 // summaries), detertaint (wall-clock/math-rand/map-order taint tracked
 // through calls, fields, and closures into key/ID/stats sinks),
 // undocomplete (speculative mutations in cache/memsys/coherence paired
-// with restore writes reachable from the cleanup path), deferunlock
-// (single Lock/Unlock pairs rewritable into the defer idiom),
-// enumexhaustive (switches over iota enums cover every constant or
-// declare a default), wireenc (structs reaching JSON journals or the
-// fabric wire carry no interface-typed content or unordered map keys,
-// and custom MarshalJSON bodies no map ranges, so journal rows and
-// protocol messages encode canonically), hotalloc (no unjustified
+// with restore writes reachable from the cleanup path), enumexhaustive
+// (switches over iota enums cover every constant or declare a default),
+// wireenc (structs reaching the manifest journal, cache keys and entries,
+// span JSONL, or quarantine dumps carry no interface-typed content or
+// unordered map keys, and custom MarshalJSON bodies no map ranges, so
+// journal rows and cache checksums encode canonically), hotalloc (no unjustified
 // allocation — make/new/composite literals, growing appends, interface
 // boxing, closures, fmt calls — reachable from the per-cycle hot roots;
 // see -hotreport), cyclemath (uint64 cycle subtraction dominated by a

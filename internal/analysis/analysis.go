@@ -26,11 +26,13 @@
 //   - enumexhaustive: every switch over an iota-declared enum covers all
 //     of its constants or carries an explicit default — the class of bug
 //     that silently drops a coherence-protocol transition.
-//   - wireenc: structs reaching JSON journals or the fabric wire encode
+//   - wireenc: structs reaching json.Marshal (the manifest and fabric
+//     lease journals, checksummed cache entries, span JSONL, quarantine
+//     dumps) encode
 //     canonically — no interface-typed content (the dynamic type drifts
 //     across a round-trip) and no map keys outside encoding/json's
-//     sorted-key guarantee — so journal rows, checksummed cache entries,
-//     and protocol messages are byte-stable.
+//     sorted-key guarantee — so journal rows and cache checksums are
+//     byte-stable.
 //   - hotalloc: no allocation site (make/new/literals/append/interface
 //     boxing/closures/fmt) is reachable from the declared per-cycle hot
 //     roots without a justified suppression; simlint -hotreport emits the
@@ -96,7 +98,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerLockOrder,
 		AnalyzerDeterTaint,
 		AnalyzerUndoComplete,
-		AnalyzerDeferUnlock,
 		AnalyzerEnumExhaustive,
 		AnalyzerWireEnc,
 		AnalyzerHotAlloc,

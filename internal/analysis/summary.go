@@ -13,8 +13,7 @@ import (
 //     transitively through calls, goroutine spawns, and closures it
 //     builds. lockorder uses them for acquisition-order edges, for the
 //     callee-reacquisition deadlock check, and for the lock-held-across-
-//     spawn check; the deferunlock autofix uses them to prove a trailing
-//     statement cannot re-acquire the class being deferred.
+//     spawn check.
 //   - guarded fields: a struct field written at least once while a mutex
 //     of the same struct is provably held is treated as guarded by it
 //     (the cheapest sound-enough guard inference for this codebase's

@@ -60,7 +60,7 @@ type B struct{ mu sync.Mutex }
 func AB(a *A, b *B) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b.mu.Lock() // want `lock-order cycle: lockord.A.mu -> lockord.B.mu -> lockord.A.mu` // want `lockord.B.mu is locked and unlocked exactly once with a plain tail unlock`
+	b.mu.Lock() // want `lock-order cycle: lockord.A.mu -> lockord.B.mu -> lockord.A.mu`
 	b.mu.Unlock()
 }
 
@@ -68,13 +68,13 @@ func AB(a *A, b *B) {
 func BA(a *A, b *B) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	a.mu.Lock() // want `lockord.A.mu is locked and unlocked exactly once with a plain tail unlock`
+	a.mu.Lock()
 	a.mu.Unlock()
 }
 
 // lockB is a helper that acquires B.mu; edges must flow through calls.
 func lockB(b *B) {
-	b.mu.Lock() // want `lockord.B.mu is locked and unlocked exactly once with a plain tail unlock`
+	b.mu.Lock()
 	b.mu.Unlock()
 }
 

@@ -12,12 +12,13 @@ import (
 )
 
 // AnalyzerWireEnc guards the byte-determinism of everything this module
-// serializes as JSON: journal rows (manifest, fabric lease log), fabric
-// wire messages, cache entries, and diagnostic dumps. Those bytes feed
-// checksums (cache entries), append-only journals that must replay
-// identically, and cross-host protocol exchanges, so a struct that can
-// encode the same logical value two different ways is a latent
-// divergence bug.
+// serializes as JSON: manifest and fabric lease journal rows, cache keys
+// and checksummed cache entries, span JSONL, and quarantine dumps. Those
+// bytes feed
+// content addresses and checksums, append-only journals that must replay
+// identically, and exports compared byte for byte across worker counts,
+// so a struct that can encode the same logical value two different ways
+// is a latent divergence bug.
 //
 // The analyzer seeds on every static json.Marshal / json.Unmarshal /
 // (*json.Encoder).Encode / (*json.Decoder).Decode call site, then walks
@@ -41,7 +42,7 @@ import (
 // accepted: encoding/json sorts those keys canonically.
 var AnalyzerWireEnc = &Analyzer{
 	Name:   "wireenc",
-	Doc:    "require canonical JSON encoding for structs reaching journals or the fabric wire (no interface-typed content, ordered map keys)",
+	Doc:    "require canonical JSON encoding for structs reaching the manifest or lease journals, cache keys and entries, span JSONL, or quarantine dumps (no interface-typed content, ordered map keys)",
 	Run:    runWireEnc,
 	Finish: finishWireEnc,
 }

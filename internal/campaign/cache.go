@@ -107,15 +107,12 @@ func (c *Cache) path(key string) string {
 // Verify re-derives the entry's checksum and reports whether it matches.
 // Entries written before SchemaVersion 4 have no Sum, but those fail the
 // schema check first, so an empty Sum here means tampering. The fabric
-// verifies every entry that crosses a process boundary this way — a
-// remote peer's entry is trusted only after its bytes re-hash clean.
+// verifies every entry passed between a worker and the coordinator this
+// way — a peer's entry is trusted only after its bytes re-hash clean.
 func (e Entry) Verify() bool {
 	want, err := checksum(e)
 	return err == nil && e.Sum == want
 }
-
-// verify is the package-internal spelling of Entry.Verify.
-func verify(e Entry) bool { return e.Verify() }
 
 // noteCorrupt counts and reports a corrupt entry.
 func (c *Cache) noteCorrupt(path, why string) {
@@ -159,7 +156,7 @@ func (c *Cache) Get(key string) (Entry, bool) {
 		c.noteCorrupt(path, "key mismatch")
 		return Entry{}, false
 	}
-	if !verify(e) {
+	if !e.Verify() {
 		c.noteCorrupt(path, "checksum mismatch")
 		return Entry{}, false
 	}
@@ -283,7 +280,7 @@ func (c *Cache) Entries() ([]Entry, error) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Schema != SchemaVersion {
 			return nil // skip torn/foreign files
 		}
-		if !verify(e) {
+		if !e.Verify() {
 			c.noteCorrupt(path, "checksum mismatch")
 			return nil
 		}

@@ -172,7 +172,7 @@ func FsckWith(dir string, opts FsckOptions) (*FsckReport, error) {
 			rep.Corrupt = append(rep.Corrupt, Flaw{Path: path, Reason: fmt.Sprintf("misfiled: entry key %s", e.Key)})
 			return nil
 		}
-		if !verify(e) {
+		if !e.Verify() {
 			rep.Corrupt = append(rep.Corrupt, Flaw{Path: path, Reason: "checksum mismatch"})
 			return nil
 		}

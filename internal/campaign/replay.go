@@ -9,10 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// LoadDump reads a quarantine diagnostic dump written by the engine (or
-// by a fabric worker whose panic was reclaimed by lease expiry). The dump
-// is validated just enough to replay: it must name a job and carry the
-// panic it documents.
+// LoadDump reads a quarantine diagnostic dump written by the engine. The
+// dump is validated just enough to replay: it must name a job and carry
+// the panic it documents.
 func LoadDump(path string) (*QuarantineDump, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -53,11 +52,11 @@ type ReplayReport struct {
 }
 
 // Replay re-runs a quarantined job on eng with a full-depth trace ring
-// attached, so a panic that a fabric reclaim or a campaign quarantine
-// captured with only a 256-event tail is diagnosable offline with the
-// whole history. The engine should be memory-only and retry-free (see
-// NewReplayEngine): replay must actually re-execute, not serve a cached
-// result, and a deterministic panic would just panic twice.
+// attached, so a panic that a campaign quarantine captured with only a
+// 256-event tail is diagnosable offline with the whole history. The
+// engine should be memory-only and retry-free (see NewReplayEngine):
+// replay must actually re-execute, not serve a cached result, and a
+// deterministic panic would just panic twice.
 //
 // Custom cell kinds replay too (their executor must be registered on
 // eng); the full-depth ring only captures simulator events for kinds

@@ -8,13 +8,12 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/faultinject"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
 // DefaultTTLTicks is the default lease lifetime in coordinator clock
-// ticks. With `campaign serve`'s one-second tick, a worker that heartbeats
-// every few seconds has an order-of-magnitude margin before reclaim.
+// ticks: an order-of-magnitude margin over a worker that heartbeats every
+// few ticks.
 const DefaultTTLTicks = 30
 
 // Config configures a coordinator.
@@ -58,8 +57,8 @@ type Stats struct {
 // Coordinator owns the campaign: the dependency-aware queue, the shared
 // content-addressed cache, the manifest, and the lease journal. It is a
 // pure request/reply state machine — Handle never blocks on I/O besides
-// local appends and cache writes — driven by any transport (in-process
-// Conn, HTTP) and by a logical clock (Advance).
+// local appends and cache writes — driven by any Conn and by a logical
+// clock (Advance).
 type Coordinator struct {
 	cfg Config
 
@@ -351,9 +350,6 @@ func (c *Coordinator) Advance(n uint64) int {
 	return len(due)
 }
 
-// Tick advances the clock one tick (the wall-clock ticker's entry point).
-func (c *Coordinator) Tick() int { return c.Advance(1) }
-
 // Settled reports whether every cell has reached a terminal state.
 func (c *Coordinator) Settled() bool {
 	c.mu.Lock()
@@ -376,47 +372,11 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// Journal exposes the lease journal (status surfaces and tests).
-func (c *Coordinator) Journal() *LeaseLog { return c.log }
-
 // Manifest exposes the campaign manifest (status surfaces and tests).
 func (c *Coordinator) Manifest() *campaign.Manifest { return c.manifest }
 
 // Cache exposes the shared cache (export and gc).
 func (c *Coordinator) Cache() *campaign.Cache { return c.cache }
-
-// AttachMetrics binds the coordinator's protocol counters and queue-state
-// gauges into reg under the given prefix. Reads take the coordinator's
-// mutex, so snapshots are race-free against live traffic.
-func (c *Coordinator) AttachMetrics(reg *metrics.Registry, prefix string) {
-	counter := func(name string, f func(s *Stats) uint64) {
-		reg.CounterFunc(prefix+"."+name, func() uint64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return f(&c.stats)
-		})
-	}
-	counter("granted", func(s *Stats) uint64 { return s.Granted })
-	counter("renewed", func(s *Stats) uint64 { return s.Renewed })
-	counter("completed", func(s *Stats) uint64 { return s.Completed })
-	counter("expired", func(s *Stats) uint64 { return s.Expired })
-	counter("stale_completes", func(s *Stats) uint64 { return s.StaleCompletes })
-	counter("dup_completes", func(s *Stats) uint64 { return s.DupCompletes })
-	counter("rejected", func(s *Stats) uint64 { return s.Rejected })
-	counter("remote_reads", func(s *Stats) uint64 { return s.RemoteReads })
-	counter("resumed_cells", func(s *Stats) uint64 { return s.ResumedCells })
-	gauge := func(name string, pick func(p, l, d, f, q int) int) {
-		reg.GaugeFunc(prefix+"."+name, func() float64 {
-			p, l, d, f, q := c.Counts()
-			return float64(pick(p, l, d, f, q))
-		})
-	}
-	gauge("cells_pending", func(p, l, d, f, q int) int { return p })
-	gauge("cells_leased", func(p, l, d, f, q int) int { return l })
-	gauge("cells_done", func(p, l, d, f, q int) int { return d })
-	gauge("cells_failed", func(p, l, d, f, q int) int { return f })
-	gauge("cells_quarantined", func(p, l, d, f, q int) int { return q })
-}
 
 // Close compacts the manifest and releases the journals.
 func (c *Coordinator) Close() error {

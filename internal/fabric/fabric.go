@@ -1,8 +1,12 @@
-// Package fabric is the campaign stack's multi-host tier: a
-// coordinator/worker protocol where workers lease cells from a
-// dependency-aware work queue and share one content-addressed cache
-// namespace, built so that a SIGKILL'd worker never loses a campaign —
-// at most it re-simulates its in-flight cell.
+// Package fabric is a coordinator/worker leasing protocol where workers
+// lease cells from a dependency-aware work queue and share one
+// content-addressed cache namespace, built so that a killed worker never
+// loses a campaign — at most it re-simulates its in-flight cell.
+//
+// The package has no deployment front end: no network transport and no
+// CLI. Coordinator and workers run in one process over LocalConn (or
+// FaultConn for chaos schedules); single-host campaigns use
+// campaign.Engine directly.
 //
 // The design leans entirely on the two substrates PR 4 hardened:
 //
@@ -20,9 +24,8 @@
 //     never a crash and never a poisoned store.
 //
 // Time in the fabric is a logical clock. The coordinator's lease TTLs
-// are ticks, advanced by Coordinator.Advance — driven by a wall-clock
-// ticker in `campaign serve`, and by the test harness in the chaos
-// suite, where a seeded schedule interleaves worker steps, clock
+// are ticks, advanced by Coordinator.Advance — driven by the caller; in
+// the chaos suite a seeded schedule interleaves worker steps, clock
 // advances, and worker kills fully deterministically. Expiry, reclaim,
 // and re-queue logic therefore replays bit-identically under any seed.
 //

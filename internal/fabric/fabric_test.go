@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"io"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -303,32 +302,6 @@ func TestFabricResume(t *testing.T) {
 	}
 	if _, _, done, _, _ := c2.Counts(); done != 3 {
 		t.Errorf("done=%d, want 3", done)
-	}
-}
-
-// TestFabricHTTPTransport runs the same protocol through the real HTTP
-// plane: handler on the coordinator side, HTTPConn on the worker side.
-func TestFabricHTTPTransport(t *testing.T) {
-	cells := testCells(t, 2)
-	jobs := []campaign.Job{cells[0].Job, cells[1].Job}
-	want := referenceExport(t, jobs)
-
-	c, err := NewCoordinator(Config{Grid: "http", Cells: cells, CacheDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(Handler(c))
-	defer srv.Close()
-
-	w := newWorker(t, "w1", &HTTPConn{URL: srv.URL})
-	runToShutdown(t, w)
-
-	if got := cacheExport(t, c.Cache()); got != want {
-		t.Errorf("HTTP-transported export differs from single-host run:\n%s\nvs\n%s", got, want)
-	}
-	if st := c.Stats(); st.Completed != 2 {
-		t.Errorf("completed=%d, want 2", st.Completed)
 	}
 }
 

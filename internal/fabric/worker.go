@@ -14,9 +14,8 @@ import (
 // Conn. It is written as an explicit step machine — Step performs exactly
 // one protocol round (acquire a lease, or execute-and-complete the held
 // one) — so the chaos harness can interleave workers, clock ticks, and
-// kills under a seeded schedule; Run wraps Step in the wall-clock loop
-// real deployments use, with a background heartbeat renewing the lease
-// while a cell simulates.
+// kills under a seeded schedule. Heartbeats are explicit too: the
+// harness calls Renew.
 //
 // Every failure path degrades, never crashes: a lost message is retried
 // with deterministic backoff, a corrupt remote entry falls back to local
@@ -44,9 +43,6 @@ type Worker struct {
 	// Faults is the worker-side chaos schedule: SiteHeartbeat drops
 	// renewals, SiteStaleComplete duplicates completion sends.
 	Faults *faultinject.Injector
-	// RenewEvery is Run's background heartbeat period (0 = disabled; the
-	// chaos harness drives renewal explicitly via Renew instead).
-	RenewEvery time.Duration
 	// Sleep replaces time.Sleep in tests (nil = time.Sleep).
 	Sleep func(time.Duration)
 
@@ -119,10 +115,7 @@ func (w *Worker) stepLease() (bool, error) {
 func (w *Worker) stepExecute() {
 	cur := w.cur
 	w.cur = nil
-	stopRenew := w.startRenewal(cur)
-	msg := w.execute(cur)
-	stopRenew()
-	w.complete(cur, msg)
+	w.complete(cur, w.execute(cur))
 }
 
 // execute produces the completion message for the held cell.
@@ -232,29 +225,6 @@ func (w *Worker) complete(cur *heldLease, msg Msg) {
 	w.warn(cur, "completion undeliverable; abandoning cell to lease expiry")
 }
 
-// startRenewal spawns Run's background heartbeat for the held cell,
-// returning its stop function. With RenewEvery zero (step-machine mode)
-// renewal is the harness's job and this is a no-op.
-func (w *Worker) startRenewal(cur *heldLease) func() {
-	if w.RenewEvery <= 0 {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(w.RenewEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				w.renew(cur)
-			}
-		}
-	}()
-	return func() { close(stop) }
-}
-
 // renew sends one heartbeat for the held cell. SiteHeartbeat faults
 // swallow it — the "worker alive but heartbeats lost" failure, which must
 // cost at most a re-simulation, never a wedge.
@@ -282,20 +252,6 @@ func (w *Worker) Holding() string {
 		return ""
 	}
 	return w.cur.key
-}
-
-// Run steps until the coordinator declares the campaign settled. The
-// wall-clock deployment loop: `campaign work` calls this.
-func (w *Worker) Run() error {
-	for {
-		done, err := w.Step()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
 }
 
 // pause backs off after a wait or transport fault, escalating with
