@@ -4,11 +4,14 @@
 // the repository's headline guarantees machine-checked:
 //
 //   - determinism: no map-order-dependent iteration in simulation or
-//     export paths, and no stray randomness or wall-clock reads outside
-//     the blessed packages — the invariant behind bit-identical parallel
-//     vs serial campaign runs. Flow-sensitive: the collect-then-sort
-//     idiom is tracked through locals and helper calls on every control
-//     path (see determinism.go).
+//     export paths — the invariant behind bit-identical parallel vs
+//     serial campaign runs. Flow-sensitive: the collect-then-sort idiom
+//     is tracked through locals and helper calls on every control path
+//     (see determinism.go).
+//   - detertaint: wall-clock reads, math/rand and maps.Keys/Values
+//     iterators are tracked as taint through calls, fields and closures,
+//     and reported where they reach a cache key, a seed or span ID, or a
+//     Stats field; direct math/rand calls are always reported.
 //   - metricscomplete: every exported numeric Stats field reaches the
 //     metrics registry in its package's AttachMetrics, so new counters
 //     cannot silently drop out of simscope/Perfetto exports.
@@ -40,6 +43,9 @@
 //   - cyclemath: uint64 cycle subtraction a-b is dominated by a provable
 //     a>=b guard, and cycle values never cross signed conversions — the
 //     classic simulator underflow bug class.
+//   - undocomplete: every field of cache, memsys or coherence state that
+//     a speculative path mutates is also written on a path reachable from
+//     squash/cleanup — the paper's Section 3 undo invariant as lint.
 //   - staledirective: a //simlint suppression that suppresses nothing is
 //     itself a finding (and is auto-removable with -fix).
 //

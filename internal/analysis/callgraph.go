@@ -14,10 +14,11 @@ import (
 //
 // Edge kinds:
 //
-//   - call: a static call to a declared function or method. Calls through
-//     an interface method fan out to every module type whose method set
-//     implements the interface (a sound over-approximation for code that
-//     never leaves the module).
+//   - call: a static call to a declared function or method. A call into
+//     generic code (an instantiated method, or f[T](x)) links to the
+//     generic declaration. Calls through an interface method fan out to
+//     every module type whose method set implements the interface (a
+//     sound over-approximation for code that never leaves the module).
 //   - spawn: the call (or literal) is launched on a new goroutine by a
 //     `go` statement. Spawn edges matter to the lock analyses: the callee
 //     starts with an empty lock set regardless of what the spawner holds.
@@ -75,9 +76,9 @@ type cgEdge struct {
 
 // callGraph is the module-wide graph plus its lookup indexes.
 type callGraph struct {
-	nodes  []*cgNode
-	byFn   map[*types.Func]*cgNode
-	byLit  map[*ast.FuncLit]*cgNode
+	nodes []*cgNode
+	byFn  map[*types.Func]*cgNode
+	byLit map[*ast.FuncLit]*cgNode
 	// implementers maps an interface method to the concrete module
 	// methods a call through it can reach.
 	implementers map[*types.Func][]*types.Func

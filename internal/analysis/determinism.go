@@ -481,16 +481,27 @@ func isSortingCall(pkg *Package, call *ast.CallExpr) bool {
 	return false
 }
 
-// calleeFunc resolves a call to the function object it statically
-// invokes, or nil.
+// calleeFunc resolves a call to the declared function object it
+// statically invokes, or nil. Explicit instantiations (f[T](x)) are
+// unwrapped, and a generic callee resolves to its origin, so calls into
+// generic code meet the same *types.Func the call graph indexes.
 func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ := pkg.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
-		return fn
+	fun := call.Fun
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, ok := fun.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
+		return fn.Origin()
 	}
 	return nil
 }

@@ -68,14 +68,25 @@ func TestHotReportTestdataBudget(t *testing.T) {
 	if !ok || helper.Sites["append"] != 1 {
 		t.Errorf("helper budget = %+v, want one append site", helper)
 	}
+	// Generic code is reached through its declared function: a method of
+	// a generic type, and a function called with explicit type arguments.
+	push, ok := byFn["internal/hotpath.queue.push"]
+	if !ok || push.Sites["append"] != 1 {
+		t.Errorf("queue.push budget = %+v, want one append site", push)
+	}
+	grow, ok := byFn["internal/hotpath.grow"]
+	if !ok || grow.Sites["make"] != 1 {
+		t.Errorf("grow budget = %+v, want one make site", grow)
+	}
 	// remove's splice is proven in place; Cold is unreachable.
 	for _, fn := range []string{"internal/hotpath.remove", "internal/hotpath.Cold"} {
 		if fc, ok := byFn[fn]; ok {
 			t.Errorf("%s has a budget entry (%+v), want none", fn, fc)
 		}
 	}
-	if want := step.Total + helper.Total; rep.Total != want {
-		t.Errorf("total = %d, want %d (Step %d + helper %d)", rep.Total, want, step.Total, helper.Total)
+	if want := step.Total + helper.Total + push.Total + grow.Total; rep.Total != want {
+		t.Errorf("total = %d, want %d (Step %d + helper %d + queue.push %d + grow %d)",
+			rep.Total, want, step.Total, helper.Total, push.Total, grow.Total)
 	}
 }
 

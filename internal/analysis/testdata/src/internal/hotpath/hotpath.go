@@ -22,6 +22,9 @@ func Step(s *stats, n uint64) {
 	_ = f()
 	helper(s)
 	remove(s, 0)
+	var q queue[uint64]
+	q.push(n)
+	_ = grow[uint64](len(s.vals))
 	//simlint:allow hotalloc -- golden suppressed site: scratch map is bounded by the step's fan-out
 	scratch := make(map[uint64]bool)
 	_ = scratch
@@ -31,6 +34,20 @@ func Step(s *stats, n uint64) {
 // hot too — the analysis is interprocedural, not lexical.
 func helper(s *stats) {
 	s.vals = append(s.vals, 1) // want `allocation on the per-cycle hot path \(append\)`
+}
+
+// queue is a generic worklist. A call to its method resolves to the
+// instantiated method, which the analysis maps back to the declared one.
+type queue[T any] struct{ items []T }
+
+func (q *queue[T]) push(v T) {
+	q.items = append(q.items, v) // want `allocation on the per-cycle hot path \(append\)`
+}
+
+// grow is called with explicit type arguments: the callee sits behind an
+// index expression in call position.
+func grow[T any](n int) []T {
+	return make([]T, n) // want `allocation on the per-cycle hot path \(make\)`
 }
 
 // remove uses the in-place splice idiom: append(s[:i], s[i+1:]...) can

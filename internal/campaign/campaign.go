@@ -158,8 +158,8 @@ type JobResult struct {
 	// Aux is a custom cell kind's opaque result payload (nil for plain
 	// simulation cells); it round-trips through the memo and disk cache
 	// next to Result.
-	Aux json.RawMessage
-	Err error
+	Aux      json.RawMessage
+	Err      error
 	Cached   bool // served from the disk cache or in-memory memo
 	Attempts int  // 0 for cache hits
 	Elapsed  time.Duration

@@ -108,4 +108,3 @@ func firstDiffContext(a, b string) string {
 	}
 	return "(no line-level difference found)"
 }
-

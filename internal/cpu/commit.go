@@ -12,20 +12,20 @@ import (
 // at cycle at (InvisiSpec-Initial's visibility point).
 func (m *Machine) scheduleWake(slot int32, at arch.Cycle) {
 	e := &m.rob[slot]
-	m.wakeQ.push(doneEvent{at: at, slot: slot, seq: e.seq})
+	m.wakeQ.Push(at, e.seq, slot)
 }
 
 // processWakes delivers deferred wakeups due this cycle.
 func (m *Machine) processWakes() {
-	for m.wakeQ.Len() > 0 && m.wakeQ[0].at <= m.now {
-		ev := m.wakeQ.pop()
-		if !m.live(ev.slot, ev.seq) {
+	for m.wakeQ.Due(m.now) {
+		ev := m.wakeQ.Pop()
+		if !m.live(ev.Val, ev.Seq) {
 			continue
 		}
-		e := &m.rob[ev.slot]
+		e := &m.rob[ev.Val]
 		if e.wakeDeferred && e.state == stDone {
 			e.wakeDeferred = false
-			m.wakeConsumers(ev.slot)
+			m.wakeConsumers(ev.Val)
 		}
 	}
 }

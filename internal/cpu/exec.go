@@ -2,129 +2,20 @@ package cpu
 
 import (
 	"repro/internal/arch"
+	"repro/internal/heapq"
 	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/trace"
 )
 
-// seqHeap orders ready ROB slots oldest-first for deterministic issue.
-// Hand-rolled binary heap rather than container/heap: the stdlib's
-// any-typed Push/Pop boxes every item, a per-issue heap allocation on the
-// cycle loop. seq values are unique among in-flight instructions, so the
-// pop order is the fully determined ascending-seq order either way.
-type seqHeap []readyItem
-
-type readyItem struct {
-	slot int32
-	seq  uint64
-}
-
-func (q seqHeap) Len() int { return len(q) }
-
-func (q *seqHeap) push(it readyItem) {
-	//simlint:allow hotalloc -- heap storage; capacity is bounded by ROB size and reused across cycles
-	h := append(*q, it)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[parent].seq <= h[i].seq {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	*q = h
-}
-
-func (q *seqHeap) pop() readyItem {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h[r].seq < h[child].seq {
-			child = r
-		}
-		if h[i].seq <= h[child].seq {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	*q = h
-	return top
-}
-
-// eventHeap orders scheduled completions by (cycle, seq). Same
-// hand-rolled shape as seqHeap, same boxing-avoidance rationale; ties on
-// (at, seq) are identical events, so pop order is fully determined.
-type eventHeap []doneEvent
-
-type doneEvent struct {
-	at   arch.Cycle
-	slot int32
-	seq  uint64
-}
-
-func (q eventHeap) Len() int { return len(q) }
-
-func (a doneEvent) before(b doneEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventHeap) push(ev doneEvent) {
-	//simlint:allow hotalloc -- heap storage; capacity is bounded by in-flight events and reused across cycles
-	h := append(*q, ev)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	*q = h
-}
-
-func (q *eventHeap) pop() doneEvent {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h[r].before(h[child]) {
-			child = r
-		}
-		if !h[child].before(h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	*q = h
-	return top
-}
-
 func (m *Machine) pushReady(slot int32, seq uint64) {
-	m.readyQ.push(readyItem{slot: slot, seq: seq})
+	m.readyQ.Push(0, seq, slot)
 }
 
 func (m *Machine) scheduleDone(slot int32, at arch.Cycle) {
 	e := &m.rob[slot]
 	e.doneAt = at
-	m.doneQ.push(doneEvent{at: at, slot: slot, seq: e.seq})
+	m.doneQ.Push(at, e.seq, slot)
 }
 
 // live reports whether slot still holds the instruction with seq.
@@ -138,17 +29,17 @@ func (m *Machine) live(slot int32, seq uint64) bool {
 // issue begins execution for up to IssueWidth ready instructions.
 func (m *Machine) issue() {
 	issued := 0
-	var defered []readyItem
+	var defered []heapq.Item[int32]
 	for issued < m.cfg.IssueWidth && m.readyQ.Len() > 0 {
-		it := m.readyQ.pop()
-		if !m.live(it.slot, it.seq) {
+		it := m.readyQ.Pop()
+		if !m.live(it.Val, it.Seq) {
 			continue
 		}
-		e := &m.rob[it.slot]
+		e := &m.rob[it.Val]
 		if e.state != stDispatched {
 			continue
 		}
-		if !m.execute(it.slot) {
+		if !m.execute(it.Val) {
 			// Not executable this cycle (e.g. rdcycle not at head);
 			// hold it without consuming issue bandwidth.
 			//simlint:allow hotalloc -- allocates only on the rare serializing-op defer (rdcycle not at ROB head), bounded by issue width
@@ -158,7 +49,7 @@ func (m *Machine) issue() {
 		issued++
 	}
 	for _, it := range defered {
-		m.readyQ.push(it)
+		m.readyQ.Push(it.At, it.Seq, it.Val)
 	}
 }
 
@@ -442,12 +333,12 @@ func (m *Machine) completeLoad(idx int32, at arch.Cycle, level Level) {
 // results ready, wakes dependents, resolves control flow, and triggers
 // squashes on mispredicts.
 func (m *Machine) processCompletions() {
-	for m.doneQ.Len() > 0 && m.doneQ[0].at <= m.now {
-		ev := m.doneQ.pop()
-		if !m.live(ev.slot, ev.seq) {
+	for m.doneQ.Due(m.now) {
+		ev := m.doneQ.Pop()
+		if !m.live(ev.Val, ev.Seq) {
 			continue
 		}
-		e := &m.rob[ev.slot]
+		e := &m.rob[ev.Val]
 		if e.state != stIssued {
 			continue
 		}
@@ -465,11 +356,11 @@ func (m *Machine) processCompletions() {
 			}
 		}
 		if !e.wakeDeferred {
-			m.wakeConsumers(ev.slot)
+			m.wakeConsumers(ev.Val)
 		}
 
 		if e.isCtrl {
-			m.resolveCtrl(ev.slot)
+			m.resolveCtrl(ev.Val)
 			// resolveCtrl may squash, invalidating heap entries;
 			// the live() check handles that on later pops.
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/branch"
 	"repro/internal/cache"
+	"repro/internal/heapq"
 	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/metrics"
@@ -251,12 +252,12 @@ type Machine struct {
 
 	seqGen uint64
 
-	readyQ    seqHeap   // slots ready to begin execution
-	doneQ     eventHeap // scheduled completions
-	wakeQ     eventHeap // deferred dependent wakeups
-	memRetry  []int32   // LQ indices blocked on issue conditions
-	fenceSeqs []uint64  // uncommitted fences, ascending
-	ctrlSeqs  []uint64  // unresolved squashable control insts, ascending
+	readyQ    heapq.Heap[int32] // ROB slots ready to begin execution, oldest first
+	doneQ     heapq.Heap[int32] // ROB slots by scheduled completion cycle
+	wakeQ     heapq.Heap[int32] // ROB slots by deferred dependent-wakeup cycle
+	memRetry  []int32           // LQ indices blocked on issue conditions
+	fenceSeqs []uint64          // uncommitted fences, ascending
+	ctrlSeqs  []uint64          // unresolved squashable control insts, ascending
 
 	lastCommitCycle arch.Cycle
 	cycleBase       arch.Cycle

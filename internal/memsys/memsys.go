@@ -12,7 +12,6 @@
 package memsys
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/arch"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/ceaser"
 	"repro/internal/coherence"
 	"repro/internal/dram"
+	"repro/internal/heapq"
 	"repro/internal/metrics"
 )
 
@@ -160,8 +160,6 @@ type Txn struct {
 
 	entry   *cache.MSHREntry // L1 MSHR entry (primary only)
 	l2entry *cache.MSHREntry // L2 MSHR entry (primary, memory-bound only)
-	heapIdx int
-	heapSeq uint64
 }
 
 // Stats counts hierarchy-level events.
@@ -195,7 +193,11 @@ type Hierarchy struct {
 	fillSeq    []uint64 // per-core LoadID counter (order of applied fills)
 	l2Accesses uint64
 
-	pending txnHeap
+	// pending holds in-flight transactions keyed by (DoneAt, issue
+	// order). A merged waiter shares its primary's DoneAt but was issued
+	// after it, so the tie-break completes the primary first and the
+	// waiter's callback sees the fill the primary applied.
+	pending heapq.Heap[*Txn]
 	seqGen  uint64
 
 	Traffic Traffic
@@ -542,24 +544,23 @@ func (h *Hierarchy) SquashLoad(core int, line arch.LineAddr, seq uint64) bool {
 	return h.l1mshr[core].SquashWaiter(line, seq)
 }
 
-// push schedules a transaction completion.
+// push schedules t to complete at t.DoneAt. The queue keys on the value
+// at push time, so DoneAt must be final by then.
 func (h *Hierarchy) push(t *Txn) {
 	//simlint:allow undocomplete -- monotone tie-break sequence for the pending heap; IDs are never reused, so a squash must not rewind it
 	h.seqGen++
-	t.heapSeq = h.seqGen
-	heap.Push(&h.pending, t)
+	h.pending.Push(t.DoneAt, h.seqGen, t)
 }
 
 // Tick completes every transaction due at or before now. The CPU calls it
 // once per cycle before its writeback stage.
 func (h *Hierarchy) Tick(now arch.Cycle) {
-	for h.pending.Len() > 0 && h.pending[0].DoneAt <= now {
-		t := heap.Pop(&h.pending).(*Txn)
-		h.complete(t)
+	for h.pending.Due(now) {
+		h.complete(h.pending.Pop().Val)
 	}
 }
 
-// PendingLen reports the number of in-flight transactions (tests only).
+// PendingLen reports the number of in-flight transactions.
 func (h *Hierarchy) PendingLen() int { return h.pending.Len() }
 
 func (h *Hierarchy) complete(t *Txn) {
@@ -947,33 +948,4 @@ func (h *Hierarchy) ResetStats() {
 	}
 	h.l2.ResetStats()
 	h.mem.ResetStats()
-}
-
-// txnHeap is a min-heap on (DoneAt, insertion order).
-type txnHeap []*Txn
-
-func (q txnHeap) Len() int { return len(q) }
-func (q txnHeap) Less(i, j int) bool {
-	if q[i].DoneAt != q[j].DoneAt {
-		return q[i].DoneAt < q[j].DoneAt
-	}
-	return q[i].heapSeq < q[j].heapSeq
-}
-func (q txnHeap) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].heapIdx = i
-	q[j].heapIdx = j
-}
-func (q *txnHeap) Push(x any) {
-	t := x.(*Txn)
-	t.heapIdx = len(*q)
-	*q = append(*q, t)
-}
-func (q *txnHeap) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
 }

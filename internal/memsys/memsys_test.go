@@ -147,6 +147,46 @@ func TestSquashWithSurvivingMergedWaiterKeepsFill(t *testing.T) {
 	}
 }
 
+// TestMergedWaitersCompleteInIssueOrder pins the pending queue's tie-break:
+// a primary miss and the waiters merged into its MSHR entry share one
+// DoneAt, so they must complete in issue order. Then every waiter's
+// callback runs after the primary has applied the fill. The waiter ids
+// descend, so ordering by id instead of by issue would fail too.
+func TestMergedWaitersCompleteInIssueOrder(t *testing.T) {
+	h := New(testConfig())
+	line := arch.LineAddr(0x400)
+	var order []uint64
+	var inL1 []bool
+	onDone := func(x *Txn) {
+		order = append(order, x.Seq)
+		_, hit := h.L1(0).Probe(line)
+		inL1 = append(inL1, hit)
+	}
+	var txns []*Txn
+	for _, seq := range []uint64{30, 20, 10} {
+		txn, ok := h.Load(0, line, 0, seq, LoadOpts{}, onDone)
+		if !ok {
+			t.Fatalf("load %d rejected", seq)
+		}
+		txns = append(txns, txn)
+	}
+	if !txns[0].Primary || txns[1].Primary || txns[2].Primary {
+		t.Fatal("the first load must own the MSHR entry and the others merge into it")
+	}
+	if txns[1].DoneAt != txns[0].DoneAt || txns[2].DoneAt != txns[0].DoneAt {
+		t.Fatal("merged loads must complete together")
+	}
+	run(h, txns[0])
+	if want := []uint64{30, 20, 10}; len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Fatalf("OnDone order %v, want issue order %v", order, want)
+	}
+	for i, hit := range inL1 {
+		if !hit {
+			t.Errorf("callback %d (waiter %d) ran before the fill reached L1", i, order[i])
+		}
+	}
+}
+
 func TestMergedLoadsShareOneMemoryRequest(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x300)

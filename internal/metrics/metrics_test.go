@@ -67,11 +67,11 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("sum=%d want %d", h.Sum(), want)
 	}
 	want := []Bucket{
-		{Lo: 0, Hi: 0, Count: 1},     // 0
-		{Lo: 1, Hi: 1, Count: 1},     // 1
-		{Lo: 2, Hi: 3, Count: 2},     // 2, 3
-		{Lo: 4, Hi: 7, Count: 2},     // 4, 7
-		{Lo: 8, Hi: 15, Count: 1},    // 8
+		{Lo: 0, Hi: 0, Count: 1},  // 0
+		{Lo: 1, Hi: 1, Count: 1},  // 1
+		{Lo: 2, Hi: 3, Count: 2},  // 2, 3
+		{Lo: 4, Hi: 7, Count: 2},  // 4, 7
+		{Lo: 8, Hi: 15, Count: 1}, // 8
 		{Lo: 1024, Hi: 2047, Count: 1},
 	}
 	got := h.Buckets()

@@ -15,14 +15,14 @@ import (
 // the exporter maps one simulated cycle to one microsecond so cycle
 // arithmetic survives the viewer round trip unscaled.
 type ChromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Cat  string         `json:"cat,omitempty"`
-	S    string         `json:"s,omitempty"`
+	Name string `json:"name"`
+	Ph   string `json:"ph"`
+	Ts   uint64 `json:"ts"`
+	Dur  uint64 `json:"dur,omitempty"`
+	Pid  int    `json:"pid"`
+	Tid  int    `json:"tid"`
+	Cat  string `json:"cat,omitempty"`
+	S    string `json:"s,omitempty"`
 	// The trace-event spec requires heterogeneous args; this export is a
 	// viewer artifact, never journaled, checksummed, or re-read.
 	Args map[string]any `json:"args,omitempty"` //simlint:allow wireenc -- Chrome trace viewer schema; write-only export, not a journal
