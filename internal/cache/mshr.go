@@ -61,17 +61,22 @@ type MSHREntry struct {
 	// gets a new entry and a fresh memory request, as the paper
 	// specifies) but keep consuming capacity until the data returns.
 	Squashed bool
+
+	next   *MSHREntry // free-list link while the entry is pooled
+	pooled bool       // released and not yet reallocated
 }
 
 // MSHR models a miss status holding register file with a fixed number of
 // entries. Live entries are keyed by line address; requests to the same
 // line merge onto one entry. Squashed ("zombie") entries are unindexed but
-// still occupy capacity until released at data return.
+// still occupy capacity until released at data return. Released entries
+// are recycled, so an *MSHREntry is valid only until its Release.
 type MSHR struct {
 	name    string
 	cap     int
 	entries map[arch.LineAddr]*MSHREntry
 	zombies int
+	free    *MSHREntry // released entries, linked through next
 
 	// Stats counts MSHR traffic; AttachMetrics binds every field.
 	Stats MSHRStats
@@ -118,36 +123,50 @@ func (m *MSHR) Lookup(line arch.LineAddr) (*MSHREntry, bool) {
 // Allocate creates an entry for line, or merges onto an existing live one.
 // It returns (entry, merged, ok); ok is false when the MSHR is full.
 func (m *MSHR) Allocate(line arch.LineAddr, waiter uint64) (e *MSHREntry, merged, ok bool) {
-	if e, exists := m.entries[line]; exists {
-		//simlint:allow hotalloc -- one waiter id per merged miss; the list is bounded by the LQ size and freed with the entry when the fill returns
-		e.Waiters = append(e.Waiters, waiter)
+	e, merged = m.entries[line]
+	if merged {
 		m.Stats.Merges++
-		return e, true, true
+	} else {
+		if m.FullNow() {
+			m.Stats.Full++
+			return nil, false, false
+		}
+		e = m.free
+		if e == nil {
+			//simlint:allow hotalloc -- grows the entry pool only while every pooled entry is in flight; bounded by MSHR capacity
+			e = &MSHREntry{}
+		} else {
+			//simlint:allow undocomplete -- entry free list: host memory reuse, not modelled cache state; a squash has nothing to restore
+			m.free = e.next
+		}
+		*e = MSHREntry{Line: line, Waiters: e.Waiters[:0]}
+		m.entries[line] = e
+		m.Stats.Allocs++
 	}
-	if m.FullNow() {
-		m.Stats.Full++
-		return nil, false, false
-	}
-	//simlint:allow hotalloc -- one entry+waiter list per primary miss, bounded by MSHR capacity; amortized over the miss latency, not per cycle
-	e = &MSHREntry{Line: line, Waiters: []uint64{waiter}}
-	m.entries[line] = e
-	m.Stats.Allocs++
-	return e, false, true
+	//simlint:allow hotalloc -- one waiter id per load on the miss; the list is bounded by the LQ size and its capacity is recycled with the entry
+	e.Waiters = append(e.Waiters, waiter)
+	return e, merged, true
 }
 
 // Release frees entry when its data returns: a live entry leaves the index,
 // a zombie releases its held capacity. Safe against the index having been
-// re-populated for the same line by a newer request.
+// re-populated for the same line by a newer request, and against a second
+// Release. The entry is recycled by a later Allocate, so the caller must
+// read what it needs first.
 func (m *MSHR) Release(e *MSHREntry) {
+	if e.pooled {
+		return
+	}
 	if e.Squashed {
 		if m.zombies > 0 {
 			m.zombies--
 		}
-		return
-	}
-	if cur, ok := m.entries[e.Line]; ok && cur == e {
+	} else if cur, ok := m.entries[e.Line]; ok && cur == e {
 		delete(m.entries, e.Line)
 	}
+	e.pooled = true
+	e.next = m.free
+	m.free = e
 }
 
 // SquashWaiter removes waiter from line's live entry. If no waiters remain

@@ -79,10 +79,11 @@ type Stats struct {
 	Flushes      uint64
 }
 
-// Directory is the MESI directory.
+// Directory is the MESI directory. Entries are stored by value, so
+// tracking a line allocates nothing beyond the map's own growth.
 type Directory struct {
 	cores   int
-	entries map[arch.LineAddr]*entry
+	entries map[arch.LineAddr]entry
 
 	Stats Stats
 }
@@ -93,20 +94,19 @@ func NewDirectory(cores int) *Directory {
 		//simlint:allow errdiscipline -- construction-time core-count validation; a bad config is a programmer error caught before any simulation runs
 		panic(fmt.Sprintf("coherence: bad core count %d", cores))
 	}
-	return &Directory{cores: cores, entries: make(map[arch.LineAddr]*entry)}
+	return &Directory{cores: cores, entries: make(map[arch.LineAddr]entry)}
 }
 
 // Cores returns the number of cores the directory tracks.
 func (d *Directory) Cores() int { return d.cores }
 
-func (d *Directory) get(l arch.LineAddr) *entry {
-	e, ok := d.entries[l]
-	if !ok {
-		//simlint:allow hotalloc -- one directory entry per tracked line, allocated on first reference and deleted on last eviction; amortized across the line's lifetime
-		e = &entry{owner: -1}
-		d.entries[l] = e
+// get returns l's entry, or an empty one (no owner, no sharers) when l is
+// untracked. Callers store the updated entry back.
+func (d *Directory) get(l arch.LineAddr) entry {
+	if e, ok := d.entries[l]; ok {
+		return e
 	}
-	return e
+	return entry{owner: -1}
 }
 
 func (d *Directory) checkCore(core int) {
@@ -178,13 +178,16 @@ func (d *Directory) getS(core int, l arch.LineAddr) Grant {
 		e.sharers = (1 << uint(e.owner)) | bit
 		e.owner = -1
 		e.dirty = false
+		d.entries[l] = e
 		return g
 	case e.sharers != 0:
 		e.sharers |= bit
+		d.entries[l] = e
 		return Grant{State: arch.Shared, Source: SrcShared}
 	default:
 		// Sole copy: grant Exclusive.
 		e.owner = core
+		d.entries[l] = e
 		return Grant{State: arch.Exclusive, Source: SrcMemory}
 	}
 }
@@ -230,9 +233,7 @@ func (d *Directory) GetX(core int, l arch.LineAddr) Grant {
 		}
 	}
 	d.Stats.Invalidates += uint64(len(g.Invalidates))
-	e.owner = core
-	e.dirty = true
-	e.sharers = 0
+	d.entries[l] = entry{owner: core, dirty: true}
 	return g
 }
 
@@ -254,6 +255,8 @@ func (d *Directory) Evict(core int, l arch.LineAddr, dirty bool) {
 	e.sharers &^= 1 << uint(core)
 	if e.owner < 0 && e.sharers == 0 {
 		delete(d.entries, l)
+	} else {
+		d.entries[l] = e
 	}
 }
 

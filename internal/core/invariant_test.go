@@ -38,7 +38,7 @@ func TestUndoInvariantProperty(t *testing.T) {
 		lines := make([]arch.LineAddr, 40)
 		for i := range lines {
 			lines[i] = arch.LineAddr(rng.Intn(256))
-			h.Load(0, lines[i], now, uint64(i), memsys.LoadOpts{}, nil)
+			h.Load(0, lines[i], now, uint64(i), memsys.LoadOpts{}, nil, 0)
 			now += 3
 		}
 		drain()
@@ -59,7 +59,7 @@ func TestUndoInvariantProperty(t *testing.T) {
 			h.Load(0, line, now, uint64(100+i), memsys.LoadOpts{Spec: true}, func(tx *memsys.Txn) {
 				r.sefe = tx.SEFE
 				r.ord = h.FillOrder(0)
-			})
+			}, 0)
 			recs = append(recs, r)
 			now += 2
 		}

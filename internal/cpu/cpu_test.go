@@ -337,3 +337,77 @@ func TestTracerDetachedCostsNothingVisible(t *testing.T) {
 		t.Fatal("did not halt")
 	}
 }
+
+// inflightSquashProgram loops n times over an unpredictable branch whose
+// condition is a cold load. Both paths load further cold lines, so most
+// squashes catch a wrong-path load in flight, and the correct path's
+// loads take over its LQ slot before the stale data returns.
+func inflightSquashProgram(n int) *isa.Program {
+	const table, cold = 0x100000, 0x400000
+	b := isa.NewBuilder("inflight-squash")
+	rng := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < n; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		b.InitData(arch.Addr(table+i*arch.LineBytes), rng&1)
+	}
+	b.Li(1, table)
+	b.Li(2, int64(n))
+	b.Li(5, cold)
+	b.Label("loop")
+	b.Load(3, 1, 0) // cold: the branch resolves ~100 cycles later
+	b.AddI(5, 5, arch.LineBytes)
+	b.Br(isa.CondNE, 3, 0, "taken")
+	b.Load(6, 5, 0)
+	b.Load(7, 5, 8)
+	b.Jmp("join")
+	b.Label("taken")
+	b.Load(6, 5, 1<<16)
+	b.Label("join")
+	b.Add(8, 8, 6)
+	b.AddI(1, 1, arch.LineBytes)
+	b.AddI(2, 2, -1)
+	b.Br(isa.CondNE, 2, 0, "loop")
+	b.Halt()
+	return b.Build()
+}
+
+// TestSquashedLoadNeverCompletesIntoNewOwner checks the completion filter
+// that replaced detaching a squashed load's callback: every load completes
+// at most once, so no stale response of a squashed in-flight load is taken
+// for the younger load now holding its LQ slot (whose own response would
+// then complete it a second time), and the architectural result still
+// matches the interpreter.
+func TestSquashedLoadNeverCompletesIntoNewOwner(t *testing.T) {
+	prog := inflightSquashProgram(200)
+	for _, pol := range []Policy{NonSecure{}, dropInflight{}} {
+		m := newMachine(t, prog, pol)
+		ring := trace.NewRing(1 << 16)
+		m.AttachTracer(ring)
+		m.Run(0)
+		if !m.Halted() {
+			t.Fatalf("%T: did not halt", pol)
+		}
+		if m.Stats.SquashedInflight == 0 {
+			t.Fatalf("%T: no load was squashed in flight; the program does not exercise the filter", pol)
+		}
+		completions := make(map[uint64]int)
+		for _, ev := range ring.Filter(trace.KindLoadComplete) {
+			if completions[ev.Seq]++; completions[ev.Seq] > 1 {
+				t.Fatalf("%T: load seq %d completed twice", pol, ev.Seq)
+			}
+		}
+		ref := isa.NewInterp(prog)
+		ref.Run(0)
+		if got, want := m.Reg(8), ref.Reg(8); got != want {
+			t.Fatalf("%T: r8 = %d, interpreter %d", pol, got, want)
+		}
+	}
+}
+
+// dropInflight is NonSecure except that squashed in-flight fills are
+// dropped, so the stale responses arrive as dropped transactions.
+type dropInflight struct{ NonSecure }
+
+func (dropInflight) DropSquashedInflight() bool { return true }

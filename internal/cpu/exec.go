@@ -145,7 +145,7 @@ func (m *Machine) olderStoreBlocks(seq uint64, addr arch.Addr) (bool, bool, uint
 	// The youngest older matching store wins forwarding.
 	var fwdVal uint64
 	fwd := false
-	for n, i := int32(0), m.sqHead; n < m.sqCount; n, i = n+1, (i+1)%int32(m.cfg.SQSize) {
+	for n, i := int32(0), m.sqHead; n < m.sqCount; n, i = n+1, ringNext(i, int32(m.cfg.SQSize)) {
 		sq := &m.sq[i]
 		if !sq.valid || sq.seq > seq || !sq.addrReady {
 			continue
@@ -168,7 +168,7 @@ func (m *Machine) checkMemOrderViolation(sqIdx int32) {
 	sq := &m.sq[sqIdx]
 	violator := int32(-1)
 	var vseq uint64
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
 		lq := &m.lq[i]
 		if !lq.valid || !lq.Issued || !lq.HasAddr || lq.Seq < sq.seq {
 			continue
@@ -258,28 +258,24 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 		// Remaining modes issue a plain GetS; delay-based modes were
 		// already handled before reaching the issue path.
 	}
-	seq := lq.Seq
-	//simlint:allow hotalloc -- one completion closure per issued load miss, freed when the fill returns; removing it requires widening the memsys callback contract (see ROADMAP hot-loop program)
-	txn, ok := m.hier.Load(m.cfg.CoreID, lq.Line, m.now, m.waiterID(seq), opts, func(t *memsys.Txn) {
-		m.onLoadData(idx, seq, t)
-	})
+	iss, ok := m.hier.Load(m.cfg.CoreID, lq.Line, m.now, m.waiterID(lq.Seq), opts, m.onLoad, idx)
 	if !ok {
 		return false // MSHR full
 	}
-	if txn.Level == memsys.LevelDelayed {
+	if iss.Level == memsys.LevelDelayed {
 		lq.DelayedSafe = true
 		m.Stats.LoadDelayStalls++
 		return false
 	}
 	lq.Issued = true
 	lq.IssuedAt = m.now
-	lq.txn = txn
+	lq.DoneAt = iss.DoneAt
 	lq.IssuedMode = mode
-	m.emit(trace.KindLoadIssue, lq.Seq, m.rob[lq.slot].pc, lq.Line, uint64(txn.Level))
+	m.emit(trace.KindLoadIssue, lq.Seq, m.rob[lq.slot].pc, lq.Line, uint64(iss.Level))
 	if !spec {
 		lq.IssuedMode = LoadNormal
 	}
-	lq.Level = txn.Level // refined at completion; used if squashed in flight
+	lq.Level = iss.Level // refined at completion; used if squashed in flight
 	// The functional value is read at issue, after store-queue
 	// disambiguation; older stores drain to memory at commit, so memory
 	// already reflects everything older that was not forwarded.
@@ -287,16 +283,20 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 	return true
 }
 
-// onLoadData is the memory-system completion callback.
-func (m *Machine) onLoadData(idx int32, seq uint64, t *memsys.Txn) {
+// onLoadData is the memory-system completion callback of every load the
+// core issues, bound once in New. t.Tag is the load's LQ index. A load
+// squashed while in flight has left that slot, or the slot holds a younger
+// load by now (sequence numbers are never reused), so its completion is
+// ignored.
+func (m *Machine) onLoadData(t *memsys.Txn) {
+	idx := t.Tag
 	lq := &m.lq[idx]
-	if !lq.valid || lq.Seq != seq {
-		return // squashed while in flight (callback should be detached, but be safe)
+	if !lq.valid || m.waiterID(lq.Seq) != t.Seq {
+		return
 	}
 	if t.Dropped {
-		// Dropped fills belong to squashed loads only; a live load
-		// never receives a dropped response because squash detaches
-		// its callback first.
+		// Dropped fills belong to squashed loads only: an MSHR entry
+		// is squashed only once every load waiting on it was.
 		return
 	}
 	lq.SEFE = t.SEFE
@@ -399,7 +399,7 @@ func (m *Machine) resolveCtrl(slot int32) {
 		} else {
 			actualNext = e.pc + 1
 		}
-		m.bp.Update(e.predState, actualTaken)
+		m.bp.Update(m.robPred[slot].state, actualTaken)
 	case isa.OpRet:
 		actualNext = arch.Addr(e.src1Val)
 		actualTaken = true
@@ -424,7 +424,7 @@ func (m *Machine) resolveCtrl(slot int32) {
 // promoteVisibility notifies the policy about completed loads that just
 // became unsquashable.
 func (m *Machine) promoteVisibility() {
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
 		lq := &m.lq[i]
 		if !lq.valid || lq.Visible {
 			continue
@@ -457,7 +457,7 @@ func (m *Machine) squash(brSlot int32, actualTaken bool, actualNext arch.Addr) {
 
 	// Predictor recovery: rewind to the checkpoint taken at this branch,
 	// then apply the actual outcome to the history.
-	m.bp.Restore(br.snapshot)
+	m.bp.Restore(m.robPred[brSlot].snapshot)
 	if br.inst.Op == isa.OpBranch {
 		m.bp.ShiftGHR(actualTaken)
 	}
@@ -474,7 +474,7 @@ func (m *Machine) memOrderSquash(vSlot int32) {
 	v := &m.rob[vSlot]
 	m.Stats.Squashes++
 	m.Stats.MemOrderSquashes++
-	stop := (vSlot - 1 + int32(m.cfg.ROBSize)) % int32(m.cfg.ROBSize)
+	stop := ringPrev(vSlot, int32(m.cfg.ROBSize))
 	m.emit(trace.KindMemOrderSquash, v.seq, v.pc, 0, 0)
 	m.doSquash(v.seq, stop, v.pc)
 }
@@ -485,8 +485,8 @@ func (m *Machine) memOrderSquash(vSlot int32) {
 // penalty plus the policy's cleanup stall.
 func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) {
 	// Collect squashed loads in program order first (oldest to youngest).
-	var squashedLoads []SquashedLoad
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	squashedLoads := m.squashBuf[:0]
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
 		lq := &m.lq[i]
 		if !lq.valid || lq.Seq < cutoff {
 			continue
@@ -498,7 +498,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 			SEFE: lq.SEFE, FillOrder: lq.FillOrder,
 			Inflight: lq.Issued && !lq.Completed && !lq.Forwarded,
 		}
-		//simlint:allow hotalloc -- per-squash worklist bounded by the LQ size; squashes are events, not cycles
+		//simlint:allow hotalloc -- per-squash worklist bounded by the LQ size; its capacity is kept in m.squashBuf and reused by later squashes
 		squashedLoads = append(squashedLoads, sl)
 		if lq.Issued && !lq.Forwarded && m.hists.loadToSquash != nil {
 			//simlint:allow cyclemath -- IssuedAt was recorded from m.now when the load issued; the squash observes a later cycle
@@ -514,20 +514,20 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 			}
 			m.emit(trace.KindSpecWindow, lq.Seq, lq.PC, lq.Line, window)
 		}
-		// Detach the in-flight transaction and optionally drop its fill.
-		if lq.txn != nil {
-			lq.txn.OnDone = nil
-		}
+		// An in-flight load's completion still arrives but finds its LQ
+		// slot gone (onLoadData); the policy decides whether the fill
+		// itself lands.
 		if sl.Inflight && m.pol.DropSquashedInflight() {
 			m.hier.SquashLoad(m.cfg.CoreID, lq.Line, m.waiterID(lq.Seq))
 			m.emit(trace.KindLoadDropped, lq.Seq, 0, lq.Line, 0)
 		}
 	}
+	m.squashBuf = squashedLoads
 
 	// Walk the ROB tail back to the stop slot, undoing renames youngest
 	// first so oldRat restoration is exact.
 	for m.robCount > 0 {
-		last := (m.robTail - 1 + int32(m.cfg.ROBSize)) % int32(m.cfg.ROBSize)
+		last := ringPrev(m.robTail, int32(m.cfg.ROBSize))
 		if last == stopSlot {
 			break
 		}
@@ -566,8 +566,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 	// Bookkeeping lists: drop everything at or above the cutoff.
 	m.fenceSeqs = truncSeqsAbove(m.fenceSeqs, cutoff-1)
 	m.ctrlSeqs = truncSeqsAbove(m.ctrlSeqs, cutoff-1)
-	m.fetchBuf = m.fetchBuf[:0]
-	m.fetchHead = 0
+	m.fetchHead, m.fetchLen = 0, 0
 
 	// Classify the squashed loads (Table 5).
 	for _, sl := range squashedLoads {
@@ -639,13 +638,13 @@ func (m *Machine) RepairValueMisprediction(e *LQEntry, actual uint64) {
 // the LQ holds only correct-path loads.
 func (m *Machine) OlderInflightWait() arch.Cycle {
 	var max arch.Cycle
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
 		lq := &m.lq[i]
 		if !lq.valid || !lq.Issued || lq.Completed {
 			continue
 		}
-		if lq.txn != nil && lq.txn.DoneAt > m.now {
-			if w := lq.txn.DoneAt - m.now; w > max {
+		if lq.DoneAt > m.now {
+			if w := lq.DoneAt - m.now; w > max {
 				max = w
 			}
 		}
@@ -658,7 +657,7 @@ func (m *Machine) OlderInflightWait() arch.Cycle {
 // that correct-path execution also justifies (Section 3.4, "Squashing Loads
 // Re-ordered with Correct-Path Loads").
 func (m *Machine) LineReferencedByLiveLoad(line arch.LineAddr) bool {
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
 		lq := &m.lq[i]
 		if lq.valid && lq.HasAddr && lq.Line == line {
 			return true

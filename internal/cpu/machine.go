@@ -85,38 +85,43 @@ type consumer struct {
 	src  uint8 // 1 or 2
 }
 
-// ROBEntry is one reorder-buffer slot.
+// ROBEntry is one reorder-buffer slot: the state every pipeline stage
+// touches. The predictor state only control instructions need lives in
+// the robPred side array, and the fields are ordered to pack (144 B), so
+// the 192-entry ROB fits in a host's L1 data cache.
 type ROBEntry struct {
-	valid bool
-	seq   uint64
-	pc    arch.Addr
-	inst  isa.Inst
-	state robState
+	seq  uint64
+	pc   arch.Addr
+	inst isa.Inst
 
-	src1Ready, src2Ready bool
-	src1Val, src2Val     uint64
+	src1Val, src2Val uint64
+	result           uint64
+	oldRatSeq        uint64 // seq of the previous producer (staleness check)
+	consumers        []consumer
+
+	predTarget arch.Addr // predicted next PC
+	doneAt     arch.Cycle
+
+	oldRat       int32
+	lqIdx, sqIdx int32 // LQ/SQ slot of a load/store, else -1
+
 	pendSrcs             int8
-	result               uint64
+	state                robState
+	valid                bool
+	src1Ready, src2Ready bool
 	hasRd                bool
-	oldRat               int32
-	oldRatSeq            uint64 // seq of the previous producer (staleness check)
-	consumers            []consumer
+	isCtrl               bool
+	wakeDeferred         bool // value ready but dependents not yet woken
+	mispredicted         bool // resolved against its prediction
+}
 
-	// Control-flow bookkeeping.
-	isCtrl     bool
-	predTaken  bool
-	predTarget arch.Addr
-	predState  branch.PredState
-	snapshot   branch.Snapshot
-	hasPred    bool
-
-	// Memory bookkeeping.
-	lqIdx int32
-	sqIdx int32
-
-	doneAt       arch.Cycle
-	wakeDeferred bool // value ready but dependents not yet woken
-	mispredicted bool // resolved against its prediction
+// robPred is the cold half of a ROB entry: the predictor state a control
+// instruction saves at fetch and reads again only when it resolves or
+// squashes. Machine.robPred holds one per ROB slot; it is written only for
+// branches and returns, the instructions that can mispredict.
+type robPred struct {
+	state    branch.PredState // direction prediction (conditional branches)
+	snapshot branch.Snapshot  // front-end checkpoint for squash recovery
 }
 
 // LQEntry is one load-queue slot. Policies read and annotate it.
@@ -138,7 +143,9 @@ type LQEntry struct {
 	Value     uint64
 
 	IssuedAt arch.Cycle
-	DoneAt   arch.Cycle
+	// DoneAt is the cycle the data returns: set when the load issues to
+	// the memory system, final when it completes.
+	DoneAt arch.Cycle
 
 	// IssuedMode is the LoadMode the load was actually issued with.
 	IssuedMode LoadMode
@@ -149,8 +156,6 @@ type LQEntry struct {
 	UpdateDoneAt   arch.Cycle
 	DelayedSafe    bool // GetS-Safe failed; waiting to be unsquashable
 	ValuePredicted bool // completed with a predicted value, not yet validated
-
-	txn *memsys.Txn
 }
 
 type sqEntry struct {
@@ -205,13 +210,10 @@ func (s Stats) IPC() float64 {
 
 // fetchSlot is one pre-decoded instruction waiting for dispatch.
 type fetchSlot struct {
-	pc        arch.Addr
-	inst      isa.Inst
-	predTaken bool
-	predNext  arch.Addr
-	predState branch.PredState
-	snapshot  branch.Snapshot
-	hasPred   bool
+	pc       arch.Addr
+	inst     isa.Inst
+	predNext arch.Addr
+	pred     robPred // set for branches and returns only
 }
 
 // Machine is one simulated core bound to a program and a hierarchy.
@@ -227,6 +229,7 @@ type Machine struct {
 	halted bool
 
 	rob      []ROBEntry
+	robPred  []robPred // cold prediction state, by ROB slot
 	robHead  int32
 	robTail  int32
 	robCount int32
@@ -245,8 +248,9 @@ type Machine struct {
 	regs [isa.NumRegs]uint64
 
 	fetchPC         arch.Addr
-	fetchBuf        []fetchSlot
-	fetchHead       int // dispatch-consumed prefix of fetchBuf; compacted in fetch
+	fetchBuf        []fetchSlot // ring of 2*FetchWidth fetched instructions
+	fetchHead       int32       // oldest fetched instruction
+	fetchLen        int32
 	fetchStallUntil arch.Cycle
 	fetchHalted     bool // a halt was fetched; only a squash resumes fetch
 
@@ -258,6 +262,13 @@ type Machine struct {
 	memRetry  []int32           // LQ indices blocked on issue conditions
 	fenceSeqs []uint64          // uncommitted fences, ascending
 	ctrlSeqs  []uint64          // unresolved squashable control insts, ascending
+
+	// onLoad is onLoadData bound once, the completion callback of every
+	// load this core issues; the Txn's Tag names the LQ slot.
+	onLoad func(*memsys.Txn)
+	// squashBuf is doSquash's squashed-load worklist, reused across
+	// squashes (OnSquash may not keep it).
+	squashBuf []SquashedLoad
 
 	lastCommitCycle arch.Cycle
 	cycleBase       arch.Cycle
@@ -294,17 +305,20 @@ func New(cfg Config, prog *isa.Program, hier *memsys.Hierarchy, pol Policy) *Mac
 		pol = NonSecure{}
 	}
 	m := &Machine{
-		cfg:     cfg,
-		prog:    prog,
-		mem:     isa.NewMemory(),
-		hier:    hier,
-		bp:      branch.New(cfg.Branch),
-		pol:     pol,
-		rob:     make([]ROBEntry, cfg.ROBSize),
-		lq:      make([]LQEntry, cfg.LQSize),
-		sq:      make([]sqEntry, cfg.SQSize),
-		fetchPC: prog.Entry,
+		cfg:      cfg,
+		prog:     prog,
+		mem:      isa.NewMemory(),
+		hier:     hier,
+		bp:       branch.New(cfg.Branch),
+		pol:      pol,
+		rob:      make([]ROBEntry, cfg.ROBSize),
+		robPred:  make([]robPred, cfg.ROBSize),
+		lq:       make([]LQEntry, cfg.LQSize),
+		sq:       make([]sqEntry, cfg.SQSize),
+		fetchPC:  prog.Entry,
+		fetchBuf: make([]fetchSlot, 2*cfg.FetchWidth),
 	}
+	m.onLoad = m.onLoadData
 	m.mem.LoadProgram(prog)
 	for i := range m.rat {
 		m.rat[i] = -1
@@ -524,6 +538,22 @@ func truncSeqsAbove(seqs []uint64, bound uint64) []uint64 {
 	return out
 }
 
+// ringNext returns the index after i in a ring of n slots.
+func ringNext(i, n int32) int32 {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
+// ringPrev returns the index before i in a ring of n slots.
+func ringPrev(i, n int32) int32 {
+	if i == 0 {
+		i = n
+	}
+	return i - 1
+}
+
 // --- fetch ---
 
 // fetch fills the fetch buffer along the predicted path.
@@ -531,51 +561,45 @@ func (m *Machine) fetch() {
 	if m.halted || m.fetchHalted || m.now < m.fetchStallUntil {
 		return
 	}
-	if m.fetchHead > 0 {
-		// Compact the dispatch-consumed prefix instead of re-slicing it
-		// away: advancing the slice start (fetchBuf = fetchBuf[1:]) leaks
-		// capacity in front of the window, so the append below would
-		// reallocate the buffer at a steady rate forever.
-		n := copy(m.fetchBuf, m.fetchBuf[m.fetchHead:])
-		m.fetchBuf = m.fetchBuf[:n]
-		m.fetchHead = 0
-	}
-	for len(m.fetchBuf) < m.cfg.FetchWidth*2 {
+	size := int32(len(m.fetchBuf))
+	for m.fetchLen < size {
 		// Instruction cache: a miss stalls the front end.
 		if ready := m.hier.IFetch(m.cfg.CoreID, m.fetchPC, m.now); ready > m.now {
 			m.fetchStallUntil = ready
 			return
 		}
-		inst := m.prog.Fetch(m.fetchPC)
-		fs := fetchSlot{pc: m.fetchPC, inst: inst}
-		switch inst.Op {
+		tail := m.fetchHead + m.fetchLen
+		if tail >= size {
+			tail -= size
+		}
+		fs := &m.fetchBuf[tail]
+		pc := m.fetchPC
+		fs.pc = pc
+		fs.inst = m.prog.Fetch(pc)
+		switch fs.inst.Op {
 		case isa.OpBranch:
-			fs.snapshot = m.bp.Checkpoint()
-			fs.predState = m.bp.Predict(m.fetchPC)
-			fs.hasPred = true
-			fs.predTaken = fs.predState.Taken
-			if fs.predTaken {
-				fs.predNext = inst.Target
+			fs.pred.snapshot = m.bp.Checkpoint()
+			fs.pred.state = m.bp.Predict(pc)
+			if fs.pred.state.Taken {
+				fs.predNext = fs.inst.Target
 			} else {
-				fs.predNext = m.fetchPC + 1
+				fs.predNext = pc + 1
 			}
 		case isa.OpJump:
-			fs.predNext = inst.Target
+			fs.predNext = fs.inst.Target
 		case isa.OpCall:
-			fs.snapshot = m.bp.Checkpoint()
-			m.bp.Push(m.fetchPC + 1)
-			fs.predNext = inst.Target
+			m.bp.Push(pc + 1)
+			fs.predNext = fs.inst.Target
 		case isa.OpRet:
-			fs.snapshot = m.bp.Checkpoint()
+			fs.pred.snapshot = m.bp.Checkpoint()
 			fs.predNext = m.bp.Pop()
 		default:
-			fs.predNext = m.fetchPC + 1
+			fs.predNext = pc + 1
 		}
-		//simlint:allow hotalloc -- fetch buffer capacity tops out at 2x fetch width and is reused across cycles via head compaction in fetch()
-		m.fetchBuf = append(m.fetchBuf, fs)
+		m.fetchLen++
 		m.fetchPC = fs.predNext
 		m.Stats.Fetched++
-		if inst.Op == isa.OpHalt {
+		if fs.inst.Op == isa.OpHalt {
 			// A halt serializes the front end (like an exit syscall):
 			// nothing is fetched past it. If it was fetched on the
 			// wrong path, the squash redirect resumes fetching.
@@ -589,11 +613,11 @@ func (m *Machine) fetch() {
 
 // dispatch renames and inserts fetched instructions into the ROB/LQ/SQ.
 func (m *Machine) dispatch() {
-	for n := 0; n < m.cfg.FetchWidth && m.fetchHead < len(m.fetchBuf); n++ {
+	for n := 0; n < m.cfg.FetchWidth && m.fetchLen > 0; n++ {
 		if m.robCount >= int32(m.cfg.ROBSize) {
 			return
 		}
-		fs := m.fetchBuf[m.fetchHead]
+		fs := &m.fetchBuf[m.fetchHead]
 		op := fs.inst.Op
 		if op == isa.OpLoad && m.lqCount >= int32(m.cfg.LQSize) {
 			return
@@ -601,24 +625,28 @@ func (m *Machine) dispatch() {
 		if op == isa.OpStore && m.sqCount >= int32(m.cfg.SQSize) {
 			return
 		}
-		m.fetchHead++
+		m.fetchHead = ringNext(m.fetchHead, int32(len(m.fetchBuf)))
+		m.fetchLen--
 
 		slot := m.robTail
-		m.robTail = (m.robTail + 1) % int32(m.cfg.ROBSize)
+		m.robTail = ringNext(m.robTail, int32(m.cfg.ROBSize))
 		m.robCount++
 		seq := m.nextSeq()
 		e := &m.rob[slot]
-		*e = ROBEntry{
-			valid: true, seq: seq, pc: fs.pc, inst: fs.inst,
-			state: stDispatched, oldRat: -1, lqIdx: -1, sqIdx: -1,
-			predTaken: fs.predTaken, predTarget: fs.predNext,
-			predState: fs.predState, snapshot: fs.snapshot, hasPred: fs.hasPred,
-			src1Ready: true, src2Ready: true,
-			// Recycle the slot's consumer list: a fresh nil here would
-			// throw away its capacity and make every bindSource append
-			// allocate anew for the lifetime of the run.
-			consumers: e.consumers[:0],
-		}
+		// Recycle the slot's consumer list: a fresh nil here would throw
+		// away its capacity and make every bindSource append allocate
+		// anew for the lifetime of the run.
+		consumers := e.consumers[:0]
+		*e = ROBEntry{}
+		e.consumers = consumers
+		e.valid = true
+		e.seq = seq
+		e.pc = fs.pc
+		e.inst = fs.inst
+		e.state = stDispatched
+		e.oldRat, e.lqIdx, e.sqIdx = -1, -1, -1
+		e.predTarget = fs.predNext
+		e.src1Ready, e.src2Ready = true, true
 
 		// Source operands.
 		needs1, needs2 := srcNeeds(fs.inst)
@@ -643,13 +671,18 @@ func (m *Machine) dispatch() {
 		switch op {
 		case isa.OpLoad:
 			idx := m.lqTail
-			m.lqTail = (m.lqTail + 1) % int32(m.cfg.LQSize)
+			m.lqTail = ringNext(m.lqTail, int32(m.cfg.LQSize))
 			m.lqCount++
-			m.lq[idx] = LQEntry{valid: true, slot: slot, Seq: seq, PC: fs.pc}
+			lq := &m.lq[idx]
+			*lq = LQEntry{}
+			lq.valid = true
+			lq.slot = slot
+			lq.Seq = seq
+			lq.PC = fs.pc
 			e.lqIdx = idx
 		case isa.OpStore:
 			idx := m.sqTail
-			m.sqTail = (m.sqTail + 1) % int32(m.cfg.SQSize)
+			m.sqTail = ringNext(m.sqTail, int32(m.cfg.SQSize))
 			m.sqCount++
 			m.sq[idx] = sqEntry{valid: true, slot: slot, seq: seq}
 			e.sqIdx = idx
@@ -658,6 +691,7 @@ func (m *Machine) dispatch() {
 			m.fenceSeqs = append(m.fenceSeqs, seq)
 		case isa.OpBranch, isa.OpRet:
 			e.isCtrl = true
+			m.robPred[slot] = fs.pred
 			//simlint:allow hotalloc -- bounded by in-flight branches (at most ROB size); capacity is recycled by the in-place removeSeq/truncSeqsAbove filters
 			m.ctrlSeqs = append(m.ctrlSeqs, seq)
 		default:

@@ -138,11 +138,15 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// Txn is one in-flight (or completed) load transaction.
+// Txn is one in-flight load transaction. The hierarchy owns every Txn: the
+// *Txn passed to the completion callback is valid only during that call,
+// after which the hierarchy recycles it for a later load. A callback that
+// needs a field after it returns copies it.
 type Txn struct {
 	Core    int
 	Line    arch.LineAddr
 	Seq     uint64 // the load's sequence number (waiter id)
+	Tag     int32  // the caller's tag from Load, returned unchanged
 	Kind    Kind
 	Spec    bool
 	NoFill  bool // invisible access: no state change on any level
@@ -154,12 +158,19 @@ type Txn struct {
 	Owner   int  // hardware thread within the core (SMT)
 	Dropped bool // fill dropped because every waiter was squashed
 	Primary bool // this txn owns the MSHR entry and applies the fill
-	// OnDone is invoked when the transaction completes (possibly as
-	// dropped). The CPU clears it when the waiting load is squashed.
-	OnDone func(*Txn)
 
+	onDone  func(*Txn)
 	entry   *cache.MSHREntry // L1 MSHR entry (primary only)
 	l2entry *cache.MSHREntry // L2 MSHR entry (primary, memory-bound only)
+	next    *Txn             // free-list link while the Txn is pooled
+}
+
+// Issue is what Load reports about an accepted load: the level serving it
+// and the cycle its data returns. Level == LevelDelayed means a GetS-Safe
+// attempt failed and nothing was issued.
+type Issue struct {
+	Level  Level
+	DoneAt arch.Cycle
 }
 
 // Stats counts hierarchy-level events.
@@ -199,6 +210,7 @@ type Hierarchy struct {
 	// waiter's callback sees the fill the primary applied.
 	pending heapq.Heap[*Txn]
 	seqGen  uint64
+	freeTxn *Txn // completed transactions, linked through Txn.next
 
 	Traffic Traffic
 	Stats   Stats
@@ -355,29 +367,36 @@ type LoadOpts struct {
 	Kind     Kind
 }
 
-// Load issues a load of line for core at time now. It returns the
-// transaction and true, or (nil, false) if an MSHR could not be allocated
-// (the caller retries). If opts.SafeGetS fails, it returns a synthetic
-// completed transaction with Level == LevelDelayed and does not touch any
-// state.
-func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint64, opts LoadOpts, onDone func(*Txn)) (*Txn, bool) {
+// Load issues a load of line for core at time now and calls onDone (if
+// non-nil) when the data returns, with the Txn's Tag set to tag: a caller
+// that passes one long-lived callback for all its loads tells them apart
+// by tag. Load reports the issue outcome and true, or false if an MSHR
+// could not be allocated (the caller retries). If opts.SafeGetS fails, it
+// reports Level == LevelDelayed, touches no state and never calls onDone.
+func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint64, opts LoadOpts, onDone func(*Txn), tag int32) (Issue, bool) {
 	if opts.SafeGetS && h.dir.RemoteOwner(core, line) >= 0 {
 		h.Stats.SafeGetSDelays++
-		//simlint:allow hotalloc -- synthetic delayed-GetS reply, one per failed safe load; bounded by load issue events (see ROADMAP hot-loop program for Txn pooling)
-		return &Txn{Core: core, Line: line, Seq: seq, Level: LevelDelayed}, true
+		return Issue{Level: LevelDelayed}, true
 	}
 
-	//simlint:allow hotalloc -- one transaction per issued load, live until its fill returns; bounded by MSHR capacity (see ROADMAP hot-loop program for Txn pooling)
-	t := &Txn{
-		Core: core, Line: line, Seq: seq, Kind: opts.Kind,
+	t := h.freeTxn
+	if t == nil {
+		//simlint:allow hotalloc -- grows the transaction pool only while every pooled Txn is in flight; bounded by the loads in flight
+		t = &Txn{}
+	} else {
+		//simlint:allow undocomplete -- transaction free list: host memory reuse, not modelled cache state; a squash has nothing to restore
+		h.freeTxn = t.next
+	}
+	*t = Txn{
+		Core: core, Line: line, Seq: seq, Tag: tag, Kind: opts.Kind,
 		Spec: opts.Spec, NoFill: opts.NoFill, Owner: opts.Owner,
-		Epoch: h.epoch[core], Issued: now, OnDone: onDone,
+		Epoch: h.epoch[core], Issued: now, onDone: onDone,
 	}
 	t.SEFE.L1Way = -1
 
 	l1 := h.l1[core]
 	if opts.NoFill {
-		return h.loadInvisible(t, now)
+		return h.loadInvisible(t, now), true
 	}
 
 	h.Stats.Loads++
@@ -393,28 +412,26 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 				h.Traffic.add(opts.Kind, 1) // dummy backing-store request
 				t.Level = LevelL1
 				t.DoneAt = now + h.cfg.L1RT + h.dummyMissLatency(line)
-				h.push(t)
-				return t, true
+				return h.push(t), true
 			}
 		}
 		h.Stats.LoadL1Hits++
 		t.Level = LevelL1
 		t.DoneAt = now + h.cfg.L1RT
-		h.push(t)
-		return t, true
+		return h.push(t), true
 	}
 
 	// L1 miss: allocate or merge an L1 MSHR entry.
 	mshr := h.l1mshr[core]
 	entry, merged, ok := mshr.Allocate(line, seq)
 	if !ok {
-		return nil, false
+		h.recycle(t)
+		return Issue{}, false
 	}
 	if merged {
 		t.DoneAt = entry.ReadyAt
 		t.Level = levelOfReady(entry)
-		h.push(t)
-		return t, true
+		return h.push(t), true
 	}
 	entry.SEFE.IsSpec = opts.Spec
 	entry.SEFE.EpochID = h.epoch[core]
@@ -453,7 +470,8 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 		if !l2ok {
 			mshr.Release(entry)
 			h.dir.Evict(core, line, false) // roll back the grant
-			return nil, false
+			h.recycle(t)
+			return Issue{}, false
 		}
 		if !l2merged {
 			l2e.SEFE.IsSpec = opts.Spec
@@ -468,37 +486,33 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 		entry.SEFE.L2Fill = true
 	}
 	entry.ReadyAt = t.DoneAt
-	h.push(t)
-	return t, true
+	return h.push(t), true
 }
 
 // loadInvisible performs an InvisiSpec-style speculative access: correct
 // latency, zero state change (no fills, no LRU update, no MSHR).
-func (h *Hierarchy) loadInvisible(t *Txn, now arch.Cycle) (*Txn, bool) {
+func (h *Hierarchy) loadInvisible(t *Txn, now arch.Cycle) Issue {
 	h.Stats.Loads++
 	h.Traffic.add(t.Kind, 1)
 	if _, hit := h.l1[t.Core].Probe(t.Line); hit {
 		h.Stats.LoadL1Hits++
 		t.Level = LevelL1
 		t.DoneAt = now + h.cfg.L1RT
-		h.push(t)
-		return t, true
+		return h.push(t)
 	}
 	h.Traffic.add(t.Kind, 1)
 	if _, hit := h.l2.Probe(t.Line); hit {
 		h.Stats.LoadL2Hits++
 		t.Level = LevelL2
 		t.DoneAt = now + h.cfg.L1RT + h.L2RT()
-		h.push(t)
-		return t, true
+		return h.push(t)
 	}
 	h.Stats.LoadMems++
 	h.Traffic.add(t.Kind, 1)
 	memLat := h.mem.AccessLatency(t.Line, false)
 	t.Level = LevelMem
 	t.DoneAt = now + h.cfg.L1RT + h.L2RT() + memLat
-	h.push(t)
-	return t, true
+	return h.push(t)
 }
 
 func levelOfReady(e *cache.MSHREntry) Level {
@@ -544,12 +558,20 @@ func (h *Hierarchy) SquashLoad(core int, line arch.LineAddr, seq uint64) bool {
 	return h.l1mshr[core].SquashWaiter(line, seq)
 }
 
-// push schedules t to complete at t.DoneAt. The queue keys on the value
-// at push time, so DoneAt must be final by then.
-func (h *Hierarchy) push(t *Txn) {
+// push schedules t to complete at t.DoneAt and reports the issue outcome.
+// The queue keys on the value at push time, so DoneAt must be final by
+// then.
+func (h *Hierarchy) push(t *Txn) Issue {
 	//simlint:allow undocomplete -- monotone tie-break sequence for the pending heap; IDs are never reused, so a squash must not rewind it
 	h.seqGen++
 	h.pending.Push(t.DoneAt, h.seqGen, t)
+	return Issue{Level: t.Level, DoneAt: t.DoneAt}
+}
+
+// recycle returns t to the free list. Nothing may touch t afterwards.
+func (h *Hierarchy) recycle(t *Txn) {
+	t.next = h.freeTxn
+	h.freeTxn = t
 }
 
 // Tick completes every transaction due at or before now. The CPU calls it
@@ -567,18 +589,21 @@ func (h *Hierarchy) complete(t *Txn) {
 	if t.Primary {
 		h.completePrimary(t)
 	}
-	if t.OnDone != nil {
-		t.OnDone(t)
+	if t.onDone != nil {
+		t.onDone(t)
 	}
+	h.recycle(t)
 }
 
 func (h *Hierarchy) completePrimary(t *Txn) {
+	// Release recycles the entry, so read it first.
 	entry := t.entry
+	squashed, sefe := entry.Squashed, entry.SEFE
 	h.l1mshr[t.Core].Release(entry)
 	if t.l2entry != nil {
 		h.l2mshr.Release(t.l2entry)
 	}
-	if entry.Squashed {
+	if squashed {
 		// Section 3.3: data returned for a squashed entry is dropped;
 		// no cache state changes at all.
 		h.Stats.DroppedFills++
@@ -587,7 +612,6 @@ func (h *Hierarchy) completePrimary(t *Txn) {
 		return
 	}
 	// Apply fills top-down: L2 first (on a memory response), then L1.
-	sefe := entry.SEFE
 	if t.Level == LevelMem {
 		h.installL2(t.Line, t.Spec, t.Core, t.DoneAt)
 	}

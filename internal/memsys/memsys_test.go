@@ -15,20 +15,26 @@ func testConfig() Config {
 	return cfg
 }
 
-// run drives the hierarchy until the given txn completes, returning the
-// completion cycle.
-func run(h *Hierarchy, t *Txn) arch.Cycle {
-	for c := t.Issued; c <= t.DoneAt+1; c++ {
-		h.Tick(c)
+// run drives the hierarchy until the load Load reported as iss completes.
+func run(h *Hierarchy, iss Issue) {
+	h.Tick(iss.DoneAt)
+}
+
+// capture returns a completion callback that stores a copy of the
+// completed transaction in *dst: the hierarchy recycles the Txn itself as
+// soon as the callback returns.
+func capture(dst **Txn) func(*Txn) {
+	return func(x *Txn) {
+		c := *x
+		*dst = &c
 	}
-	return t.DoneAt
 }
 
 func TestLoadMissFillsBothLevels(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x100)
 	var done *Txn
-	txn, ok := h.Load(0, line, 0, 1, LoadOpts{Spec: true, Kind: KindRegular}, func(x *Txn) { done = x })
+	txn, ok := h.Load(0, line, 0, 1, LoadOpts{Spec: true, Kind: KindRegular}, capture(&done), 0)
 	if !ok {
 		t.Fatal("load rejected")
 	}
@@ -60,9 +66,9 @@ func TestLoadMissFillsBothLevels(t *testing.T) {
 func TestLoadHitLatency(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x100)
-	txn, _ := h.Load(0, line, 0, 1, LoadOpts{}, nil)
+	txn, _ := h.Load(0, line, 0, 1, LoadOpts{}, nil, 0)
 	run(h, txn)
-	txn2, _ := h.Load(0, line, 200, 2, LoadOpts{}, nil)
+	txn2, _ := h.Load(0, line, 200, 2, LoadOpts{}, nil, 0)
 	if txn2.Level != LevelL1 || txn2.DoneAt != 200+h.cfg.L1RT {
 		t.Fatalf("hit: level %v doneAt %d", txn2.Level, txn2.DoneAt)
 	}
@@ -71,10 +77,10 @@ func TestLoadHitLatency(t *testing.T) {
 func TestL2HitAfterL1Eviction(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x100)
-	txn, _ := h.Load(0, line, 0, 1, LoadOpts{}, nil)
+	txn, _ := h.Load(0, line, 0, 1, LoadOpts{}, nil, 0)
 	run(h, txn)
 	h.L1(0).Invalidate(line)
-	txn2, _ := h.Load(0, line, 500, 2, LoadOpts{}, nil)
+	txn2, _ := h.Load(0, line, 500, 2, LoadOpts{}, nil, 0)
 	if txn2.Level != LevelL2 {
 		t.Fatalf("level %v, want L2", txn2.Level)
 	}
@@ -88,11 +94,11 @@ func TestEvictionRecordedInSEFE(t *testing.T) {
 	// L1 has 4 sets; lines 0, 4, 8 share set 0.
 	mk := func(i int) arch.LineAddr { return arch.LineAddr(i * 4) }
 	for i := 0; i < 2; i++ {
-		txn, _ := h.Load(0, mk(i), arch.Cycle(i*300), uint64(i), LoadOpts{}, nil)
+		txn, _ := h.Load(0, mk(i), arch.Cycle(i*300), uint64(i), LoadOpts{}, nil, 0)
 		run(h, txn)
 	}
 	var fill *Txn
-	txn, _ := h.Load(0, mk(2), 1000, 9, LoadOpts{Spec: true}, func(x *Txn) { fill = x })
+	txn, _ := h.Load(0, mk(2), 1000, 9, LoadOpts{Spec: true}, capture(&fill), 0)
 	run(h, txn)
 	if fill == nil || !fill.SEFE.L1EvictValid {
 		t.Fatalf("eviction not recorded: %+v", fill)
@@ -105,7 +111,8 @@ func TestEvictionRecordedInSEFE(t *testing.T) {
 func TestInflightSquashDropsFill(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x200)
-	txn, _ := h.Load(0, line, 0, 7, LoadOpts{Spec: true}, nil)
+	var done *Txn
+	txn, _ := h.Load(0, line, 0, 7, LoadOpts{Spec: true}, capture(&done), 0)
 	// Squash while in flight.
 	if !h.SquashLoad(0, line, 7) {
 		t.Fatal("squash must find the waiter")
@@ -114,7 +121,7 @@ func TestInflightSquashDropsFill(t *testing.T) {
 		t.Fatal("entry must be a zombie")
 	}
 	run(h, txn)
-	if !txn.Dropped {
+	if done == nil || !done.Dropped {
 		t.Fatal("fill must be dropped")
 	}
 	if h.ProbeLevel(0, line) != LevelMem {
@@ -131,15 +138,16 @@ func TestInflightSquashDropsFill(t *testing.T) {
 func TestSquashWithSurvivingMergedWaiterKeepsFill(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x200)
-	t1, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true}, nil)
-	t2, _ := h.Load(0, line, 0, 2, LoadOpts{Spec: true}, nil)
+	var primary *Txn
+	t1, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true}, capture(&primary), 0)
+	t2, _ := h.Load(0, line, 0, 2, LoadOpts{Spec: true}, nil, 0)
 	if t1.DoneAt != t2.DoneAt {
 		t.Fatal("merged loads must complete together")
 	}
 	// Squash only the first; the second still wants the data.
 	h.SquashLoad(0, line, 1)
 	run(h, t1)
-	if t1.Dropped {
+	if primary == nil || primary.Dropped {
 		t.Fatal("fill must survive for the merged waiter")
 	}
 	if h.ProbeLevel(0, line) != LevelL1 {
@@ -155,44 +163,162 @@ func TestSquashWithSurvivingMergedWaiterKeepsFill(t *testing.T) {
 func TestMergedWaitersCompleteInIssueOrder(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x400)
-	var order []uint64
-	var inL1 []bool
-	onDone := func(x *Txn) {
-		order = append(order, x.Seq)
-		_, hit := h.L1(0).Probe(line)
-		inL1 = append(inL1, hit)
+	checkMergedIssueOrder(t, h, line)
+}
+
+// TestPooledMergedWaitersCompleteInIssueOrder repeats the issue-order check
+// with every Txn taken from the pool: earlier loads completed in an order
+// unlike their issue order, so the free list hands their Txns back
+// shuffled, and the pending queue must still order by issue.
+func TestPooledMergedWaitersCompleteInIssueOrder(t *testing.T) {
+	h := New(testConfig())
+	pooled := make(map[*Txn]bool)
+	note := func(x *Txn) { pooled[x] = true }
+	h.Load(0, arch.LineAddr(0x10), 0, 1, LoadOpts{}, nil, 0)
+	h.Load(0, arch.LineAddr(0x30), 0, 2, LoadOpts{}, nil, 0)
+	h.Tick(1000)
+	h.L1(0).Invalidate(arch.LineAddr(0x10))
+	// A memory miss, an L2 hit and an L1 hit, issued slowest first so
+	// they complete in reverse issue order.
+	h.Load(0, arch.LineAddr(0x20), 2000, 3, LoadOpts{}, note, 0)
+	h.Load(0, arch.LineAddr(0x10), 2001, 4, LoadOpts{}, note, 0)
+	h.Load(0, arch.LineAddr(0x30), 2002, 5, LoadOpts{}, note, 0)
+	h.Tick(3000)
+	if len(pooled) != 3 {
+		t.Fatalf("setup: %d distinct transactions, want 3", len(pooled))
 	}
-	var txns []*Txn
-	for _, seq := range []uint64{30, 20, 10} {
-		txn, ok := h.Load(0, line, 0, seq, LoadOpts{}, onDone)
+	for _, x := range checkMergedIssueOrder(t, h, arch.LineAddr(0x400)) {
+		if !pooled[x] {
+			t.Fatal("a merged-issue-order load did not reuse a pooled Txn")
+		}
+	}
+}
+
+// TestRecycledTxnNeverCompletesIntoNewOwner models a core's load queue the
+// way the CPU uses the hierarchy: one long-lived callback, the LQ index as
+// the Tag, and a completion accepted only while the slot still holds the
+// load's sequence number. A load squashed in flight frees its slot for a
+// younger load; the squashed load's completion must not reach the new
+// owner, and once its Txn is recycled for a later load, that Txn must carry
+// only the later load's identity and outcome.
+func TestRecycledTxnNeverCompletesIntoNewOwner(t *testing.T) {
+	h := New(testConfig())
+	var slotSeq [2]uint64 // LQ model: the live load's seq per slot, 0 = free
+	type delivery struct {
+		slot    int32
+		seq     uint64
+		dropped bool
+		l1Fill  bool
+		txn     *Txn // identity only; never dereferenced after the callback
+	}
+	var all, accepted []delivery
+	onDone := func(x *Txn) {
+		d := delivery{slot: x.Tag, seq: x.Seq, dropped: x.Dropped, l1Fill: x.SEFE.L1Fill, txn: x}
+		all = append(all, d)
+		if slotSeq[x.Tag] == x.Seq {
+			accepted = append(accepted, d)
+		}
+	}
+	issue := func(slot int32, seq uint64, line arch.LineAddr, now arch.Cycle) Issue {
+		t.Helper()
+		slotSeq[slot] = seq
+		iss, ok := h.Load(0, line, now, seq, LoadOpts{Spec: true}, onDone, slot)
 		if !ok {
 			t.Fatalf("load %d rejected", seq)
 		}
-		txns = append(txns, txn)
+		return iss
 	}
-	if !txns[0].Primary || txns[1].Primary || txns[2].Primary {
-		t.Fatal("the first load must own the MSHR entry and the others merge into it")
+
+	// Load 1 misses to memory from slot 0 and is squashed in flight; its
+	// fill is dropped. Load 2 takes slot 0 while load 1 is still pending.
+	first := issue(0, 1, arch.LineAddr(0x100), 0)
+	h.SquashLoad(0, arch.LineAddr(0x100), 1)
+	slotSeq[0] = 0
+	second := issue(0, 2, arch.LineAddr(0x140), 5)
+	h.Tick(first.DoneAt)
+	if len(all) != 1 || all[0].seq != 1 || !all[0].dropped {
+		t.Fatalf("deliveries %+v: want load 1's dropped completion only", all)
 	}
-	if txns[1].DoneAt != txns[0].DoneAt || txns[2].DoneAt != txns[0].DoneAt {
+	if len(accepted) != 0 {
+		t.Fatalf("squashed load 1 completed into slot 0, now owned by load 2: %+v", accepted)
+	}
+	h.Tick(second.DoneAt)
+	if len(accepted) != 1 || accepted[0].seq != 2 || accepted[0].dropped || !accepted[0].l1Fill {
+		t.Fatalf("accepted %+v: want exactly load 2's filled completion", accepted)
+	}
+
+	// Load 3 reuses slot 0 and the pool's most recently recycled Txn,
+	// which last carried load 2; load 4 in slot 1 reuses load 1's dropped
+	// Txn and must not inherit its Dropped flag.
+	third := issue(0, 3, arch.LineAddr(0x180), second.DoneAt+1)
+	fourth := issue(1, 4, arch.LineAddr(0x1c0), second.DoneAt+1)
+	h.Tick(third.DoneAt)
+	h.Tick(fourth.DoneAt)
+	if len(all) != 4 {
+		t.Fatalf("deliveries %+v: want four", all)
+	}
+	if all[2].txn != all[1].txn || all[3].txn != all[0].txn {
+		t.Fatal("loads 3 and 4 did not reuse the recycled transactions")
+	}
+	if len(accepted) != 3 || accepted[1].seq != 3 || accepted[1].slot != 0 || accepted[2].seq != 4 || accepted[2].slot != 1 {
+		t.Fatalf("accepted %+v: want loads 2, 3 and 4 each once, in their own slots", accepted)
+	}
+	for _, d := range accepted {
+		if d.dropped || !d.l1Fill {
+			t.Fatalf("recycled transaction carried a stale outcome: %+v", d)
+		}
+	}
+}
+
+// checkMergedIssueOrder issues a primary miss on line and two waiters that
+// merge into it, then checks that they complete in issue order and that
+// every waiter already finds the line in L1. It returns the three Txns'
+// identities.
+func checkMergedIssueOrder(t *testing.T, h *Hierarchy, line arch.LineAddr) []*Txn {
+	t.Helper()
+	var order []uint64
+	var primary []bool
+	var inL1 []bool
+	var txns []*Txn
+	onDone := func(x *Txn) {
+		txns = append(txns, x)
+		order = append(order, x.Seq)
+		primary = append(primary, x.Primary)
+		_, hit := h.L1(0).Probe(line)
+		inL1 = append(inL1, hit)
+	}
+	var issues []Issue
+	for _, seq := range []uint64{30, 20, 10} {
+		iss, ok := h.Load(0, line, 0, seq, LoadOpts{}, onDone, 0)
+		if !ok {
+			t.Fatalf("load %d rejected", seq)
+		}
+		issues = append(issues, iss)
+	}
+	if issues[1].DoneAt != issues[0].DoneAt || issues[2].DoneAt != issues[0].DoneAt {
 		t.Fatal("merged loads must complete together")
 	}
-	run(h, txns[0])
+	run(h, issues[0])
 	if want := []uint64{30, 20, 10}; len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
 		t.Fatalf("OnDone order %v, want issue order %v", order, want)
+	}
+	if !primary[0] || primary[1] || primary[2] {
+		t.Fatalf("primary flags %v: the first load must own the MSHR entry and the others merge into it", primary)
 	}
 	for i, hit := range inL1 {
 		if !hit {
 			t.Errorf("callback %d (waiter %d) ran before the fill reached L1", i, order[i])
 		}
 	}
+	return txns
 }
 
 func TestMergedLoadsShareOneMemoryRequest(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x300)
-	h.Load(0, line, 0, 1, LoadOpts{}, nil)
+	h.Load(0, line, 0, 1, LoadOpts{}, nil, 0)
 	before := h.DRAM().Stats.Reads
-	h.Load(0, line, 1, 2, LoadOpts{}, nil)
+	h.Load(0, line, 1, 2, LoadOpts{}, nil, 0)
 	if h.DRAM().Stats.Reads != before {
 		t.Fatal("merged load must not issue a second memory request")
 	}
@@ -203,7 +329,7 @@ func TestInvisibleLoadChangesNothing(t *testing.T) {
 	line := arch.LineAddr(0x400)
 	snapL1 := h.L1(0).SnapshotTags()
 	snapL2 := h.L2().SnapshotTags()
-	txn, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true, NoFill: true, Kind: KindInvisible}, nil)
+	txn, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true, NoFill: true, Kind: KindInvisible}, nil, 0)
 	run(h, txn)
 	if txn.Level != LevelMem {
 		t.Fatalf("level %v", txn.Level)
@@ -237,7 +363,7 @@ func TestStoreInstallsModified(t *testing.T) {
 func TestFlushRemovesEverywhere(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x600)
-	txn, _ := h.Load(0, line, 0, 1, LoadOpts{}, nil)
+	txn, _ := h.Load(0, line, 0, 1, LoadOpts{}, nil, 0)
 	run(h, txn)
 	h.Flush(0, line)
 	if h.ProbeLevel(0, line) != LevelMem {
@@ -248,14 +374,14 @@ func TestFlushRemovesEverywhere(t *testing.T) {
 func TestCleanupInvalidateAndRestore(t *testing.T) {
 	h := New(testConfig())
 	victim := arch.LineAddr(0)
-	txn, _ := h.Load(0, victim, 0, 1, LoadOpts{}, nil)
+	txn, _ := h.Load(0, victim, 0, 1, LoadOpts{}, nil, 0)
 	run(h, txn)
 	// Fill the second way of set 0 too.
-	txn, _ = h.Load(0, arch.LineAddr(4), 300, 2, LoadOpts{}, nil)
+	txn, _ = h.Load(0, arch.LineAddr(4), 300, 2, LoadOpts{}, nil, 0)
 	run(h, txn)
 	// Transient load evicts the victim.
 	var fill *Txn
-	txn, _ = h.Load(0, arch.LineAddr(8), 600, 3, LoadOpts{Spec: true}, func(x *Txn) { fill = x })
+	txn, _ = h.Load(0, arch.LineAddr(8), 600, 3, LoadOpts{Spec: true}, capture(&fill), 0)
 	run(h, txn)
 	if fill == nil || !fill.SEFE.L1EvictValid {
 		t.Fatal("setup: no eviction")
@@ -293,7 +419,7 @@ func TestSpecWindowProtection(t *testing.T) {
 	// from core 1 misses L1 anyway and hits L2. Make core 1 share core
 	// 0's L1? No: the window protection also guards the L2 copy. Probe
 	// the L2 path.
-	txn, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true}, nil)
+	txn, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true}, nil, 0)
 	run(h, txn)
 	if spec, _ := h.L2().SpecInfo(line); !spec {
 		t.Fatal("L2 copy must be spec-marked")
@@ -322,10 +448,10 @@ func TestCrossCoreL1DummyMiss(t *testing.T) {
 	cfg.ProtectSpecWindow = true
 	h := New(cfg)
 	line := arch.LineAddr(0x800)
-	txn, _ := h.Load(1, line, 0, 1, LoadOpts{}, nil)
+	txn, _ := h.Load(1, line, 0, 1, LoadOpts{}, nil, 0)
 	run(h, txn)
 	h.L1(1).MarkSpec(line, 0) // installed by sibling thread 0
-	probe, _ := h.Load(1, line, 500, 2, LoadOpts{}, nil)
+	probe, _ := h.Load(1, line, 500, 2, LoadOpts{}, nil, 0)
 	if probe.DoneAt-500 <= h.cfg.L1RT {
 		t.Fatal("window-protected hit must cost a dummy miss")
 	}
@@ -340,16 +466,19 @@ func TestSafeGetSDelaysOnRemoteOwner(t *testing.T) {
 	h := New(cfg)
 	line := arch.LineAddr(0x900)
 	h.Store(1, line, 0) // core 1 owns M
-	txn, ok := h.Load(0, line, 10, 5, LoadOpts{Spec: true, SafeGetS: true}, nil)
+	txn, ok := h.Load(0, line, 10, 5, LoadOpts{Spec: true, SafeGetS: true}, nil, 0)
 	if !ok || txn.Level != LevelDelayed {
 		t.Fatalf("want LevelDelayed, got %+v ok=%v", txn, ok)
+	}
+	if h.PendingLen() != 0 {
+		t.Fatal("a failed GetS-Safe must not schedule a completion")
 	}
 	// No state change on the remote side.
 	if h.L1(1).State(line) != arch.Modified {
 		t.Fatal("GetS-Safe must not downgrade the remote owner")
 	}
 	// Retry without SafeGetS (correct path) succeeds and downgrades.
-	txn2, _ := h.Load(0, line, 20, 6, LoadOpts{}, nil)
+	txn2, _ := h.Load(0, line, 20, 6, LoadOpts{}, nil, 0)
 	run(h, txn2)
 	if h.L1(1).State(line) != arch.Shared {
 		t.Fatal("plain GetS must downgrade")
@@ -360,12 +489,12 @@ func TestMSHRFullRejectsLoad(t *testing.T) {
 	cfg := testConfig()
 	cfg.L1MSHRs = 1
 	h := New(cfg)
-	h.Load(0, arch.LineAddr(0x10), 0, 1, LoadOpts{}, nil)
-	if _, ok := h.Load(0, arch.LineAddr(0x20), 0, 2, LoadOpts{}, nil); ok {
+	h.Load(0, arch.LineAddr(0x10), 0, 1, LoadOpts{}, nil, 0)
+	if _, ok := h.Load(0, arch.LineAddr(0x20), 0, 2, LoadOpts{}, nil, 0); ok {
 		t.Fatal("second miss must be rejected with a full MSHR")
 	}
 	// Same line merges fine even when full.
-	if _, ok := h.Load(0, arch.LineAddr(0x10), 0, 3, LoadOpts{}, nil); !ok {
+	if _, ok := h.Load(0, arch.LineAddr(0x10), 0, 3, LoadOpts{}, nil, 0); !ok {
 		t.Fatal("merge must succeed despite full MSHR")
 	}
 }
@@ -388,7 +517,7 @@ func TestInclusionBackInvalidate(t *testing.T) {
 	// Fill L2 set 0 (L2 lines 0 and 2 with 2 sets).
 	lines := []arch.LineAddr{0, 2, 4}
 	for i, l := range lines {
-		txn, _ := h.Load(0, l, arch.Cycle(i*1000), uint64(i), LoadOpts{}, nil)
+		txn, _ := h.Load(0, l, arch.Cycle(i*1000), uint64(i), LoadOpts{}, nil, 0)
 		run(h, txn)
 	}
 	// Line 0 was evicted from L2 by line 4's install; inclusion demands
@@ -403,7 +532,7 @@ func TestInclusionBackInvalidate(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	h := New(testConfig())
-	txn, _ := h.Load(0, arch.LineAddr(0xA0), 0, 1, LoadOpts{Kind: KindRegular}, nil)
+	txn, _ := h.Load(0, arch.LineAddr(0xA0), 0, 1, LoadOpts{Kind: KindRegular}, nil, 0)
 	run(h, txn)
 	// L1 access + L1->L2 + L2->mem = 3 messages.
 	if h.Traffic.Regular != 3 {

@@ -33,7 +33,7 @@ func TestManualRemapKeepsLinesFindable(t *testing.T) {
 	now := arch.Cycle(0)
 	// Populate the L2 with committed loads.
 	for i := 0; i < 200; i++ {
-		txn, ok := h.Load(0, arch.LineAddr(i*7), now, uint64(i), LoadOpts{}, nil)
+		txn, ok := h.Load(0, arch.LineAddr(i*7), now, uint64(i), LoadOpts{}, nil, 0)
 		if !ok {
 			t.Fatal("load rejected")
 		}
@@ -64,7 +64,7 @@ func TestAutoRemapPacing(t *testing.T) {
 	h := New(remapConfig(4)) // one relocation step per 4 L2 accesses
 	now := arch.Cycle(0)
 	for i := 0; i < 2000; i++ {
-		txn, ok := h.Load(0, arch.LineAddr(i*13), now, uint64(i), LoadOpts{}, nil)
+		txn, ok := h.Load(0, arch.LineAddr(i*13), now, uint64(i), LoadOpts{}, nil, 0)
 		if !ok {
 			t.Fatal("load rejected")
 		}

@@ -71,7 +71,7 @@ func (v *ValuePredict) launchValidation(m *cpu.Machine, e *cpu.LQEntry) {
 	// A distinct waiter tag (thread field 63) keeps validation requests
 	// from colliding with the machine's own waiter ids in the MSHR.
 	waiter := seq<<6 | 63
-	txn, ok := m.Hierarchy().Load(m.CoreID(), e.Line, m.Now(), waiter,
+	iss, ok := m.Hierarchy().Load(m.CoreID(), e.Line, m.Now(), waiter,
 		//simlint:allow hotalloc -- one validation closure per value-predicted load nearing commit; bounded by mispredicted-miss events, not cycles
 		memsys.LoadOpts{Owner: m.ThreadID()}, func(t *memsys.Txn) {
 			if !e.ValuePredicted || e.Seq != seq {
@@ -85,14 +85,14 @@ func (v *ValuePredict) launchValidation(m *cpu.Machine, e *cpu.LQEntry) {
 			}
 			v.Stats.Mispredicts++
 			m.RepairValueMisprediction(e, actual)
-		})
+		}, 0)
 	if !ok {
 		// MSHR full: retry from CommitWait.
 		e.UpdateLaunched = false
 		v.Stats.Validations--
 		return
 	}
-	e.UpdateDoneAt = txn.DoneAt
+	e.UpdateDoneAt = iss.DoneAt
 }
 
 // CommitWait implements cpu.Policy: a value-predicted load may not retire

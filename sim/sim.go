@@ -284,17 +284,22 @@ func RunWorkload(name string, cfg Config) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("sim: unknown workload %q (see sim.Workloads)", name)
 	}
-	base, size := prof.ColdRegion()
 	prog := prof.Build()
 	return runProgram(name, prog, cfg, func(h *memsys.Hierarchy) {
-		if cfg.NoWarmup {
-			return
+		if !cfg.NoWarmup {
+			prewarm(h, prof, prog)
 		}
-		for off := 0; off < size; off += 64 {
-			h.PrewarmL2(arch.Addr(base + uint64(off)).Line())
-		}
-		h.PrewarmICache(0, len(prog.Code))
 	})
+}
+
+// prewarm installs prof's cold footprint into the L2 and prog's code into
+// the I-cache.
+func prewarm(h *memsys.Hierarchy, prof workload.Profile, prog *isa.Program) {
+	base, size := prof.ColdRegion()
+	for off := 0; off < size; off += 64 {
+		h.PrewarmL2(arch.Addr(base + uint64(off)).Line())
+	}
+	h.PrewarmICache(0, len(prog.Code))
 }
 
 // RunProgram simulates an arbitrary program (built with NewProgram) under
