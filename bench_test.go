@@ -276,6 +276,18 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "sim-instructions/s")
 }
 
+// BenchmarkCellSetup times one short cell on lbm, the largest footprint
+// (16 MB): building the hierarchy and prewarming its L2 dominate, so this
+// gates the per-cell set-up that BenchmarkSimulatorThroughput's NoWarmup
+// runs skip.
+func BenchmarkCellSetup(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunWorkload("lbm", sim.Config{Policy: sim.CleanupSpec, Instructions: 1_000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblation_NoMoPartition measures way-partitioning the L1 (4 of 8
 // ways per SMT thread, Section 3.6): the paper reports < 2% slowdown.
 func BenchmarkAblation_NoMoPartition(b *testing.B) {

@@ -23,9 +23,10 @@ import (
 )
 
 // defaultPattern selects the substrate microbenchmarks — the hot loops
-// every simulation runs through — rather than the table/figure
-// regeneration benchmarks, whose runtimes are experiment-shaped.
-const defaultPattern = "^(BenchmarkCacheLookup|BenchmarkCEASEREncrypt|BenchmarkPredictor|BenchmarkSimulatorThroughput)$"
+// every simulation runs through, and the set-up every cell pays — rather
+// than the table/figure regeneration benchmarks, whose runtimes are
+// experiment-shaped.
+const defaultPattern = "^(BenchmarkCacheLookup|BenchmarkCEASEREncrypt|BenchmarkPredictor|BenchmarkSimulatorThroughput|BenchmarkCellSetup)$"
 
 func main() {
 	args := os.Args[1:]

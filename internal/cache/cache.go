@@ -298,6 +298,41 @@ func (c *Cache) InstallAt(set, way int, l arch.LineAddr, st arch.CohState, now a
 	return evicted
 }
 
+// Prewarm installs the n consecutive lines first, first+1, ..., first+n-1
+// with state st into an empty cache, leaving exactly the lines, LRU stamps
+// and Stats that Install(l, st, 0, 0) on each line in that order leaves.
+// In a set that starts empty, LRU puts the k-th incoming line in way k
+// until the set is full and from then on evicts way k mod Ways, so a line
+// costs one SetIndex and no probe or victim scan. It panics on a
+// non-empty, partitioned or non-LRU cache, where that closed form fails.
+func (c *Cache) Prewarm(first arch.LineAddr, n int, st arch.CohState) {
+	if c.cfg.Repl != ReplLRU || c.cfg.PartitionWays > 0 {
+		//simlint:allow errdiscipline -- caller contract: the closed-form fill holds only for unpartitioned LRU, and every prewarmed cache is built that way
+		panic(fmt.Sprintf("cache %s: Prewarm needs an unpartitioned LRU cache", c.cfg.Name))
+	}
+	for i := range c.lines {
+		if c.lines[i].Valid() {
+			//simlint:allow errdiscipline -- caller contract: the closed-form fill assumes every set starts empty, and prewarm runs only on a freshly built hierarchy
+			panic(fmt.Sprintf("cache %s: Prewarm into a non-empty cache", c.cfg.Name))
+		}
+	}
+	filled := make([]int32, c.sets) // lines installed into each set so far
+	for i := 0; i < n; i++ {
+		l := first + arch.LineAddr(i)
+		set := c.idx.SetIndex(l)
+		k := int(filled[set])
+		filled[set]++
+		if k >= c.ways {
+			c.Stats.Evictions++
+		}
+		j := set*c.ways + k%c.ways
+		c.lines[j] = Line{Tag: l, State: st}
+		c.Stats.Installs++
+		c.tick++
+		c.stamp[j] = c.tick
+	}
+}
+
 // Invalidate removes line l if present, returning its prior contents.
 func (c *Cache) Invalidate(l arch.LineAddr) (old Line, ok bool) {
 	way, ok := c.Probe(l)

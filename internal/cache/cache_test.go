@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/ceaser"
 	"repro/internal/xrand"
 )
 
@@ -337,5 +339,103 @@ func TestMSHRCapacityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Geometry of the prewarm twins.
+const (
+	pwSets     = 64
+	pwWays     = 4
+	pwCapacity = pwSets * pwWays
+)
+
+// prewarmTwins builds two identical empty LRU caches of pwSets x pwWays.
+func prewarmTwins(ceaserIdx bool) (fast, ref *Cache) {
+	build := func() *Cache {
+		cfg := Config{Name: "pw", SizeBytes: pwCapacity * arch.LineBytes, Ways: pwWays, Repl: ReplLRU, Seed: 1}
+		if ceaserIdx {
+			cfg.Indexer = ceaser.New(pwSets, 7)
+		}
+		return New(cfg)
+	}
+	return build(), build()
+}
+
+// sameState fails unless a and b hold the same lines, LRU stamps, tick and
+// Stats.
+func sameState(t *testing.T, what string, a, b *Cache) {
+	t.Helper()
+	for set := 0; set < a.Sets(); set++ {
+		for way := 0; way < a.Ways(); way++ {
+			if la, lb := a.LineAt(set, way), b.LineAt(set, way); la != lb {
+				t.Fatalf("%s: (set %d, way %d) holds %+v, want %+v", what, set, way, la, lb)
+			}
+		}
+	}
+	for i := range a.stamp {
+		if a.stamp[i] != b.stamp[i] {
+			t.Fatalf("%s: stamp[%d] = %d, want %d", what, i, a.stamp[i], b.stamp[i])
+		}
+	}
+	if a.tick != b.tick || a.Stats != b.Stats {
+		t.Fatalf("%s: tick %d stats %+v, want tick %d stats %+v", what, a.tick, a.Stats, b.tick, b.Stats)
+	}
+}
+
+// TestPrewarmMatchesInstallLoop checks the closed-form fill against the
+// per-line Install loop it replaces, then drives both twins through the
+// same further traffic so any difference in LRU order shows up as a
+// different victim.
+func TestPrewarmMatchesInstallLoop(t *testing.T) {
+	const first = arch.LineAddr(0x80_0000)
+	for _, ceaserIdx := range []bool{false, true} {
+		for _, n := range []int{0, 1, 100, pwCapacity, pwCapacity + 1, 8 * pwCapacity} {
+			fast, ref := prewarmTwins(ceaserIdx)
+			what := fmt.Sprintf("%s n=%d", fast.Indexer().Name(), n)
+			fast.Prewarm(first, n, arch.Shared)
+			for i := 0; i < n; i++ {
+				ref.Install(first+arch.LineAddr(i), arch.Shared, 0, 0)
+			}
+			sameState(t, what, fast, ref)
+
+			r := xrand.New(uint64(n) + 1)
+			span := uint64(n + 2*pwCapacity)
+			for i := 0; i < 50_000; i++ {
+				l := first + arch.LineAddr(r.Uint64()%span)
+				if _, hit := ref.Probe(l); hit {
+					fast.Lookup(l)
+					ref.Lookup(l)
+					continue
+				}
+				evF, wayF := fast.Install(l, arch.Exclusive, 0, arch.Cycle(i))
+				evR, wayR := ref.Install(l, arch.Exclusive, 0, arch.Cycle(i))
+				if evF != evR || wayF != wayR {
+					t.Fatalf("%s: install %d of %v evicted %+v from way %d, want %+v from way %d", what, i, l, evF, wayF, evR, wayR)
+				}
+			}
+			sameState(t, what+" after 50k installs", fast, ref)
+		}
+	}
+}
+
+func TestPrewarmRejectsUnsupportedCaches(t *testing.T) {
+	nonEmpty, _ := prewarmTwins(false)
+	nonEmpty.Install(1, arch.Shared, 0, 0)
+	for _, tc := range []struct {
+		name string
+		c    *Cache
+	}{
+		{"non-empty", nonEmpty},
+		{"random", small(ReplRandom)},
+		{"partitioned", New(Config{Name: "p", SizeBytes: 512, Ways: 2, Repl: ReplLRU, PartitionWays: 1})},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Prewarm did not panic", tc.name)
+				}
+			}()
+			tc.c.Prewarm(0, 4, arch.Shared)
+		}()
 	}
 }

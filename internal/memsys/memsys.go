@@ -915,11 +915,15 @@ func (h *Hierarchy) L2RemapStep() (moved int) {
 	return moved
 }
 
-// PrewarmL2 installs line into the L2 (clean, non-speculative) without any
-// timing or traffic effects — experiment harnesses use it to stand in for
-// the cache state after the paper's 10-billion-instruction fast-forward.
-func (h *Hierarchy) PrewarmL2(line arch.LineAddr) {
-	h.installL2(line, false, 0, 0)
+// PrewarmL2 fills the empty L2 with the n consecutive lines from first
+// (clean, non-speculative), exactly as installing them one at a time in
+// address order would, without any timing or traffic effects — experiment
+// harnesses use it to stand in for the cache state after the paper's
+// 10-billion-instruction fast-forward. An empty inclusive L2 means empty
+// L1s, so its evictions need no back-invalidation. It panics if the L2 is
+// not empty (see cache.Cache.Prewarm).
+func (h *Hierarchy) PrewarmL2(first arch.LineAddr, n int) {
+	h.l2.Prewarm(first, n, arch.Shared)
 }
 
 // AttachMetrics registers the hierarchy's counters and gauges into reg:

@@ -587,3 +587,64 @@ func TestPrewarmICache(t *testing.T) {
 		}
 	}
 }
+
+// TestPrewarmL2 checks the bulk fill against the per-line installL2 loop it
+// replaced, with a footprint twice the L2's size, on a modulo and a CEASER
+// L2. On the CEASER L2 it then walks a whole remap epoch over both, since
+// remap visits each set's lines in way order. The L1s must stay empty.
+func TestPrewarmL2(t *testing.T) {
+	first := arch.Addr(0x2000_0000).Line()
+	for _, randomize := range []bool{false, true} {
+		cfg := DefaultConfig(1)
+		cfg.RandomizeL2 = randomize
+		n := 2 * cfg.L2.SizeBytes / arch.LineBytes
+		fast, ref := New(cfg), New(cfg)
+		fast.PrewarmL2(first, n)
+		for i := 0; i < n; i++ {
+			ref.installL2(first+arch.LineAddr(i), false, 0, 0)
+		}
+		name := fast.L2().Indexer().Name()
+		sameL2(t, name, fast, ref)
+		if randomize {
+			fast.L2StartRemap(9)
+			ref.L2StartRemap(9)
+			moved := 0
+			for s := 0; s < fast.L2().Sets(); s++ {
+				mf, mr := fast.L2RemapStep(), ref.L2RemapStep()
+				if mf != mr {
+					t.Fatalf("%s: remap step %d moved %d lines, want %d", name, s, mf, mr)
+				}
+				moved += mf
+			}
+			if moved == 0 {
+				t.Fatalf("%s: the remap epoch moved no lines", name)
+			}
+			sameL2(t, name+" after a remap epoch", fast, ref)
+		}
+		for set := 0; set < fast.L1(0).Sets(); set++ {
+			if w := fast.L1(0).OccupiedWays(set); w != 0 {
+				t.Fatalf("%s: L1D set %d holds %d lines after prewarm", name, set, w)
+			}
+		}
+		if fast.Traffic != ref.Traffic || fast.Stats != ref.Stats {
+			t.Fatalf("%s: traffic %+v stats %+v, want %+v %+v", name, fast.Traffic, fast.Stats, ref.Traffic, ref.Stats)
+		}
+	}
+}
+
+// sameL2 fails unless a and b's L2s hold the same line in every way and
+// have the same Stats.
+func sameL2(t *testing.T, what string, a, b *Hierarchy) {
+	t.Helper()
+	la, lb := a.L2(), b.L2()
+	for set := 0; set < la.Sets(); set++ {
+		for way := 0; way < la.Ways(); way++ {
+			if x, y := la.LineAt(set, way), lb.LineAt(set, way); x != y {
+				t.Fatalf("%s: L2 (set %d, way %d) holds %+v, want %+v", what, set, way, x, y)
+			}
+		}
+	}
+	if la.Stats != lb.Stats {
+		t.Fatalf("%s: L2 stats %+v, want %+v", what, la.Stats, lb.Stats)
+	}
+}

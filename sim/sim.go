@@ -75,10 +75,12 @@ type Config struct {
 	Instructions uint64
 	// Warmup commits this many instructions before the measurement
 	// window begins, standing in for the paper's 10-billion-instruction
-	// fast-forward (default: Instructions, capped at 400k). Set negative
-	// semantics are not supported; 0 means the default.
+	// fast-forward (default: Instructions, capped at 400k). Zero selects
+	// that default; to run with no warmup, set NoWarmup.
 	Warmup uint64
-	// NoWarmup disables warmup entirely.
+	// NoWarmup disables warmup entirely: it overrides Warmup, and
+	// RunWorkload also skips the L2 and I-cache prewarm, so the run
+	// starts from cold caches.
 	NoWarmup bool
 	// Seed perturbs the hierarchy's randomized structures.
 	Seed uint64
@@ -276,9 +278,10 @@ func MTWorkloads() []string {
 	return names
 }
 
-// RunWorkload simulates the named workload under cfg. The workload's cold
-// footprint is prewarmed into the L2 (the paper fast-forwards 10 billion
-// instructions before measuring, so its caches are warm).
+// RunWorkload simulates the named workload under cfg. Unless cfg.NoWarmup
+// is set, the workload's cold footprint is prewarmed into the L2 and its
+// code into the I-cache before the warmup runs (the paper fast-forwards 10
+// billion instructions before measuring, so its caches are warm).
 func RunWorkload(name string, cfg Config) (Result, error) {
 	prof, ok := workload.ProfileByName(name)
 	if !ok {
@@ -292,13 +295,12 @@ func RunWorkload(name string, cfg Config) (Result, error) {
 	})
 }
 
-// prewarm installs prof's cold footprint into the L2 and prog's code into
-// the I-cache.
+// prewarm fills the empty L2 with prof's cold footprint, as installing its
+// lines one at a time in address order would, and the I-cache with prog's
+// code.
 func prewarm(h *memsys.Hierarchy, prof workload.Profile, prog *isa.Program) {
 	base, size := prof.ColdRegion()
-	for off := 0; off < size; off += 64 {
-		h.PrewarmL2(arch.Addr(base + uint64(off)).Line())
-	}
+	h.PrewarmL2(arch.Addr(base).Line(), (size+arch.LineBytes-1)/arch.LineBytes)
 	h.PrewarmICache(0, len(prog.Code))
 }
 
