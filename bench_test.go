@@ -1,11 +1,11 @@
-// Package repro's benchmark suite regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index) and reports the
-// headline number of each as a benchmark metric. Run with:
+// Package repro's benchmark suite holds the substrate microbenchmarks that
+// cmd/benchrun records and CI gates, plus the three ablations of DESIGN.md
+// section 6 that no paperbench report regenerates. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// One benchmark iteration regenerates the whole experiment at a reduced
-// instruction window (the full-size run is `go run ./cmd/paperbench`).
+// The paper's tables and figures are regenerated by `go run
+// ./cmd/paperbench` (one experiment: `paperbench -exp <id>`).
 package repro
 
 import (
@@ -15,225 +15,10 @@ import (
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/ceaser"
-	"repro/internal/experiments"
-	"repro/internal/multicore"
-	"repro/internal/stats"
-	"repro/internal/workload"
 	"repro/sim"
 )
 
-// benchOpts returns reduced experiment sizing so a full -bench=. pass stays
-// in the minutes range.
-func benchOpts() experiments.Options {
-	return experiments.Options{Instructions: 30_000, SpectreIterations: 6, MTSteps: 8_000}
-}
-
-func newRunner(b *testing.B) *experiments.Runner {
-	b.Helper()
-	r := experiments.NewRunner(benchOpts())
-	r.Quiet = true
-	return r
-}
-
-func BenchmarkTable1_RandomizationImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		rep := r.Table1()
-		if len(rep.Tables) == 0 {
-			b.Fatal("no table")
-		}
-	}
-}
-
-func BenchmarkTable2_CoherenceMitigations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		rep := r.Table2()
-		_ = rep
-	}
-}
-
-func BenchmarkTable3_WorkloadCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		_ = r.Table3()
-	}
-}
-
-func BenchmarkTable5_CleanupStatistics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		_ = r.Table5()
-	}
-}
-
-func BenchmarkTable6_SlowdownComparison(b *testing.B) {
-	var cs float64
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		rep := r.Table6()
-		// Row 2 is CleanupSpec; column 1 the measured slowdown.
-		var xs []float64
-		for _, wl := range sim.Workloads() {
-			base, _ := sim.RunWorkload(wl, sim.Config{Policy: sim.NonSecure, Instructions: benchOpts().Instructions})
-			res, _ := sim.RunWorkload(wl, sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-			xs = append(xs, float64(res.Cycles)/float64(base.Cycles))
-		}
-		cs = stats.Slowdown(stats.Geomean(xs))
-		_ = rep
-	}
-	b.ReportMetric(cs, "cleanupspec-slowdown-%")
-}
-
-func BenchmarkFigure4_InvisiSpecOverheads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		_ = r.Figure4()
-	}
-}
-
-func BenchmarkFigure9_LoadStateBreakdown(b *testing.B) {
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		sum := 0.0
-		ps := workload.MTProfiles()
-		for _, p := range ps {
-			st := multicore.New(p, 4).Run(benchOpts().MTSteps)
-			sum += st.UnsafeFrac()
-		}
-		avg = sum / float64(len(ps)) * 100
-	}
-	b.ReportMetric(avg, "unsafe-loads-%")
-}
-
-func BenchmarkFigure11_SpectrePoC(b *testing.B) {
-	leakedNS, leakedCS := 0, 0
-	for i := 0; i < b.N; i++ {
-		ns, err := sim.RunSpectre(sim.NonSecure, benchOpts().SpectreIterations)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs, err := sim.RunSpectre(sim.CleanupSpec, benchOpts().SpectreIterations)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ns.Leaked {
-			leakedNS++
-		}
-		if cs.Leaked {
-			leakedCS++
-		}
-	}
-	b.ReportMetric(float64(leakedNS)/float64(b.N), "nonsecure-leak-rate")
-	b.ReportMetric(float64(leakedCS)/float64(b.N), "cleanupspec-leak-rate")
-}
-
-func BenchmarkFigure12_CleanupSpecSlowdown(b *testing.B) {
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		var xs []float64
-		for _, wl := range sim.Workloads() {
-			base, err := sim.RunWorkload(wl, sim.Config{Policy: sim.NonSecure, Instructions: benchOpts().Instructions})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := sim.RunWorkload(wl, sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-			if err != nil {
-				b.Fatal(err)
-			}
-			xs = append(xs, float64(res.Cycles)/float64(base.Cycles))
-		}
-		avg = stats.Slowdown(stats.Geomean(xs))
-	}
-	b.ReportMetric(avg, "slowdown-%")
-}
-
-func BenchmarkFigure13_SquashFrequency(b *testing.B) {
-	var pki float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunWorkload("astar", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pki = res.SquashPKI
-	}
-	b.ReportMetric(pki, "astar-squash-pki")
-}
-
-func BenchmarkFigure14_StallBreakdown(b *testing.B) {
-	var wait, ops float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunWorkload("sphinx3", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wait, ops = res.WaitPerSquash, res.CleanupPerSquash
-	}
-	b.ReportMetric(wait, "wait-cycles/squash")
-	b.ReportMetric(ops, "cleanup-cycles/squash")
-}
-
-func BenchmarkFigure15_InflightVsExecuted(b *testing.B) {
-	var inflight float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunWorkload("gobmk", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		inflight = res.InflightFrac * 100
-	}
-	b.ReportMetric(inflight, "inflight-%")
-}
-
-func BenchmarkStorageOverhead(b *testing.B) {
-	var bytes int
-	for i := 0; i < b.N; i++ {
-		bytes = sim.StorageOverheadBytes()
-	}
-	b.ReportMetric(float64(bytes), "bytes/core")
-}
-
-// --- ablation benches (DESIGN.md section 6) ---
-
-// BenchmarkAblation_ConstantTimeCleanup measures the cost of padding every
-// cleanup stall to a constant 50 cycles (the Section 4b hardening).
-func BenchmarkAblation_ConstantTimeCleanup(b *testing.B) {
-	var slow float64
-	for i := 0; i < b.N; i++ {
-		base, err := sim.RunWorkload("astar", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		padded, err := sim.RunWorkload("astar", sim.Config{
-			Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions, ConstantTimeCleanup: 50,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		slow = (float64(padded.Cycles)/float64(base.Cycles) - 1) * 100
-	}
-	b.ReportMetric(slow, "extra-slowdown-%")
-}
-
-// BenchmarkAblation_DelayAll measures the delay-everything upper bound
-// against CleanupSpec's undo approach.
-func BenchmarkAblation_DelayAll(b *testing.B) {
-	var delta float64
-	for i := 0; i < b.N; i++ {
-		cs, err := sim.RunWorkload("soplex", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dl, err := sim.RunWorkload("soplex", sim.Config{Policy: sim.DelayAll, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		delta = float64(dl.Cycles)/float64(cs.Cycles) - 1
-	}
-	b.ReportMetric(delta*100, "delay-vs-cleanup-%")
-}
-
-// --- substrate microbenchmarks ---
+// --- substrate microbenchmarks (cmd/benchrun's default pattern) ---
 
 func BenchmarkCacheLookup(b *testing.B) {
 	c := cache.New(cache.Config{Name: "b", SizeBytes: 64 << 10, Ways: 8, Repl: cache.ReplLRU, Seed: 1})
@@ -288,68 +73,43 @@ func BenchmarkCellSetup(b *testing.B) {
 	}
 }
 
+// --- ablations (DESIGN.md section 6) ---
+
+// benchAblation runs wl under CleanupSpec with and without the knob set by
+// with, and reports the knob's slowdown in percent under unit.
+func benchAblation(b *testing.B, wl string, with func(*sim.Config), unit string) {
+	var slow float64
+	for i := 0; i < b.N; i++ {
+		cfg := sim.Config{Policy: sim.CleanupSpec, Instructions: 30_000}
+		base, err := sim.RunWorkload(wl, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		with(&cfg)
+		r, err := sim.RunWorkload(wl, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		slow = (float64(r.Cycles)/float64(base.Cycles) - 1) * 100
+	}
+	b.ReportMetric(slow, unit)
+}
+
+// BenchmarkAblation_ConstantTimeCleanup measures the cost of padding every
+// cleanup stall to a constant 50 cycles (the Section 4b hardening).
+func BenchmarkAblation_ConstantTimeCleanup(b *testing.B) {
+	benchAblation(b, "astar", func(c *sim.Config) { c.ConstantTimeCleanup = 50 }, "extra-slowdown-%")
+}
+
 // BenchmarkAblation_NoMoPartition measures way-partitioning the L1 (4 of 8
 // ways per SMT thread, Section 3.6): the paper reports < 2% slowdown.
 func BenchmarkAblation_NoMoPartition(b *testing.B) {
-	var slow float64
-	for i := 0; i < b.N; i++ {
-		base, err := sim.RunWorkload("sphinx3", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		part, err := sim.RunWorkload("sphinx3", sim.Config{
-			Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions, L1PartitionWays: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		slow = (float64(part.Cycles)/float64(base.Cycles) - 1) * 100
-	}
-	b.ReportMetric(slow, "nomo-slowdown-%")
+	benchAblation(b, "sphinx3", func(c *sim.Config) { c.L1PartitionWays = 4 }, "nomo-slowdown-%")
 }
 
 // BenchmarkAblation_CEASERRemap measures CEASER's gradual remap running
 // continuously under CleanupSpec (functional relocation; CEASER reports
 // ~1% timing cost, which this model does not charge).
 func BenchmarkAblation_CEASERRemap(b *testing.B) {
-	var slow float64
-	for i := 0; i < b.N; i++ {
-		base, err := sim.RunWorkload("soplex", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		remap, err := sim.RunWorkload("soplex", sim.Config{
-			Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions, L2RemapEvery: 100,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		slow = (float64(remap.Cycles)/float64(base.Cycles) - 1) * 100
-	}
-	b.ReportMetric(slow, "remap-slowdown-%")
-}
-
-// BenchmarkAblation_DelayOnMiss measures the Conditional Speculation filter
-// against CleanupSpec (the paper claims roughly two-thirds of CS/CSF's
-// slowdown, Section 7.3.2).
-func BenchmarkAblation_DelayOnMiss(b *testing.B) {
-	var cs, dm float64
-	for i := 0; i < b.N; i++ {
-		base, err := sim.RunWorkload("sphinx3", sim.Config{Policy: sim.NonSecure, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := sim.RunWorkload("sphinx3", sim.Config{Policy: sim.CleanupSpec, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := sim.RunWorkload("sphinx3", sim.Config{Policy: sim.DelayOnMiss, Instructions: benchOpts().Instructions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs = (float64(c.Cycles)/float64(base.Cycles) - 1) * 100
-		dm = (float64(d.Cycles)/float64(base.Cycles) - 1) * 100
-	}
-	b.ReportMetric(cs, "cleanupspec-%")
-	b.ReportMetric(dm, "delay-on-miss-%")
+	benchAblation(b, "soplex", func(c *sim.Config) { c.L2RemapEvery = 100 }, "remap-slowdown-%")
 }

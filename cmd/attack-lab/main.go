@@ -1,9 +1,9 @@
-// Command attack-lab demonstrates the cache side channels the paper closes,
-// beyond the Spectre PoC (see cmd/spectre-poc):
+// Command attack-lab demonstrates the cache side channels the paper closes:
 //
 //	attack-lab -demo primeprobe   # L1 Prime+Probe vs CleanupSpec's restore
 //	attack-lab -demo l2random     # L2 set-prediction vs CEASER randomization
 //	attack-lab -demo replstate    # replacement-state channel vs random repl
+//	attack-lab -demo spectre      # Spectre V1 probe latencies (Figure 11)
 //
 // With -json the lab emits one machine-readable verdict per (demo, policy)
 // pair instead of prose, so harnesses can assert on leak outcomes:
@@ -16,12 +16,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/memsys"
+	"repro/sim"
 )
 
 // Verdict is one machine-readable outcome: did the named configuration
@@ -34,7 +36,7 @@ type Verdict struct {
 }
 
 func main() {
-	demo := flag.String("demo", "all", "primeprobe, l2random, replstate, or all")
+	demo := flag.String("demo", "all", "primeprobe, l2random, replstate, spectre, or all")
 	asJSON := flag.Bool("json", false, "emit machine-readable per-policy verdicts")
 	flag.Parse()
 
@@ -47,10 +49,13 @@ func main() {
 		verdicts = l2Random(text)
 	case "replstate":
 		verdicts = replState(text)
+	case "spectre":
+		verdicts = spectre(text)
 	case "all":
 		verdicts = append(verdicts, primeProbe(text)...)
 		verdicts = append(verdicts, l2Random(text)...)
 		verdicts = append(verdicts, replState(text)...)
+		verdicts = append(verdicts, spectre(text)...)
 	default:
 		fmt.Fprintln(os.Stderr, "attack-lab: unknown demo", *demo)
 		os.Exit(2)
@@ -150,5 +155,55 @@ func replState(text bool) []Verdict {
 			Detail: fmt.Sprintf("A survives with transient hit: %v, without: %v", lruHit, lruNoHit)},
 		{Demo: "replstate", Policy: "random", Leak: !same,
 			Detail: fmt.Sprintf("outcome independent of transient hit across 16 seeds: %v", same)},
+	}
+}
+
+// spectre runs the Spectre V1 proof of concept (30 rounds) under the
+// non-secure baseline and CleanupSpec and prints each probe-latency
+// profile (Figure 11): without protection the secret index shows a clear
+// latency dip; under CleanupSpec the dip disappears while the
+// correct-path (benign) indices stay fast.
+func spectre(text bool) []Verdict {
+	var verdicts []Verdict
+	for _, p := range []sim.Policy{sim.NonSecure, sim.CleanupSpec} {
+		r, err := sim.RunSpectre(p, 30)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "attack-lab:", err)
+			os.Exit(1)
+		}
+		if text {
+			showSpectre(r)
+		}
+		verdicts = append(verdicts, Verdict{Demo: "spectre", Policy: r.Policy, Leak: r.Leaked,
+			Detail: fmt.Sprintf("planted secret %d, inferred %d", r.Secret, r.Inferred)})
+	}
+	return verdicts
+}
+
+func showSpectre(r sim.SpectreResult) {
+	fmt.Printf("=== %s ===\n", r.Policy)
+	max := 0.0
+	for _, v := range r.AvgLatency {
+		if v > max {
+			max = v
+		}
+	}
+	benign := map[int]bool{}
+	for _, b := range r.BenignIndices {
+		benign[b] = true
+	}
+	for k, v := range r.AvgLatency {
+		tag := ""
+		if k == r.Secret {
+			tag = "  <-- SECRET"
+		} else if benign[k] {
+			tag = "  (benign)"
+		}
+		fmt.Printf("array2[%2d*512] %6.0f cy %s%s\n", k, v, strings.Repeat("#", int(v/max*50)), tag)
+	}
+	if r.Leaked {
+		fmt.Printf("verdict: LEAKED — inferred secret %d (planted %d)\n\n", r.Inferred, r.Secret)
+	} else {
+		fmt.Printf("verdict: no leak — the secret index does not stand out\n\n")
 	}
 }

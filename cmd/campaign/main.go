@@ -10,6 +10,8 @@
 //	campaign run    -workloads astar,gcc -policies nonsecure,cleanupspec
 //	campaign status -cache .campaign
 //	campaign export -cache .campaign -csv all.csv
+//	campaign inspect -cache .campaign
+//	campaign inspect -spans spans.jsonl -top 5
 //	campaign fsck   -cache .campaign -prune
 //
 // Grids: all | paper | headline | quick (see internal/campaign.GridByName).
@@ -47,6 +49,8 @@ func main() {
 		err = cmdStatus(os.Args[2:])
 	case "export":
 		err = cmdExport(os.Args[2:])
+	case "inspect":
+		err = cmdInspect(os.Args[2:])
 	case "fsck":
 		err = cmdFsck(os.Args[2:])
 	case "gc":
@@ -74,6 +78,7 @@ func usage() {
   campaign run    [flags]   expand a grid and run the missing cells
   campaign status [flags]   show per-job status from a cache's manifest
   campaign export [flags]   dump every cached result as CSV
+  campaign inspect [flags]  per-cell summaries of a cache, or a span file's slowest cells
   campaign fsck   [flags]   scan a cache for corrupt/orphaned entries
   campaign gc     [flags]   evict cache entries by age / grid membership
   campaign replay [flags] <dump>  re-run a quarantined cell, full-depth trace
@@ -97,6 +102,12 @@ status/export flags:
   -cache dir          cache directory (default ".campaign")
   -v                  (status) per-cell rows: wall time, cache hit/miss, IPC
   -csv file           export destination ("-" = stdout, the default)
+
+inspect flags:
+  -cache dir          cache directory (default ".campaign")
+  -spans file         span JSONL from "campaign run -span-out": render the
+                      top-N slowest cells and the per-stage breakdown
+  -top N              with -spans: slowest cells to list (default 10)
 
 fsck flags:
   -cache dir          cache directory (default ".campaign")
@@ -391,13 +402,6 @@ func cmdStatus(args []string) error {
 	if *verbose {
 		t := stats.NewTable("", "Cell", "Status", "Source", "Wall", "IPC")
 		for _, rec := range records {
-			cell := rec.Workload + "/" + string(rec.Policy)
-			if rec.Variant != "" {
-				cell += "/" + rec.Variant
-			}
-			if rec.Seed > 1 {
-				cell += fmt.Sprintf("/seed%d", rec.Seed)
-			}
 			source := "-"
 			if rec.Status == campaign.StatusDone {
 				source = "sim"
@@ -409,7 +413,7 @@ func cmdStatus(args []string) error {
 			if rec.IPC > 0 {
 				ipc = fmt.Sprintf("%.3f", rec.IPC)
 			}
-			t.AddRow(cell, rec.Status, source, fmt.Sprintf("%dms", rec.MS), ipc)
+			t.AddRow(cellName(rec.Workload, rec.Policy, rec.Variant, rec.Seed), rec.Status, source, fmt.Sprintf("%dms", rec.MS), ipc)
 		}
 		fmt.Print(t.String())
 	}

@@ -1,6 +1,8 @@
 // Command cleanupspec-sim runs one workload under one security policy and
 // prints the full measurement record — the single-run workhorse behind the
-// experiment harness.
+// experiment harness. Opt-in sections inspect the run further: a phase
+// plot of its time series, its latency/window histograms, and the final
+// counter registry.
 //
 // Usage:
 //
@@ -8,6 +10,7 @@
 //	cleanupspec-sim -list
 //	cleanupspec-sim -workload soplex -compare   # all policies side by side
 //	cleanupspec-sim -workload astar -metrics-out astar.jsonl -trace-out astar.trace.json
+//	cleanupspec-sim -workload mcf -sample-every 500 -width 60 -hist all -counters
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/sim"
 )
 
@@ -32,6 +36,9 @@ func main() {
 		metricsOut   = flag.String("metrics-out", "", "write the interval time series here (.csv = CSV, else JSONL)")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto) file here")
 		sampleEvery  = flag.Uint64("sample-every", 1000, "metrics sampling interval in cycles")
+		width        = flag.Int("width", 0, "print a phase plot of the time series this many columns wide (0 = none)")
+		histPat      = flag.String("hist", "", `print histograms: "top" (non-empty ones), "all", or a name substring`)
+		counters     = flag.Bool("counters", false, "dump the full final counter registry")
 	)
 	flag.Parse()
 
@@ -67,9 +74,8 @@ func main() {
 		ring = sim.NewTraceRing(*traceN)
 		cfg.Trace = ring
 	}
-	var col *sim.Metrics
-	if *metricsOut != "" || *traceOut != "" {
-		col = &sim.Metrics{}
+	col := &sim.Metrics{}
+	if *metricsOut != "" || *traceOut != "" || *width > 0 || *histPat != "" || *counters {
 		cfg.Metrics = col
 		cfg.SampleEvery = *sampleEvery
 		if *traceOut != "" && cfg.Trace == nil {
@@ -80,12 +86,14 @@ func main() {
 	}
 	r, err := sim.RunWorkload(*wl, cfg)
 	check(err)
+	samples := col.Samples()
 	if *metricsOut != "" {
-		check(writeSeries(*metricsOut, col.Samples()))
-		fmt.Fprintf(os.Stderr, "cleanupspec-sim: wrote %d sample(s) to %s\n", len(col.Samples()), *metricsOut)
+		check(metrics.WriteSeriesFile(*metricsOut, samples))
+		fmt.Fprintf(os.Stderr, "cleanupspec-sim: wrote %d sample(s) to %s\n", len(samples), *metricsOut)
 	}
 	if *traceOut != "" {
-		check(writeChromeTrace(*traceOut, *wl, cfg, col.Samples()))
+		check(metrics.WriteChromeTraceFile(*traceOut,
+			metrics.RunTrace(string(r.Policy)+"/"+r.Workload, cfg.Trace.Events(), samples)))
 		fmt.Fprintf(os.Stderr, "cleanupspec-sim: wrote Perfetto trace to %s\n", *traceOut)
 	}
 	fmt.Printf("workload:            %s\n", r.Workload)
@@ -103,6 +111,23 @@ func main() {
 	fmt.Printf("stall per squash:    %.1f wait + %.1f cleanup cycles\n", r.WaitPerSquash, r.CleanupPerSquash)
 	fmt.Printf("traffic:             regular %d, invisible %d, update %d, cleanup %d, writebacks %d\n",
 		r.Traffic.Regular, r.Traffic.Invisible, r.Traffic.Update, r.Traffic.Cleanup, r.Traffic.Writebacks)
+	if *width > 0 || *histPat != "" || *counters {
+		fmt.Println()
+	}
+	if *width > 0 {
+		printPhasePlot(samples, *sampleEvery, *width)
+	}
+	if *histPat != "" {
+		printHistograms(col.Registry, *histPat)
+	}
+	if *counters {
+		fmt.Println("counters:")
+		snap := col.Registry.Snapshot()
+		for _, name := range stats.SortedKeys(snap.Counters) {
+			fmt.Printf("  %-32s %d\n", name, snap.Counters[name])
+		}
+		fmt.Println()
+	}
 	if ring != nil {
 		fmt.Printf("\ntrace (last %d of %d events):\n", len(ring.Events()), ring.Total())
 		if _, err := ring.WriteTo(os.Stdout); err != nil {
@@ -111,41 +136,98 @@ func main() {
 	}
 }
 
-func writeSeries(path string, samples []sim.MetricSample) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// printPhasePlot renders the run's phase behaviour: one sparkline per
+// derived series, each shrunk to at most width points.
+func printPhasePlot(samples []sim.MetricSample, every uint64, width int) {
+	fmt.Printf("phase plot (%d samples, every %d cycles):\n", len(samples), every)
+	plot := func(label string, vals []float64) {
+		vals = downsample(vals, width)
+		lo, hi := stats.MinMax(vals)
+		fmt.Printf("  %-14s %s  [%.3g .. %.3g]\n", label, stats.Sparkline(vals), lo, hi)
 	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return metrics.WriteCSV(f, samples)
+	squashes := metrics.Rates(samples, "cpu.squashes")
+	for i := range squashes {
+		squashes[i] *= 1000
 	}
-	return metrics.WriteJSONL(f, samples)
+	plot("IPC", metrics.Rates(samples, "cpu.committed"))
+	plot("squash/kcycle", squashes)
+	plot("L1D miss rate", metrics.RatioDeltas(samples, "l1d.misses", "l1d.accesses"))
+	plot("L2 miss rate", metrics.RatioDeltas(samples, "l2.misses", "l2.accesses"))
+	if pending := gaugeSeries(samples, "mem.pending_txns"); pending != nil {
+		plot("pending txns", pending)
+	}
+	fmt.Println()
 }
 
-func writeChromeTrace(path, wl string, cfg sim.Config, samples []sim.MetricSample) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// printHistograms prints the histograms pat selects: "all", "top" (those
+// that recorded anything), or those whose name contains pat.
+func printHistograms(reg *metrics.Registry, pat string) {
+	shown := 0
+	for _, name := range reg.Names(metrics.KindHistogram) {
+		h, _ := reg.HistogramByName(name)
+		switch {
+		case pat == "all":
+		case pat == "top":
+			if h.Count() == 0 {
+				continue
+			}
+		default:
+			if !strings.Contains(name, pat) {
+				continue
+			}
+		}
+		fmt.Printf("%s\n%s\n", name, indent(h.String(), "  "))
+		shown++
 	}
-	defer f.Close()
-	return metrics.ExportChromeTrace(f, metrics.ChromeTraceOpts{
-		Process: string(cfg.Resolved().Policy) + "/" + wl,
-		Events:  cfg.Trace.Events(),
-		Samples: samples,
-		Counters: []metrics.CounterSeries{
-			{Name: "ipc", Values: metrics.Rates(samples, "cpu.committed")},
-			{Name: "squash-per-kcycle", Values: scale(metrics.Rates(samples, "cpu.squashes"), 1000)},
-			{Name: "l1d-miss-rate", Values: metrics.RatioDeltas(samples, "l1d.misses", "l1d.accesses")},
-		},
-	})
+	if shown == 0 {
+		fmt.Printf("no histograms matching %q recorded anything (try -hist all)\n\n", pat)
+	}
 }
 
-func scale(vals []float64, by float64) []float64 {
-	for i := range vals {
-		vals[i] *= by
+// downsample shrinks vals to at most width points by averaging fixed-size
+// groups, so long runs still fit one terminal line.
+func downsample(vals []float64, width int) []float64 {
+	if width <= 0 || len(vals) <= width {
+		return vals
 	}
-	return vals
+	out := make([]float64, width)
+	for i := range out {
+		lo := i * len(vals) / width
+		hi := (i + 1) * len(vals) / width
+		if hi == lo {
+			hi = lo + 1
+		}
+		sum := 0.0
+		for _, v := range vals[lo:hi] {
+			sum += v
+		}
+		out[i] = sum / float64(hi-lo)
+	}
+	return out
+}
+
+// gaugeSeries returns the named gauge's value per sample, or nil when no
+// sample recorded it.
+func gaugeSeries(samples []sim.MetricSample, name string) []float64 {
+	var out []float64
+	found := false
+	for _, s := range samples {
+		v, ok := s.Gauges[name]
+		found = found || ok
+		out = append(out, v)
+	}
+	if !found {
+		return nil
+	}
+	return out
+}
+
+func indent(s, by string) string {
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	for i, l := range lines {
+		lines[i] = by + l
+	}
+	return strings.Join(lines, "\n") + "\n"
 }
 
 func check(err error) {

@@ -101,15 +101,7 @@ func main() {
 	}
 
 	if *csvOut != "" {
-		var b strings.Builder
-		for _, rep := range reports {
-			for _, t := range rep.Tables {
-				fmt.Fprintf(&b, "# %s: %s\n", rep.ID, t.Title)
-				b.WriteString(t.CSV())
-				b.WriteByte('\n')
-			}
-		}
-		if err := os.WriteFile(*csvOut, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(*csvOut, []byte(experiments.CSV(reports)), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)
 			os.Exit(1)
 		}
@@ -161,45 +153,16 @@ func exportObservability(wl string, instructions, sampleEvery uint64, metricsOut
 		samples := col.Samples()
 		if metricsOut != "" {
 			path := insertPolicy(metricsOut, string(pol))
-			f, err := os.Create(path)
-			if err != nil {
+			if err := metrics.WriteSeriesFile(path, samples); err != nil {
 				return err
-			}
-			var werr error
-			if strings.HasSuffix(path, ".csv") {
-				werr = metrics.WriteCSV(f, samples)
-			} else {
-				werr = metrics.WriteJSONL(f, samples)
-			}
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
 			}
 			fmt.Fprintf(os.Stderr, "paperbench: wrote %d sample(s) to %s\n", len(samples), path)
 		}
-		runs = append(runs, metrics.ChromeTraceOpts{
-			Process: string(pol) + "/" + wl,
-			Events:  ring.Events(),
-			Samples: samples,
-			Counters: []metrics.CounterSeries{
-				{Name: "ipc", Values: metrics.Rates(samples, "cpu.committed")},
-				{Name: "l1d-miss-rate", Values: metrics.RatioDeltas(samples, "l1d.misses", "l1d.accesses")},
-			},
-		})
+		runs = append(runs, metrics.RunTrace(string(pol)+"/"+wl, ring.Events(), samples))
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+		if err := metrics.WriteChromeTraceFile(traceOut, runs...); err != nil {
 			return err
-		}
-		werr := metrics.ExportChromeTraceMulti(f, runs)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
 		}
 		fmt.Fprintln(os.Stderr, "paperbench: wrote Perfetto trace to", traceOut)
 	}

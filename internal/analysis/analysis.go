@@ -14,13 +14,11 @@
 //     Stats field; direct math/rand calls are always reported.
 //   - metricscomplete: every exported numeric Stats field reaches the
 //     metrics registry in its package's AttachMetrics, so new counters
-//     cannot silently drop out of simscope/Perfetto exports.
+//     cannot silently drop out of the sampler and Perfetto exports.
 //   - cachekey: every sim.Config field either participates in the
 //     campaign cache key or is explicitly excluded (json:"-") AND zeroed
 //     in campaign.Key — the bug class that silently forks or aliases
 //     content-addressed cache entries.
-//   - cycletyping: latency/cycle-named fields and parameters are uint64,
-//     preventing silent truncation in latency arithmetic.
 //   - errdiscipline: no panic in internal/ simulation packages outside
 //     must* helpers — failures must flow to the campaign engine as errors.
 //   - lockorder: the lock-acquisition graph across the concurrent layers
@@ -41,8 +39,9 @@
 //     roots without a justified suppression; simlint -hotreport emits the
 //     deterministic allocation budget CI ratchets via HOTPATH_BUDGET.json.
 //   - cyclemath: uint64 cycle subtraction a-b is dominated by a provable
-//     a>=b guard, and cycle values never cross signed conversions — the
-//     classic simulator underflow bug class.
+//     a>=b guard, cycle values never cross signed conversions, and
+//     latency/cycle-named fields and parameters are uint64 — the classic
+//     simulator underflow and truncation bug classes.
 //   - undocomplete: every field of cache, memsys or coherence state that
 //     a speculative path mutates is also written on a path reachable from
 //     squash/cleanup — the paper's Section 3 undo invariant as lint.
@@ -99,7 +98,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerDeterminism,
 		AnalyzerMetricsComplete,
 		AnalyzerCacheKey,
-		AnalyzerCycleTyping,
 		AnalyzerErrDiscipline,
 		AnalyzerLockOrder,
 		AnalyzerDeterTaint,

@@ -128,7 +128,7 @@ func TestDirectiveSuppresses(t *testing.T) {
 		{&directive{verb: "ordered"}, "errdiscipline", false},
 		{&directive{verb: "allow", analyzers: []string{"errdiscipline"}}, "errdiscipline", true},
 		{&directive{verb: "allow", analyzers: []string{"errdiscipline"}}, "determinism", false},
-		{&directive{verb: "allow", analyzers: []string{"cachekey", "cycletyping"}}, "cycletyping", true},
+		{&directive{verb: "allow", analyzers: []string{"cachekey", "cyclemath"}}, "cyclemath", true},
 	}
 	for _, c := range cases {
 		if got := c.d.suppresses(c.analyzer); got != c.want {

@@ -7,8 +7,9 @@ import (
 	"strings"
 )
 
-// AnalyzerCycleMath targets the classic simulator underflow bug class:
-// uint64 cycle arithmetic that silently wraps. Two rules:
+// AnalyzerCycleMath targets the classic simulator bug classes of cycle
+// arithmetic: uint64 values that silently wrap, and latencies held in
+// types that silently truncate. Three rules:
 //
 //  1. A subtraction a-b of cycle/latency values (underlying uint64,
 //     cycle-named type or operand — see isCycleName) must be dominated by
@@ -25,10 +26,17 @@ import (
 //     truncates and sign-flips past 2^63, and Cycle(signed) launders a
 //     negative into an enormous cycle count. Constant operands fold at
 //     compile time and are exempt.
+//  3. Struct fields and function parameters/results whose names say they
+//     hold cycle counts or latencies (isCycleName) must be uint64 —
+//     directly or through a named type like arch.Cycle whose underlying
+//     type is uint64. An int or int32 latency overflows or sign-flips
+//     under the simulator's 500M-cycle budgets on 32-bit hosts and
+//     converts implicitly in mixed expressions, which is exactly how
+//     truncation bugs hide. Float aggregates are exempt.
 //
 // Subtractions with a constant subtrahend (`now - 1`) are not flagged:
 // there is no variable to guard against, and the idiom is pervasive in
-// ring/index math; cycletyping already pins the representation.
+// ring/index math; rule 3 already pins the representation.
 //
 // The proof deliberately assumes guarded operands are not mutated by
 // calls between guard and use (guard-then-subtract is an adjacent idiom
@@ -36,7 +44,7 @@ import (
 // evade it, which is the usual precision/noise trade for a lint.
 var AnalyzerCycleMath = &Analyzer{
 	Name: "cyclemath",
-	Doc:  "require uint64 cycle subtractions to be dominated by a provable a>=b guard, and forbid signed conversions of cycle values",
+	Doc:  "require uint64 cycle subtractions to be dominated by a provable a>=b guard, forbid signed conversions of cycle values, and require *Cycle(s)/*Lat(ency) fields and parameters to be uint64",
 	Run:  runCycleMath,
 }
 
@@ -48,15 +56,66 @@ func runCycleMath(p *Pass) {
 	w := &cmWalker{p: p}
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if fd, ok := n.(*ast.FuncDecl); ok {
-				if fd.Body != nil {
-					w.block(fd.Body, cmEnv{})
+			switch n := n.(type) {
+			case *ast.StructType:
+				checkCycleFields(p, n.Fields, "field")
+			case *ast.FuncDecl:
+				checkCycleFields(p, n.Type.Params, "parameter")
+				checkCycleFields(p, n.Type.Results, "result")
+				if n.Body != nil {
+					w.block(n.Body, cmEnv{})
 				}
-				return false
+			case *ast.FuncLit:
+				checkCycleFields(p, n.Type.Params, "parameter")
+				checkCycleFields(p, n.Type.Results, "result")
 			}
 			return true
 		})
 	}
+}
+
+// checkCycleFields applies rule 3 to one field list.
+func checkCycleFields(p *Pass, fl *ast.FieldList, kind string) {
+	if fl == nil {
+		return
+	}
+	for _, field := range fl.List {
+		t := p.Pkg.Info.TypeOf(field.Type)
+		if t == nil || !isNonUint64Integer(t) {
+			continue
+		}
+		for _, name := range field.Names {
+			if isCycleName(name.Name) {
+				p.Reportf(name.Pos(),
+					"%s %s holds a cycle count or latency but is %s; make it uint64 (or arch.Cycle) to prevent silent truncation in latency math", kind, name.Name, t)
+			}
+		}
+	}
+}
+
+// isCycleName reports whether a field/parameter name declares a cycle
+// count or latency.
+func isCycleName(name string) bool {
+	for _, suffix := range [...]string{"Cycle", "Cycles", "Lat", "Latency"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	switch name {
+	case "lat", "latency", "cycle", "cycles":
+		return true
+	}
+	return false
+}
+
+// isNonUint64Integer reports whether t's underlying type is an integer
+// kind other than uint64 — the truncation-prone latency representations.
+// Float aggregates (average latency in fractional cycles), histograms, and
+// other container types are deliberate representations, not truncation
+// hazards, and are not flagged.
+func isNonUint64Integer(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0 && b.Kind() != types.Uint64 && b.Kind() != types.Uintptr
 }
 
 // cmEnv is the set of proved ordering facts at a program point, keyed

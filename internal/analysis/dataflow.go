@@ -3,11 +3,11 @@ package analysis
 import "go/ast"
 
 // This file is the solver half of simlint's dataflow engine: a generic
-// forward/backward worklist fixpoint solver over the CFG in cfg.go.
-// Analyzers describe their lattice as a dataflow[F] value — bottom,
-// entry fact, join, equality, and a per-node transfer function — and get
-// back the fact holding at the start of every block. Per-node facts are
-// recovered by replaying Transfer over a block's nodes (see replay).
+// forward worklist fixpoint solver over the CFG in cfg.go. Analyzers
+// describe their lattice as a dataflow[F] value — bottom, entry fact,
+// join, equality, and a per-node transfer function — and get back the
+// fact holding at the start of every block. Per-node facts are recovered
+// by replaying Transfer over a block's nodes.
 //
 // Transfer and Join must be pure: they return fresh fact values and
 // never mutate their inputs, because the solver retains and compares
@@ -17,8 +17,7 @@ import "go/ast"
 type dataflow[F any] struct {
 	// Bottom is the identity of Join: the fact for not-yet-reached code.
 	Bottom func() F
-	// Entry is the fact holding at the boundary block (the function
-	// entry for forward problems, the exit for backward ones).
+	// Entry is the fact holding at the function entry.
 	Entry func() F
 	// Join combines the facts of two incoming paths.
 	Join func(a, b F) F
@@ -29,31 +28,17 @@ type dataflow[F any] struct {
 	Transfer func(n ast.Node, f F) F
 }
 
-// forward solves the problem in execution order and returns the fact at
-// the start of every block.
+// forward solves the problem in execution order with a worklist and
+// returns the fact at the start of every block.
 func (d dataflow[F]) forward(g *cfg) map[*block]F {
-	return d.solve(g, g.entry, func(b *block) []*block { return b.preds })
-}
-
-// backward solves the problem against execution order and returns the
-// fact at the end of every block (its boundary in reverse flow).
-func (d dataflow[F]) backward(g *cfg) map[*block]F {
-	return d.solve(g, g.exit, func(b *block) []*block { return b.succs })
-}
-
-// solve runs the worklist algorithm. boundary is the block whose in-fact
-// is Entry; inputs yields the blocks whose out-facts flow into a block
-// (predecessors for forward problems, successors for backward ones).
-func (d dataflow[F]) solve(g *cfg, boundary *block, inputs func(*block) []*block) map[*block]F {
 	in := make(map[*block]F, len(g.blocks))
 	out := make(map[*block]F, len(g.blocks))
 	for _, b := range g.blocks {
 		in[b] = d.Bottom()
 		out[b] = d.Bottom()
 	}
-	in[boundary] = d.Entry()
+	in[g.entry] = d.Entry()
 
-	backward := boundary == g.exit
 	// Worklist seeded with every block in index order; indices are
 	// assigned in construction order, so the iteration sequence — and
 	// with it every intermediate fact — is deterministic.
@@ -69,23 +54,21 @@ func (d dataflow[F]) solve(g *cfg, boundary *block, inputs func(*block) []*block
 		queued[b.index] = false
 
 		f := in[b]
-		if b != boundary {
+		if b != g.entry {
 			f = d.Bottom()
-			for _, p := range inputs(b) {
+			for _, p := range b.preds {
 				f = d.Join(f, out[p])
 			}
 			in[b] = f
 		}
-		f = d.replay(b, f, backward)
+		for _, n := range b.nodes {
+			f = d.Transfer(n, f)
+		}
 		if d.Equal(f, out[b]) {
 			continue
 		}
 		out[b] = f
-		dests := b.succs
-		if backward {
-			dests = b.preds
-		}
-		for _, s := range dests {
+		for _, s := range b.succs {
 			if !queued[s.index] {
 				queued[s.index] = true
 				work = append(work, s)
@@ -93,19 +76,4 @@ func (d dataflow[F]) solve(g *cfg, boundary *block, inputs func(*block) []*block
 		}
 	}
 	return in
-}
-
-// replay applies the block's node transfers to f (in reverse order for
-// backward problems) and returns the resulting fact.
-func (d dataflow[F]) replay(b *block, f F, backward bool) F {
-	if backward {
-		for i := len(b.nodes) - 1; i >= 0; i-- {
-			f = d.Transfer(b.nodes[i], f)
-		}
-		return f
-	}
-	for _, n := range b.nodes {
-		f = d.Transfer(n, f)
-	}
-	return f
 }

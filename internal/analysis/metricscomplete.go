@@ -9,8 +9,8 @@ import (
 // AnalyzerMetricsComplete guards the full-depth-observability contract:
 // every exported numeric counter a package accumulates must be bound into
 // the metrics registry by that package's AttachMetrics, so a newly added
-// Stats field cannot silently drop out of simscope, the interval sampler,
-// and the Perfetto export.
+// Stats field cannot silently drop out of the counter dump, the interval
+// sampler, and the Perfetto export.
 //
 // For each method AttachMetrics(reg *metrics.Registry, …) the analyzer
 // determines the receiver's stat carriers — its fields named Stats or

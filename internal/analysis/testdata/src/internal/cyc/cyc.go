@@ -1,4 +1,4 @@
-// Package cyc is the cycletyping analyzer's golden input.
+// Package cyc is the golden input for cyclemath's representation rule (rule 3).
 package cyc
 
 // Cycle is a correctly-typed named cycle type (the arch.Cycle pattern).

@@ -51,7 +51,7 @@ type Entry struct {
 	Aux    json.RawMessage `json:"aux,omitempty"`
 	Result sim.Result      `json:"result"`
 	// Summary is the cell's headline derived metrics, duplicated out of
-	// Result so `jq .summary` and the simscope inspector can read a cell
+	// Result so `jq .summary` and `campaign inspect` can read a cell
 	// without knowing the Result schema. The full counter snapshot lives
 	// in Result.Metrics.
 	Summary map[string]float64 `json:"summary,omitempty"`

@@ -80,11 +80,6 @@ func ManifestPath(cacheDir string) string {
 	return filepath.Join(cacheDir, "manifest.jsonl")
 }
 
-// legacyManifestPath is the pre-schema-4 single-JSON manifest.
-func legacyManifestPath(cacheDir string) string {
-	return filepath.Join(cacheDir, "manifest.json")
-}
-
 // NewManifest creates an empty manifest that saves to the given cache dir.
 func NewManifest(cacheDir, grid string) *Manifest {
 	return &Manifest{Grid: grid, Jobs: make(map[string]*JobRecord), path: ManifestPath(cacheDir)}
@@ -98,7 +93,7 @@ func LoadManifest(cacheDir string) (*Manifest, bool) {
 	path := ManifestPath(cacheDir)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return loadLegacyManifest(cacheDir)
+		return nil, false
 	}
 	m := &Manifest{Jobs: make(map[string]*JobRecord), path: path}
 	sawHeader := false
@@ -126,22 +121,6 @@ func LoadManifest(cacheDir string) (*Manifest, bool) {
 		return nil, false
 	}
 	return m, true
-}
-
-// loadLegacyManifest reads a pre-journal manifest.json.
-func loadLegacyManifest(cacheDir string) (*Manifest, bool) {
-	data, err := os.ReadFile(legacyManifestPath(cacheDir))
-	if err != nil {
-		return nil, false
-	}
-	var legacy struct {
-		Grid string                `json:"grid"`
-		Jobs map[string]*JobRecord `json:"jobs"`
-	}
-	if err := json.Unmarshal(data, &legacy); err != nil || legacy.Jobs == nil {
-		return nil, false
-	}
-	return &Manifest{Grid: legacy.Grid, Jobs: legacy.Jobs, path: ManifestPath(cacheDir)}, true
 }
 
 // Dropped returns how many torn journal lines the load discarded.
@@ -332,8 +311,6 @@ func (m *Manifest) Save() error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("campaign: saving manifest: %w", err)
 	}
-	// A compacted journal supersedes any pre-schema-4 manifest.json.
-	os.Remove(legacyManifestPath(filepath.Dir(m.path)))
 	return nil
 }
 

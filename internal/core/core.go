@@ -30,8 +30,8 @@ type Config struct {
 	ConstantTimeCleanup arch.Cycle
 	// DisableRestore turns off victim restoration, leaving only
 	// invalidation — the naive design of Section 2.4.1 that remains
-	// vulnerable to Prime+Probe. It exists for the ablation benches and
-	// security tests; production configurations must keep it false.
+	// vulnerable to Prime+Probe. It exists for the security tests;
+	// production configurations must keep it false.
 	DisableRestore bool
 	// UseGetSSafe delays speculative loads that would downgrade a remote
 	// M/E line (Section 3.5). On by default via New.
@@ -58,8 +58,13 @@ type Stats struct {
 	LoadsObserved       uint64 // committed loads (extension-rate denominator)
 }
 
-// CleanupSpec is the Undo policy (implements cpu.Policy).
+// CleanupSpec is the Undo policy (implements cpu.Policy). It forwards
+// speculative data to dependents immediately, and a correctly speculated
+// load retires with no extra work — the entire point of the Undo approach:
+// nothing happens when a load becomes unsquashable (the machine clears
+// window marks at commit) or nears commit.
 type CleanupSpec struct {
+	cpu.NoHooks
 	cfg Config
 
 	Stats Stats
@@ -99,21 +104,6 @@ func (p *CleanupSpec) Mode(m *cpu.Machine, e *cpu.LQEntry, spec bool) cpu.LoadMo
 	}
 	return cpu.LoadNormal
 }
-
-// DeferWakeupUntilVisible implements cpu.Policy: CleanupSpec forwards
-// speculative data to dependents immediately.
-func (p *CleanupSpec) DeferWakeupUntilVisible() bool { return false }
-
-// OnLoadUnsquashable implements cpu.Policy (no action: window marks are
-// cleared by the machine at commit).
-func (p *CleanupSpec) OnLoadUnsquashable(*cpu.Machine, *cpu.LQEntry) {}
-
-// OnLoadNearCommit implements cpu.Policy (no commit-time work).
-func (p *CleanupSpec) OnLoadNearCommit(*cpu.Machine, *cpu.LQEntry) {}
-
-// CommitWait implements cpu.Policy: correctly speculated loads retire with
-// no extra work — the entire point of the Undo approach.
-func (p *CleanupSpec) CommitWait(*cpu.Machine, *cpu.LQEntry) arch.Cycle { return 0 }
 
 // OnLoadCommitted implements cpu.Policy: loads that stayed speculative
 // beyond WindowExtensionPeriod sent keep-alive messages so their L2-MSHR

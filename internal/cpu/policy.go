@@ -106,33 +106,40 @@ type Policy interface {
 	DropSquashedInflight() bool
 }
 
+// NoHooks is the no-op default for every Policy hook but Name and Mode:
+// wakeups are not deferred, a load needs no work when it becomes
+// unsquashable, nears commit or retires, a squash costs nothing beyond
+// the pipeline refill, and squashed in-flight fills may land. A policy
+// embeds it and writes only Name, Mode and the hooks it changes.
+type NoHooks struct{}
+
+// DeferWakeupUntilVisible implements Policy.
+func (NoHooks) DeferWakeupUntilVisible() bool { return false }
+
+// OnLoadUnsquashable implements Policy.
+func (NoHooks) OnLoadUnsquashable(*Machine, *LQEntry) {}
+
+// OnLoadNearCommit implements Policy.
+func (NoHooks) OnLoadNearCommit(*Machine, *LQEntry) {}
+
+// CommitWait implements Policy.
+func (NoHooks) CommitWait(*Machine, *LQEntry) arch.Cycle { return 0 }
+
+// OnLoadCommitted implements Policy.
+func (NoHooks) OnLoadCommitted(*Machine, *LQEntry) {}
+
+// OnSquash implements Policy.
+func (NoHooks) OnSquash(*Machine, []SquashedLoad) SquashCost { return SquashCost{} }
+
+// DropSquashedInflight implements Policy.
+func (NoHooks) DropSquashedInflight() bool { return false }
+
 // NonSecure is the unprotected baseline: speculative loads modify the
 // caches and squashes leave every change behind.
-type NonSecure struct{}
+type NonSecure struct{ NoHooks }
 
 // Name implements Policy.
 func (NonSecure) Name() string { return "nonsecure" }
 
 // Mode implements Policy.
 func (NonSecure) Mode(*Machine, *LQEntry, bool) LoadMode { return LoadNormal }
-
-// DeferWakeupUntilVisible implements Policy.
-func (NonSecure) DeferWakeupUntilVisible() bool { return false }
-
-// OnLoadUnsquashable implements Policy.
-func (NonSecure) OnLoadUnsquashable(*Machine, *LQEntry) {}
-
-// OnLoadNearCommit implements Policy.
-func (NonSecure) OnLoadNearCommit(*Machine, *LQEntry) {}
-
-// CommitWait implements Policy.
-func (NonSecure) CommitWait(*Machine, *LQEntry) arch.Cycle { return 0 }
-
-// OnLoadCommitted implements Policy.
-func (NonSecure) OnLoadCommitted(*Machine, *LQEntry) {}
-
-// OnSquash implements Policy.
-func (NonSecure) OnSquash(*Machine, []SquashedLoad) SquashCost { return SquashCost{} }
-
-// DropSquashedInflight implements Policy.
-func (NonSecure) DropSquashedInflight() bool { return false }

@@ -1,6 +1,6 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (Section 6 plus the characterization tables earlier in
-// the paper). cmd/paperbench and the repository's benchmark suite both call
+// the paper). cmd/paperbench and bench/'s paper-repro workload both call
 // these runners; EXPERIMENTS.md records their output against the paper.
 //
 // Each runner returns a Report with the regenerated table (or series) and a
@@ -70,6 +70,21 @@ func (r Report) Markdown() string {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "> %s\n\n", n)
+	}
+	return b.String()
+}
+
+// CSV renders every table of the reports as one CSV document: each table
+// is a `# <id>: <title>` line, then its rows, then a blank line. It is
+// the paperbench -csv export.
+func CSV(reports []Report) string {
+	var b strings.Builder
+	for _, rep := range reports {
+		for _, t := range rep.Tables {
+			fmt.Fprintf(&b, "# %s: %s\n", rep.ID, t.Title)
+			b.WriteString(t.CSV())
+			b.WriteByte('\n')
+		}
 	}
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -154,5 +156,15 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		if rep.String() == "" || rep.Markdown() == "" {
 			t.Errorf("%s: empty rendering", rep.ID)
 		}
+	}
+	// The whole paper export at this size, pinned byte for byte. It was
+	// recorded from the code before any change that must keep the export
+	// identical; a refactor or speed-up never edits it. On a mismatch, diff
+	// `paperbench -instructions 8000 -iterations 3 -mtsteps 2000 -q -csv F`
+	// against the previous commit's output to find the moved table.
+	const wantCSV = "05c9ffc36ae49aca542dd647e96ac6f4edab7288d86b897ef57392b61c665196"
+	sum := sha256.Sum256([]byte(CSV(reports)))
+	if got := hex.EncodeToString(sum[:]); got != wantCSV {
+		t.Errorf("paper export CSV sha256 = %s, want %s", got, wantCSV)
 	}
 }

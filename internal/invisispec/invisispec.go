@@ -52,8 +52,14 @@ type Stats struct {
 	Exposures      uint64 // non-blocking updates (invisible L1 hits)
 }
 
-// Policy is the Redo baseline (implements cpu.Policy).
+// Policy is the Redo baseline (implements cpu.Policy). Nothing happens
+// when a load becomes unsquashable: under the Futuristic threat model the
+// visibility point is the ROB head, so the update is launched from
+// OnLoadNearCommit. A squash has nothing to clean or drop: invisible loads
+// left no trace and never fill, so it costs nothing beyond the pipeline
+// refill.
 type Policy struct {
+	cpu.NoHooks
 	mode Mode
 
 	Stats Stats
@@ -75,11 +81,6 @@ func (p *Policy) Mode(m *cpu.Machine, e *cpu.LQEntry, spec bool) cpu.LoadMode {
 
 // DeferWakeupUntilVisible implements cpu.Policy: the Initial/Revised split.
 func (p *Policy) DeferWakeupUntilVisible() bool { return p.mode == Initial }
-
-// OnLoadUnsquashable implements cpu.Policy. Under the Futuristic threat
-// model the visibility point is the ROB head, so the update is launched
-// from OnLoadNearCommit, not here.
-func (p *Policy) OnLoadUnsquashable(m *cpu.Machine, e *cpu.LQEntry) {}
 
 // OnLoadNearCommit implements cpu.Policy: as the load enters the commit
 // window it launches its update, so back-to-back validations overlap the
@@ -129,13 +130,3 @@ func (p *Policy) OnLoadCommitted(m *cpu.Machine, e *cpu.LQEntry) {
 		p.Stats.InvisibleLoads++
 	}
 }
-
-// OnSquash implements cpu.Policy: invisible loads left no trace, so a
-// squash costs nothing beyond the pipeline refill.
-func (p *Policy) OnSquash(*cpu.Machine, []cpu.SquashedLoad) cpu.SquashCost {
-	return cpu.SquashCost{}
-}
-
-// DropSquashedInflight implements cpu.Policy: nothing to drop — invisible
-// loads never fill.
-func (p *Policy) DropSquashedInflight() bool { return false }

@@ -5,9 +5,36 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 )
+
+// WriteSeriesFile writes the time series to path: CSV when the path ends
+// in ".csv", JSON Lines otherwise.
+func WriteSeriesFile(path string, samples []Sample) error {
+	return writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".csv") {
+			return WriteCSV(w, samples)
+		}
+		return WriteJSONL(w, samples)
+	})
+}
+
+// writeFile creates path, hands it to write, and returns the first of the
+// write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
 
 // WriteJSONL writes the time series as JSON Lines: one Sample object per
 // line, counters cumulative (so the last line's counters are the run's

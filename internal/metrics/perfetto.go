@@ -47,7 +47,7 @@ const (
 var trackNames = [...]string{"", "loads", "squashes", "cleanups", "exposed-windows", "commits"}
 
 // CounterSeries is one derived counter track: a value per sample, aligned
-// with the Samples slice handed to ExportChromeTrace (typically built with
+// with the Samples slice of its ChromeTraceOpts (typically built with
 // Rates or RatioDeltas).
 type CounterSeries struct {
 	Name   string
@@ -188,14 +188,35 @@ func BuildChromeEvents(opts ChromeTraceOpts) []ChromeEvent {
 	return out
 }
 
-// ExportChromeTrace writes the run as trace-event JSON (object form, with
-// displayTimeUnit set so one cycle reads as one microsecond).
-func ExportChromeTrace(w io.Writer, opts ChromeTraceOpts) error {
-	return ExportChromeTraceMulti(w, []ChromeTraceOpts{opts})
+// RunTrace is the Perfetto view of one instrumented run: its event trace,
+// a counter track per gauge, and the derived IPC, squashes per kilo-cycle
+// and L1-D miss-rate tracks.
+func RunTrace(process string, events []trace.Event, samples []Sample) ChromeTraceOpts {
+	squashes := Rates(samples, "cpu.squashes")
+	for i := range squashes {
+		squashes[i] *= 1000
+	}
+	return ChromeTraceOpts{
+		Process: process,
+		Events:  events,
+		Samples: samples,
+		Counters: []CounterSeries{
+			{Name: "ipc", Values: Rates(samples, "cpu.committed")},
+			{Name: "squash-per-kcycle", Values: squashes},
+			{Name: "l1d-miss-rate", Values: RatioDeltas(samples, "l1d.misses", "l1d.accesses")},
+		},
+	}
 }
 
-// ExportChromeTraceMulti merges several runs into one trace file, one
-// process per run (distinct pids), so per-policy squash/cleanup/window
+// WriteChromeTraceFile writes runs to path as one merged trace (see
+// ExportChromeTraceMulti).
+func WriteChromeTraceFile(path string, runs ...ChromeTraceOpts) error {
+	return writeFile(path, func(w io.Writer) error { return ExportChromeTraceMulti(w, runs) })
+}
+
+// ExportChromeTraceMulti writes runs as one trace-event JSON file (object
+// form, with displayTimeUnit set so one cycle reads as one microsecond),
+// one process per run (distinct pids), so per-policy squash/cleanup/window
 // tracks sit side by side in the Perfetto UI. Unset Pids are assigned
 // 1, 2, ... in slice order.
 func ExportChromeTraceMulti(w io.Writer, runs []ChromeTraceOpts) error {

@@ -3,6 +3,9 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -123,10 +126,10 @@ func TestExportChromeTraceValidJSON(t *testing.T) {
 	opts := ChromeTraceOpts{Process: "p", Events: testTraceEvents(), Samples: testSamples(),
 		Counters: []CounterSeries{{Name: "ipc", Values: []float64{1, 2}}}}
 	var a, b bytes.Buffer
-	if err := ExportChromeTrace(&a, opts); err != nil {
+	if err := ExportChromeTraceMulti(&a, []ChromeTraceOpts{opts}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ExportChromeTrace(&b, opts); err != nil {
+	if err := ExportChromeTraceMulti(&b, []ChromeTraceOpts{opts}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -176,5 +179,62 @@ func TestExportChromeTraceMulti(t *testing.T) {
 	}
 	if len(pids) != 2 || pids[1] != "nonsecure/astar" || pids[2] != "cleanupspec/astar" {
 		t.Fatalf("process tracks: %v", pids)
+	}
+}
+
+// TestRunTraceAndFiles checks the shared export helpers: RunTrace derives
+// the IPC, squash-rate and miss-rate tracks from the samples,
+// WriteChromeTraceFile writes what ExportChromeTraceMulti writes, and
+// WriteSeriesFile picks CSV by the .csv suffix and JSON Lines otherwise.
+func TestRunTraceAndFiles(t *testing.T) {
+	samples := testSamples()
+	run := RunTrace("cleanupspec/astar", testTraceEvents(), samples)
+	var names []string
+	for _, c := range run.Counters {
+		names = append(names, c.Name)
+		if len(c.Values) != len(samples) {
+			t.Errorf("track %s has %d values, want %d", c.Name, len(c.Values), len(samples))
+		}
+	}
+	if got := strings.Join(names, ","); got != "ipc,squash-per-kcycle,l1d-miss-rate" {
+		t.Fatalf("counter tracks %s", got)
+	}
+	if ipc := run.Counters[0].Values; ipc[0] != 1.5 || ipc[1] != 2 {
+		t.Errorf("ipc track %v, want [1.5 2]", ipc)
+	}
+
+	dir := t.TempDir()
+	check := func(path string, write func(w *bytes.Buffer) error) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s:\n%s\nwant:\n%s", filepath.Base(path), got, want.Bytes())
+		}
+	}
+	tracePath := filepath.Join(dir, "t.json")
+	if err := WriteChromeTraceFile(tracePath, run, run); err != nil {
+		t.Fatal(err)
+	}
+	check(tracePath, func(w *bytes.Buffer) error { return ExportChromeTraceMulti(w, []ChromeTraceOpts{run, run}) })
+	for _, name := range []string{"s.csv", "s.jsonl"} {
+		path := filepath.Join(dir, name)
+		if err := WriteSeriesFile(path, samples); err != nil {
+			t.Fatal(err)
+		}
+		if name == "s.csv" {
+			check(path, func(w *bytes.Buffer) error { return WriteCSV(w, samples) })
+		} else {
+			check(path, func(w *bytes.Buffer) error { return WriteJSONL(w, samples) })
+		}
+	}
+	if err := WriteSeriesFile(filepath.Join(dir, "missing", "s.csv"), samples); err == nil {
+		t.Error("WriteSeriesFile into a missing directory succeeded")
 	}
 }

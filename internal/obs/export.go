@@ -155,9 +155,9 @@ func CanonicalJSONL(spans []Span) ([]byte, error) {
 // ChromeEvents converts spans to trace-event records loadable in Perfetto
 // next to the PR 2 simulator tracks: each trace (campaign cell) gets its
 // own named thread track, spans become complete ("X") events at
-// microsecond granularity. Load the campaign file alongside a simscope
-// -trace-out file and one timeline shows sim-internal and campaign-level
-// activity together.
+// microsecond granularity. Load the campaign file alongside a
+// cleanupspec-sim -trace-out file and one timeline shows sim-internal
+// and campaign-level activity together.
 func ChromeEvents(spans []Span, pid int) []metrics.ChromeEvent {
 	if pid == 0 {
 		pid = 1

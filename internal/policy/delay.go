@@ -5,14 +5,12 @@
 // CleanupSpec's Undo approach.
 package policy
 
-import (
-	"repro/internal/arch"
-	"repro/internal/cpu"
-)
+import "repro/internal/cpu"
 
 // Delay holds every speculative load until all older control flow has
-// resolved, the strictest delay-based mitigation.
-type Delay struct{}
+// resolved, the strictest delay-based mitigation. A squash has nothing to
+// clean: delayed loads never touched the cache.
+type Delay struct{ cpu.NoHooks }
 
 // Name implements cpu.Policy.
 func (Delay) Name() string { return "delay-all" }
@@ -25,35 +23,15 @@ func (Delay) Mode(m *cpu.Machine, e *cpu.LQEntry, spec bool) cpu.LoadMode {
 	return cpu.LoadNormal
 }
 
-// DeferWakeupUntilVisible implements cpu.Policy.
-func (Delay) DeferWakeupUntilVisible() bool { return false }
-
-// OnLoadUnsquashable implements cpu.Policy.
-func (Delay) OnLoadUnsquashable(*cpu.Machine, *cpu.LQEntry) {}
-
-// OnLoadNearCommit implements cpu.Policy.
-func (Delay) OnLoadNearCommit(*cpu.Machine, *cpu.LQEntry) {}
-
-// CommitWait implements cpu.Policy.
-func (Delay) CommitWait(*cpu.Machine, *cpu.LQEntry) arch.Cycle { return 0 }
-
-// OnLoadCommitted implements cpu.Policy.
-func (Delay) OnLoadCommitted(*cpu.Machine, *cpu.LQEntry) {}
-
-// OnSquash implements cpu.Policy: delayed loads never touched the cache.
-func (Delay) OnSquash(*cpu.Machine, []cpu.SquashedLoad) cpu.SquashCost {
-	return cpu.SquashCost{}
-}
-
-// DropSquashedInflight implements cpu.Policy.
-func (Delay) DropSquashedInflight() bool { return false }
-
 // DelayOnMiss is the Conditional Speculation baseline (Li et al., HPCA
-// 2019): speculative loads that hit the L1 proceed (a hit \"leaks\" only
+// 2019): speculative loads that hit the L1 proceed (a hit "leaks" only
 // replacement state), speculative misses are delayed until unsquashable.
 // The paper positions CleanupSpec as both faster and more complete than
-// such filters (Section 7.3.2).
-type DelayOnMiss struct{}
+// such filters (Section 7.3.2). A squash has nothing to clean: delayed
+// misses never touched the cache, and speculative hits changed no tag
+// state (the L1 uses its normal replacement policy here — the filter's
+// known residual channel).
+type DelayOnMiss struct{ cpu.NoHooks }
 
 // Name implements cpu.Policy.
 func (DelayOnMiss) Name() string { return "delay-on-miss" }
@@ -65,28 +43,3 @@ func (DelayOnMiss) Mode(m *cpu.Machine, e *cpu.LQEntry, spec bool) cpu.LoadMode 
 	}
 	return cpu.LoadNormal
 }
-
-// DeferWakeupUntilVisible implements cpu.Policy.
-func (DelayOnMiss) DeferWakeupUntilVisible() bool { return false }
-
-// OnLoadUnsquashable implements cpu.Policy.
-func (DelayOnMiss) OnLoadUnsquashable(*cpu.Machine, *cpu.LQEntry) {}
-
-// OnLoadNearCommit implements cpu.Policy.
-func (DelayOnMiss) OnLoadNearCommit(*cpu.Machine, *cpu.LQEntry) {}
-
-// CommitWait implements cpu.Policy.
-func (DelayOnMiss) CommitWait(*cpu.Machine, *cpu.LQEntry) arch.Cycle { return 0 }
-
-// OnLoadCommitted implements cpu.Policy.
-func (DelayOnMiss) OnLoadCommitted(*cpu.Machine, *cpu.LQEntry) {}
-
-// OnSquash implements cpu.Policy: delayed misses never touched the cache;
-// speculative hits changed no tag state (the L1 uses its normal replacement
-// policy here — the filter's known residual channel).
-func (DelayOnMiss) OnSquash(*cpu.Machine, []cpu.SquashedLoad) cpu.SquashCost {
-	return cpu.SquashCost{}
-}
-
-// DropSquashedInflight implements cpu.Policy.
-func (DelayOnMiss) DropSquashedInflight() bool { return false }

@@ -12,8 +12,10 @@ import (
 // dependents continue on a last-value prediction, the real access runs once
 // the load is unsquashable, and a wrong prediction squashes and re-executes
 // the dependents. Speculative L1 hits proceed normally (the delay-on-miss
-// filter).
+// filter). A squash has nothing to clean: delayed loads never touched the
+// cache.
 type ValuePredict struct {
+	cpu.NoHooks
 	table map[arch.Addr]uint64 // last committed value per load PC
 
 	Stats ValuePredStats
@@ -48,12 +50,6 @@ func (v *ValuePredict) PredictValue(m *cpu.Machine, e *cpu.LQEntry) uint64 {
 	v.Stats.Predictions++
 	return v.table[e.PC]
 }
-
-// DeferWakeupUntilVisible implements cpu.Policy.
-func (v *ValuePredict) DeferWakeupUntilVisible() bool { return false }
-
-// OnLoadUnsquashable implements cpu.Policy.
-func (v *ValuePredict) OnLoadUnsquashable(m *cpu.Machine, e *cpu.LQEntry) {}
 
 // OnLoadNearCommit implements cpu.Policy: launch the real (validation)
 // access for a value-predicted load as it nears retirement.
@@ -114,11 +110,3 @@ func (v *ValuePredict) CommitWait(m *cpu.Machine, e *cpu.LQEntry) arch.Cycle {
 func (v *ValuePredict) OnLoadCommitted(m *cpu.Machine, e *cpu.LQEntry) {
 	v.table[e.PC] = e.Value
 }
-
-// OnSquash implements cpu.Policy: delayed loads never touched the cache.
-func (v *ValuePredict) OnSquash(*cpu.Machine, []cpu.SquashedLoad) cpu.SquashCost {
-	return cpu.SquashCost{}
-}
-
-// DropSquashedInflight implements cpu.Policy.
-func (v *ValuePredict) DropSquashedInflight() bool { return false }

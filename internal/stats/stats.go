@@ -221,20 +221,9 @@ var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
 // Sparkline renders vals as a one-line unicode block graph scaled to the
 // series' own [min, max] range (a flat series renders as all-low blocks).
-// It is the phase-plot primitive of the simscope inspector.
+// It is the phase-plot primitive of cleanupspec-sim and campaign inspect.
 func Sparkline(vals []float64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+	lo, hi := MinMax(vals)
 	var b strings.Builder
 	for _, v := range vals {
 		i := 0
@@ -244,6 +233,23 @@ func Sparkline(vals []float64) string {
 		b.WriteRune(sparkRunes[i])
 	}
 	return b.String()
+}
+
+// MinMax returns the smallest and largest of vals (0, 0 when empty).
+func MinMax(vals []float64) (lo, hi float64) {
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	lo, hi = vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
 }
 
 // SortedKeys returns the keys of m in sorted order; used to print maps

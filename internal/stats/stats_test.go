@@ -45,6 +45,12 @@ func TestSparkline(t *testing.T) {
 	if s := Sparkline([]float64{5, 5, 5}); s != "▁▁▁" {
 		t.Fatalf("flat sparkline %q", s)
 	}
+	if lo, hi := MinMax([]float64{3, -1, 7, 2}); lo != -1 || hi != 7 {
+		t.Fatalf("MinMax = %v, %v, want -1, 7", lo, hi)
+	}
+	if lo, hi := MinMax(nil); lo != 0 || hi != 0 {
+		t.Fatalf("MinMax(nil) = %v, %v, want 0, 0", lo, hi)
+	}
 }
 
 func TestMeanAndSlowdown(t *testing.T) {

@@ -496,7 +496,7 @@ func RunMTWorkload(name string, steps int) (MTResult, error) {
 
 // Metrics receives a run's metric registry and interval time series (see
 // Config.Metrics). The underlying types live in internal/metrics; the
-// exporters (WriteJSONL, WriteCSV, ExportChromeTrace) and histogram
+// exporters (WriteSeriesFile, WriteChromeTraceFile) and histogram
 // renderers are reachable through the Registry and Sampler fields.
 type Metrics = metrics.Collector
 
