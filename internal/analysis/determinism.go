@@ -25,8 +25,6 @@ import (
 // binds neither key nor value (`for range m`) executes an identical body
 // per element and is order-independent by construction, so it is always
 // allowed. Anything else needs //simlint:ordered -- <justification>.
-// Where the loop is a mechanical candidate, the finding carries a
-// `simlint -fix` rewrite into the collect-then-sort idiom.
 //
 // Ambient-nondeterminism sources (time.Now, math/rand) are no longer
 // flagged syntactically here: the detertaint analyzer tracks them
@@ -52,10 +50,10 @@ func runDeterminism(p *Pass) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkMapOrder(p, f, n.Body)
+					checkMapOrder(p, n.Body)
 				}
 			case *ast.FuncLit:
-				checkMapOrder(p, f, n.Body)
+				checkMapOrder(p, n.Body)
 			}
 			return true
 		})
@@ -81,7 +79,7 @@ type detFact map[*types.Var]detState
 // checkMapOrder runs the flow-sensitive map-iteration analysis over one
 // function body (nested function literals are analyzed separately and
 // skipped here).
-func checkMapOrder(p *Pass, file *ast.File, body *ast.BlockStmt) {
+func checkMapOrder(p *Pass, body *ast.BlockStmt) {
 	type obligation struct {
 		rng     *ast.RangeStmt
 		targets []*types.Var
@@ -113,7 +111,7 @@ func checkMapOrder(p *Pass, file *ast.File, body *ast.BlockStmt) {
 	})
 
 	for _, rng := range direct {
-		p.ReportFix(rng.Pos(), mapRangeFix(p, file, body, rng),
+		p.Reportf(rng.Pos(),
 			"range over map %s: iteration order is randomized; sort the keys first or annotate //simlint:ordered -- <why order is irrelevant>", exprString(rng.X))
 	}
 	if len(obligations) == 0 {
@@ -713,21 +711,6 @@ func isBlankOrNil(e ast.Expr) bool {
 	}
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-// isPkgFunc reports whether fun is a selector pkgName.funcName resolving to
-// the package with the given import path suffix.
-func isPkgFunc(p *Pass, fun ast.Expr, pkgPath, funcName string) bool {
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != funcName {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := p.Pkg.Info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == pkgPath
 }
 
 // exprString renders a short source form of simple expressions for

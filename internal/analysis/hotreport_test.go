@@ -227,9 +227,7 @@ func TestParseHotReport(t *testing.T) {
 // real module: the same check CI runs via simlint -hotbudget, so a budget
 // regression fails locally before it fails the pipeline.
 func TestRepoHotBudgetClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
+	mod := repoModule(t)
 	blob, err := os.ReadFile(filepath.Join("..", "..", "HOTPATH_BUDGET.json"))
 	if err != nil {
 		t.Fatalf("read committed budget: %v", err)
@@ -237,10 +235,6 @@ func TestRepoHotBudgetClean(t *testing.T) {
 	budget, err := ParseHotReport(blob)
 	if err != nil {
 		t.Fatalf("parse committed budget: %v", err)
-	}
-	mod, err := Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("load repo module: %v", err)
 	}
 	for _, v := range CompareHotBudget(budget, NewRunner(mod).HotReport()) {
 		t.Errorf("committed budget stale: %s", v)

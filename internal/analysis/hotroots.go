@@ -15,6 +15,12 @@ package analysis
 // existing root reaches) widens the allocation budget CI enforces via
 // HOTPATH_BUDGET.json — re-record it with `simlint -hotreport` and
 // justify the growth in review.
+//
+// Machine.onLoadData is a root of its own because the call graph does not
+// follow func values: memsys reaches it only through the Txn's onDone
+// field (`t.onDone(t)`), which holds the method value m.onLoad bound once
+// in cpu.New. It runs on every load completion.
 var hotPathRoots = []string{
 	"internal/cpu.Machine.Step",
+	"internal/cpu.Machine.onLoadData",
 }

@@ -4,7 +4,7 @@ package staledir
 import "sort"
 
 // Fine already follows the collect-then-sort idiom; the directive above
-// its loop suppresses nothing and must be reported (and is -fix removable).
+// its loop suppresses nothing and must be reported.
 func Fine(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	//simlint:ordered -- obsolete: the loop below is already the sorted idiom // want `stale //simlint:ordered directive`

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -15,14 +14,7 @@ import (
 // It also requires the classifier to have found real pairings, so a
 // regression that blinds the root detection cannot pass vacuously.
 func TestRepoUndoObligations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	mod, err := Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("load repo module: %v", err)
-	}
-	report := UndoObligations(mod)
+	report := UndoObligations(repoModule(t))
 	if len(report.Obligations) == 0 {
 		t.Fatal("no undo obligations found; the speculative-root classifier went blind")
 	}

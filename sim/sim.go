@@ -91,12 +91,14 @@ type Config struct {
 	L1RandomRepl *bool
 	RandomizeL2  *bool
 	// DisableRestore turns CleanupSpec into the naive invalidation-only
-	// design of Section 2.4.1 (ablations only).
+	// design of Section 2.4.1 (CleanupSpec ablations only).
 	DisableRestore bool
-	// ConstantTimeCleanup pads every cleanup stall (Section 4b).
+	// ConstantTimeCleanup pads every cleanup stall (Section 4b;
+	// CleanupSpec only).
 	ConstantTimeCleanup uint64
 	// L1PartitionWays, when non-zero, way-partitions the L1 (NoMo-style,
-	// Section 3.6's SMT mitigation): each partition gets this many ways.
+	// Section 3.6's SMT mitigation): each partition gets this many ways,
+	// which must divide the L1's 8.
 	L1PartitionWays int
 	// L2RemapEvery, when non-zero, enables CEASER's gradual remap at one
 	// relocated set per this many L2 accesses (requires a randomized L2).
@@ -242,7 +244,26 @@ func buildPolicy(cfg Config) (cpu.Policy, memsys.Config, error) {
 	}
 	hcfg.L1.PartitionWays = cfg.L1PartitionWays
 	hcfg.L2RemapEvery = cfg.L2RemapEvery
+	if err := checkKnobs(cfg, hcfg); err != nil {
+		return nil, hcfg, err
+	}
 	return pol, hcfg, nil
+}
+
+// checkKnobs rejects a knob the resolved policy and hierarchy cannot
+// honor, which would otherwise panic in cache.New or be silently ignored.
+func checkKnobs(cfg Config, hcfg memsys.Config) error {
+	switch {
+	case cfg.DisableRestore && cfg.Policy != CleanupSpec:
+		return fmt.Errorf("sim: DisableRestore applies only to policy %q, not %q", CleanupSpec, cfg.Policy)
+	case cfg.ConstantTimeCleanup != 0 && cfg.Policy != CleanupSpec:
+		return fmt.Errorf("sim: ConstantTimeCleanup applies only to policy %q, not %q", CleanupSpec, cfg.Policy)
+	case cfg.L1PartitionWays < 0 || cfg.L1PartitionWays > 0 && hcfg.L1.Ways%cfg.L1PartitionWays != 0:
+		return fmt.Errorf("sim: L1PartitionWays %d must be 0 or divide the L1's %d ways", cfg.L1PartitionWays, hcfg.L1.Ways)
+	case cfg.L2RemapEvery != 0 && !hcfg.RandomizeL2:
+		return fmt.Errorf("sim: L2RemapEvery needs a randomized L2, and policy %q resolves to a modulo-indexed one (set RandomizeL2 to true)", cfg.Policy)
+	}
+	return nil
 }
 
 // BuildPolicy instantiates the policy object and hierarchy configuration a

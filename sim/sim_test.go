@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -203,5 +204,51 @@ func TestAssembleFacade(t *testing.T) {
 	}
 	if _, err := Assemble("bad", "nonsense"); err == nil {
 		t.Fatal("assembler must report errors")
+	}
+}
+
+// TestConfigKnobsChecked pins the knobs buildPolicy rejects against the
+// resolved policy and hierarchy: each would otherwise panic in cache.New
+// or be silently dropped. The variants the ablations and digest cells use
+// must still run.
+func TestConfigKnobsChecked(t *testing.T) {
+	off := false
+	on := true
+	cases := []struct {
+		name  string
+		cfg   Config
+		field string // "" when the config must run
+	}{
+		{"partition 3 of 8 ways", Config{Policy: CleanupSpec, L1PartitionWays: 3}, "L1PartitionWays"},
+		{"partition 16 of 8 ways", Config{Policy: CleanupSpec, L1PartitionWays: 16}, "L1PartitionWays"},
+		{"negative partition", Config{Policy: CleanupSpec, L1PartitionWays: -1}, "L1PartitionWays"},
+		{"remap on the nonsecure modulo L2", Config{Policy: NonSecure, L2RemapEvery: 64}, "L2RemapEvery"},
+		{"remap with RandomizeL2 off", Config{Policy: CleanupSpec, RandomizeL2: &off, L2RemapEvery: 64}, "L2RemapEvery"},
+		{"DisableRestore under nonsecure", Config{Policy: NonSecure, DisableRestore: true}, "DisableRestore"},
+		{"ConstantTimeCleanup under nonsecure", Config{Policy: NonSecure, ConstantTimeCleanup: 50}, "ConstantTimeCleanup"},
+		{"ConstantTimeCleanup under delay-all", Config{Policy: DelayAll, ConstantTimeCleanup: 50}, "ConstantTimeCleanup"},
+
+		{"ablation constant-time cleanup", Config{Policy: CleanupSpec, ConstantTimeCleanup: 50}, ""},
+		{"ablation and digest NoMo partition", Config{Policy: CleanupSpec, L1PartitionWays: 4}, ""},
+		{"ablation CEASER remap", Config{Policy: CleanupSpec, L2RemapEvery: 100}, ""},
+		{"digest CEASER remap", Config{Policy: CleanupSpec, L2RemapEvery: 64}, ""},
+		{"ablation no restore", Config{Policy: CleanupSpec, DisableRestore: true}, ""},
+		{"remap on a randomized nonsecure L2", Config{Policy: NonSecure, RandomizeL2: &on, L2RemapEvery: 64}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Instructions = 1_000
+			cfg.NoWarmup = true
+			_, err := RunWorkload("astar", cfg)
+			switch {
+			case c.field == "" && err != nil:
+				t.Errorf("valid config rejected: %v", err)
+			case c.field != "" && err == nil:
+				t.Errorf("accepted; want an error naming %s", c.field)
+			case c.field != "" && !strings.Contains(err.Error(), c.field):
+				t.Errorf("error %q does not name %s", err, c.field)
+			}
+		})
 	}
 }
