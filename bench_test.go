@@ -73,6 +73,18 @@ func BenchmarkCellSetup(b *testing.B) {
 	}
 }
 
+// BenchmarkSpectrePoC runs Figure 11's Spectre v1 proof of concept under
+// CleanupSpec for 10 rounds. Its rdcycle reads wait at the ROB head behind
+// DRAM misses, so its allocs/op catch any allocation made per waiting
+// cycle.
+func BenchmarkSpectrePoC(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunSpectre(sim.CleanupSpec, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- ablations (DESIGN.md section 6) ---
 
 // benchAblation runs wl under CleanupSpec with and without the knob set by

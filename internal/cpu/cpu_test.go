@@ -158,6 +158,44 @@ func TestRdCycleOrdersAroundLoads(t *testing.T) {
 	}
 }
 
+// TestRdCycleWaitDoesNotAllocate runs a Flush+Reload loop whose second
+// rdcycle waits for a DRAM miss at the ROB head every round, and bounds the
+// heap allocations of 100 rounds: a rdcycle waiting for the head must not
+// cost an allocation per cycle.
+func TestRdCycleWaitDoesNotAllocate(t *testing.T) {
+	const round = 9 // instructions per loop iteration
+	b := isa.NewBuilder("flush-reload")
+	b.Li(1, 0x40000)
+	b.Li(2, 1<<30)
+	b.Label("loop")
+	b.CLFlush(1, 0)
+	b.Fence()
+	b.RdCycle(8)
+	b.Load(9, 1, 0)
+	b.RdCycle(11)
+	b.Alu(isa.AluSub, 12, 11, 8)
+	b.Add(20, 20, 12)
+	b.AddI(2, 2, -1)
+	b.Br(isa.CondNE, 2, 0, "loop")
+	b.Halt()
+	m := newMachine(t, b.Build(), nil)
+	m.Run(20 * round)
+	target := m.Stats.Committed
+	allocs := testing.AllocsPerRun(4, func() {
+		target += 100 * round
+		m.Run(target)
+	})
+	if m.Halted() || m.LivelockErr() != nil {
+		t.Fatalf("machine stopped early (halted %v, livelock %v)", m.Halted(), m.LivelockErr())
+	}
+	// A round's clflush builds the directory's holder list, one
+	// allocation; a waiting rdcycle that allocated would add one per cycle
+	// of the DRAM miss.
+	if perRound := allocs / 100; perRound > 2 {
+		t.Errorf("%.1f allocations per Flush+Reload round, want <= 2", perRound)
+	}
+}
+
 // mispredictProgram builds the canonical squash scenario: a branch whose
 // condition depends on a slow load is actually taken but predicted
 // not-taken (cold counters), so the fall-through — a wrong-path load — is

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"repro/internal/arch"
-	"repro/internal/heapq"
 	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/trace"
@@ -26,36 +25,32 @@ func (m *Machine) live(slot int32, seq uint64) bool {
 
 // --- issue/execute ---
 
-// issue begins execution for up to IssueWidth ready instructions.
+// issue begins execution for up to IssueWidth ready instructions, oldest
+// first. A rdcycle is serializing and waits at the ROB head instead of in
+// readyQ; the head is the oldest instruction, so it goes first.
 func (m *Machine) issue() {
 	issued := 0
-	var defered []heapq.Item[int32]
+	if m.robCount > 0 {
+		if e := &m.rob[m.robHead]; e.state == stDispatched && e.inst.Op == isa.OpRdCycle {
+			m.execute(m.robHead)
+			issued++
+		}
+	}
 	for issued < m.cfg.IssueWidth && m.readyQ.Len() > 0 {
 		it := m.readyQ.Pop()
 		if !m.live(it.Val, it.Seq) {
 			continue
 		}
-		e := &m.rob[it.Val]
-		if e.state != stDispatched {
+		if m.rob[it.Val].state != stDispatched {
 			continue
 		}
-		if !m.execute(it.Val) {
-			// Not executable this cycle (e.g. rdcycle not at head);
-			// hold it without consuming issue bandwidth.
-			//simlint:allow hotalloc -- allocates only on the rare serializing-op defer (rdcycle not at ROB head), bounded by issue width
-			defered = append(defered, it)
-			continue
-		}
+		m.execute(it.Val)
 		issued++
-	}
-	for _, it := range defered {
-		m.readyQ.Push(it.At, it.Seq, it.Val)
 	}
 }
 
-// execute starts one instruction. It returns false if the instruction must
-// wait (it stays in the ready queue).
-func (m *Machine) execute(slot int32) bool {
+// execute starts one instruction.
+func (m *Machine) execute(slot int32) {
 	e := &m.rob[slot]
 	in := e.inst
 	switch in.Op {
@@ -74,12 +69,10 @@ func (m *Machine) execute(slot int32) bool {
 		e.state = stIssued
 		m.scheduleDone(slot, m.now+1)
 	case isa.OpRdCycle:
-		// Serializing: executes only as the oldest instruction, like a
-		// timer read fenced on both sides (Section 4a's observation
-		// that same-thread timing needs serializing instructions).
-		if slot != m.robHead {
-			return false
-		}
+		// Serializing: issue executes it only as the oldest instruction,
+		// like a timer read fenced on both sides (Section 4a's
+		// observation that same-thread timing needs serializing
+		// instructions).
 		e.state = stIssued
 		e.result = uint64(m.now)
 		m.scheduleDone(slot, m.now+1)
@@ -112,7 +105,6 @@ func (m *Machine) execute(slot int32) bool {
 		//simlint:allow errdiscipline,hotalloc -- decode invariant: ops are validated at assembly; this panic path (and its string concat) is unreachable in a correct build
 		panic("cpu: unhandled op " + in.Op.String())
 	}
-	return true
 }
 
 // retryMem re-attempts blocked loads.

@@ -475,12 +475,17 @@ func (m *Machine) Run(maxInstructions uint64) Stats {
 }
 
 // DrainMemory advances simulated time until no memory transactions remain
-// in flight. Tests and attack harnesses call it after Run so that fills of
-// squashed in-flight loads either land (non-secure) or are dropped
-// (CleanupSpec) before cache state is inspected.
+// in flight, jumping from one completion to the next. Tests and attack
+// harnesses call it after Run so that fills of squashed in-flight loads
+// either land (non-secure) or are dropped (CleanupSpec) before cache state
+// is inspected.
 func (m *Machine) DrainMemory() {
-	for m.hier.PendingLen() > 0 {
-		m.now++
+	for {
+		at, ok := m.hier.NextPending()
+		if !ok {
+			return
+		}
+		m.now = max(m.now+1, at)
 		m.hier.Tick(m.now)
 	}
 }
@@ -699,7 +704,9 @@ func (m *Machine) dispatch() {
 			// resources to reserve at rename.
 		}
 
-		if e.pendSrcs == 0 {
+		// A rdcycle never enters readyQ: it executes only as the ROB
+		// head, and issue looks for it there.
+		if e.pendSrcs == 0 && op != isa.OpRdCycle {
 			m.pushReady(slot, seq)
 		}
 	}

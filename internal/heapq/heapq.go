@@ -40,6 +40,15 @@ func (h *Heap[V]) Due(now arch.Cycle) bool {
 	return len(h.items) > 0 && h.items[0].At <= now
 }
 
+// Peek returns the minimum item without removing it, and false when the
+// heap is empty.
+func (h *Heap[V]) Peek() (Item[V], bool) {
+	if len(h.items) == 0 {
+		return Item[V]{}, false
+	}
+	return h.items[0], true
+}
+
 // Push queues v under the key (at, seq).
 func (h *Heap[V]) Push(at arch.Cycle, seq uint64, v V) {
 	//simlint:allow hotalloc -- heap storage: capacity grows to the queue's high-water mark (bounded by the ROB, LQ and MSHR sizes) and is reused across cycles

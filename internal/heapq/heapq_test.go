@@ -8,15 +8,19 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestZeroValue checks that a zero Heap is empty, never due, and usable.
+// TestZeroValue checks that a zero Heap is empty, never due, has nothing
+// to peek at, and is usable.
 func TestZeroValue(t *testing.T) {
 	var h Heap[int]
-	if h.Len() != 0 || h.Due(^arch.Cycle(0)) {
-		t.Fatalf("zero heap: Len %d, Due %v; want empty", h.Len(), h.Due(^arch.Cycle(0)))
+	if _, ok := h.Peek(); h.Len() != 0 || h.Due(^arch.Cycle(0)) || ok {
+		t.Fatalf("zero heap: Len %d, Due %v, Peek ok %v; want empty", h.Len(), h.Due(^arch.Cycle(0)), ok)
 	}
 	h.Push(5, 1, 42)
 	if !h.Due(5) || h.Due(4) {
 		t.Errorf("Due(5)=%v Due(4)=%v; want true, false", h.Due(5), h.Due(4))
+	}
+	if it, ok := h.Peek(); !ok || it != (Item[int]{At: 5, Seq: 1, Val: 42}) || h.Len() != 1 {
+		t.Errorf("Peek = %+v, %v, Len %d; want {5 1 42}, true, 1", it, ok, h.Len())
 	}
 	if it := h.Pop(); it != (Item[int]{At: 5, Seq: 1, Val: 42}) || h.Len() != 0 {
 		t.Errorf("Pop = %+v, Len %d; want {5 1 42}, 0", it, h.Len())
@@ -24,9 +28,10 @@ func TestZeroValue(t *testing.T) {
 }
 
 // TestPopOrderMatchesSort interleaves random pushes and pops, with few
-// distinct At values so ties are common, and checks every pop against a
-// model that keeps the queued items sorted by (At, Seq). Seq is drawn at
-// random, not in push order, so a tie on At is not broken by push order.
+// distinct At values so ties are common, and checks every peek and pop
+// against a model that keeps the queued items sorted by (At, Seq). Seq is
+// drawn at random, not in push order, so a tie on At is not broken by push
+// order.
 func TestPopOrderMatchesSort(t *testing.T) {
 	less := func(a, b Item[uint64]) bool {
 		return a.At < b.At || a.At == b.At && a.Seq < b.Seq
@@ -48,6 +53,9 @@ func TestPopOrderMatchesSort(t *testing.T) {
 			}
 			if !h.Due(model[0].At) || (model[0].At > 0 && h.Due(model[0].At-1)) {
 				t.Fatalf("seed %d step %d: Due disagrees with minimum At %d", seed, step, model[0].At)
+			}
+			if top, ok := h.Peek(); !ok || top != model[0] {
+				t.Fatalf("seed %d step %d: Peek = %+v, %v, want %+v", seed, step, top, ok, model[0])
 			}
 			got := h.Pop()
 			if got != model[0] {

@@ -585,6 +585,13 @@ func (h *Hierarchy) Tick(now arch.Cycle) {
 // PendingLen reports the number of in-flight transactions.
 func (h *Hierarchy) PendingLen() int { return h.pending.Len() }
 
+// NextPending reports the cycle the earliest in-flight transaction
+// completes, and false when none is in flight.
+func (h *Hierarchy) NextPending() (arch.Cycle, bool) {
+	it, ok := h.pending.Peek()
+	return it.At, ok
+}
+
 func (h *Hierarchy) complete(t *Txn) {
 	if t.Primary {
 		h.completePrimary(t)

@@ -190,7 +190,8 @@ func (s *Sim) Run(steps int) Stats {
 }
 
 // Classify reports how a load by core to line would be classified, without
-// performing it.
+// performing it. load makes the same decision in one pass over the caches;
+// Classify stays as its reference.
 func (s *Sim) Classify(core int, line arch.LineAddr) LoadClass {
 	if s.dir.RemoteOwner(core, line) >= 0 {
 		return UnsafeRemoteEM
@@ -204,25 +205,39 @@ func (s *Sim) Classify(core int, line arch.LineAddr) LoadClass {
 	return SafeDRAM
 }
 
-// load performs and classifies a load.
+// load performs and classifies a load, returning what Classify would have
+// said just before it. It looks the line up once per level: the L1 lookup
+// is the demand access, and on a miss one L2 probe both classifies the load
+// and decides the L2 fill. The probe's answer still holds at the fill,
+// because GetS and applyRemote touch only the L1s and the directory.
 func (s *Sim) load(core int, line arch.LineAddr) LoadClass {
-	class := s.Classify(core, line)
+	remote := s.dir.RemoteOwner(core, line) >= 0
+	_, l1hit := s.l1[core].Lookup(line)
+	l2hit := true
+	if !l1hit {
+		_, l2hit = s.l2.Probe(line)
+	}
 	s.Stats.Loads++
-	switch class {
-	case UnsafeRemoteEM:
+	class := SafeCache
+	switch {
+	case remote:
+		class = UnsafeRemoteEM
 		s.Stats.Unsafe++
 		s.Stats.Downgrade++
-	case SafeDRAM:
+	case !l2hit:
+		class = SafeDRAM
 		s.Stats.SafeDRAM++
 	default:
 		s.Stats.Safe++
 	}
-	if _, hit := s.l1[core].Lookup(line); hit {
+	if l1hit {
 		return class
 	}
 	grant := s.dir.GetS(core, line)
 	s.applyRemote(line, grant)
-	s.installL2(line)
+	if !l2hit {
+		s.fillL2(line)
+	}
 	s.installL1(core, line, grant.State)
 	return class
 }
@@ -256,10 +271,16 @@ func (s *Sim) installL1(core int, line arch.LineAddr, st arch.CohState) {
 	}
 }
 
+// installL2 fills line into the L2 unless it is already there.
 func (s *Sim) installL2(line arch.LineAddr) {
-	if _, hit := s.l2.Probe(line); hit {
-		return
+	if _, hit := s.l2.Probe(line); !hit {
+		s.fillL2(line)
 	}
+}
+
+// fillL2 installs line, which the L2 does not hold, back-invalidating the
+// victim from every L1 (the L2 is inclusive).
+func (s *Sim) fillL2(line arch.LineAddr) {
 	evicted, _ := s.l2.Install(line, arch.Shared, 0, arch.Cycle(s.step))
 	if evicted.Valid() {
 		for c := 0; c < s.cores; c++ {

@@ -107,3 +107,33 @@ func TestFractionsSumToOne(t *testing.T) {
 		t.Fatalf("fractions sum to %v", total)
 	}
 }
+
+// TestLoadAgreesWithClassify drives seeded runs access by access, as Step
+// does, and requires every load to return what Classify said just before
+// it: load's single pass over the caches must classify exactly like the
+// reference.
+func TestLoadAgreesWithClassify(t *testing.T) {
+	seen := map[LoadClass]int{}
+	for _, p := range workload.MTProfiles() {
+		s := New(p, 4)
+		for i := 0; i < 1500; i++ {
+			for c := 0; c < s.cores; c++ {
+				line, isStore := s.pick(c)
+				if isStore {
+					s.store(c, line)
+				}
+				want := s.Classify(c, line)
+				if got := s.load(c, line); got != want {
+					t.Fatalf("%s step %d core %d line %v: load says %v, Classify said %v", p.Name, i, c, line, got, want)
+				}
+				seen[want]++
+			}
+			s.step++
+		}
+	}
+	for _, c := range []LoadClass{SafeCache, SafeDRAM, UnsafeRemoteEM} {
+		if seen[c] == 0 {
+			t.Errorf("no %v load in the runs; the check did not cover that class", c)
+		}
+	}
+}

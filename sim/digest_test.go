@@ -16,13 +16,18 @@ const digestWindow = 5_000
 // at this window every variant differs from its twin.
 const variantWindow = 50_000
 
+// otherPolicies are the policies pinned on lbm and libq alone, the
+// profiles with the most held and invisible loads.
+var otherPolicies = []Policy{DelayAll, DelayOnMiss, ValuePredict, InvisiSpecInitial, InvisiSpecRevised}
+
 // outcomeDigests pins the first 16 hex digits of the sha256 of each cell's
 // Result JSON. A cell is "workload/policy" plus an optional "+variant" and
 // an optional "@50k" window: every profile under NonSecure (modulo-indexed
-// L2) and under CleanupSpec (CEASER L2) at digestWindow, and lbm and mcf
-// under CleanupSpec at variantWindow, plain and with CEASER remap running
-// over the prewarmed L2 (+remap64) or a way-partitioned L1 (+l1part4). The
-// table changes only when simulated behaviour is meant to.
+// L2) and under CleanupSpec (CEASER L2) at digestWindow, lbm and libq under
+// otherPolicies at digestWindow, and lbm and mcf under CleanupSpec at
+// variantWindow, plain and with CEASER remap running over the prewarmed L2
+// (+remap64) or a way-partitioned L1 (+l1part4). The table changes only
+// when simulated behaviour is meant to.
 var outcomeDigests = map[string]string{
 	"astar/nonsecure":             "cca4b5519eea6d09",
 	"astar/cleanupspec":           "360ed2b194f63e0f",
@@ -62,6 +67,16 @@ var outcomeDigests = map[string]string{
 	"milc/cleanupspec":            "510d6c521f0554d9",
 	"libq/nonsecure":              "abeebf5bf26a8be0",
 	"libq/cleanupspec":            "a0445efd6ef809ac",
+	"lbm/delay-all":               "29f8fc7f22f88048",
+	"lbm/delay-on-miss":           "7c29fc5477804fde",
+	"lbm/value-predict":           "c8457385acdd9422",
+	"lbm/invisispec-initial":      "08aceed2755dbf77",
+	"lbm/invisispec-revised":      "7391ba357b49694a",
+	"libq/delay-all":              "c820950bafee1d49",
+	"libq/delay-on-miss":          "d65069bbd5e36581",
+	"libq/value-predict":          "455baf284afd1cef",
+	"libq/invisispec-initial":     "93961dcfb1c9da22",
+	"libq/invisispec-revised":     "161b9ec8b7ed6ae2",
 	"lbm/cleanupspec@50k":         "e87738021bbf7b5e",
 	"lbm/cleanupspec+remap64@50k": "7a86c6ce396a3c53",
 	"lbm/cleanupspec+l1part4@50k": "6e72b5727f11b474",
@@ -96,6 +111,11 @@ func TestOutcomeDigests(t *testing.T) {
 	}
 	for _, wl := range Workloads() {
 		for _, pol := range []Policy{NonSecure, CleanupSpec} {
+			run(wl+"/"+string(pol), Config{Policy: pol, Instructions: digestWindow}, wl)
+		}
+	}
+	for _, wl := range []string{"lbm", "libq"} {
+		for _, pol := range otherPolicies {
 			run(wl+"/"+string(pol), Config{Policy: pol, Instructions: digestWindow}, wl)
 		}
 	}
