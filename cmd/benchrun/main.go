@@ -98,10 +98,7 @@ func runDiff(args []string) {
 	dir, pattern, benchTime := benchFlags(fs)
 	threshold := fs.Float64("threshold", 0.25, "allowed fractional ns/op slowdown (0.25 = 25%)")
 	allocSlack := fs.Float64("alloc-slack", 0, "allowed absolute allocs/op increase")
-	allocRatio := fs.Float64("alloc-ratio", 0.01, "allowed fractional allocs/op increase (0 for zero-alloc benchmarks regardless)")
-	perBench := fs.String("per", "", "per-benchmark threshold overrides, Name=ratio[,Name=ratio...]")
 	handicap := fs.String("handicap", "", "synthetic slowdown for gate self-tests, Name=factor[,...]")
-	jsonOut := fs.Bool("json", false, "emit the diff report as JSON instead of a table")
 	// Accept the baseline path on either side of the flags:
 	// `diff BENCH_PR6.json -threshold 0.5` and `diff -threshold 0.5 BENCH_PR6.json`.
 	var baselinePath string
@@ -140,7 +137,7 @@ func runDiff(args []string) {
 	}
 
 	results, _ := runBenches(*dir, benchPat, *benchTime)
-	if factors, ferr := parsePairs(*handicap, "handicap"); ferr != nil {
+	if factors, ferr := parseHandicap(*handicap); ferr != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", ferr)
 		os.Exit(2)
 	} else if len(factors) > 0 {
@@ -148,30 +145,15 @@ func runDiff(args []string) {
 		results = benchrun.Handicap(results, factors)
 	}
 
-	per, err := parsePairs(*perBench, "per")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrun:", err)
-		os.Exit(2)
-	}
-	th := benchrun.Thresholds{TimeRatio: *threshold, AllocSlack: *allocSlack, AllocRatio: *allocRatio, PerBench: per}
-	rep := benchrun.Diff(base, results, th)
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			os.Exit(1)
-		}
-	} else {
-		rep.Write(os.Stdout)
-	}
+	rep := benchrun.Diff(base, results, benchrun.Thresholds{TimeRatio: *threshold, AllocSlack: *allocSlack})
+	rep.Write(os.Stdout)
 	if rep.Regressed() {
 		os.Exit(1)
 	}
 }
 
-// parsePairs parses "Name=1.5,Other=2" into a map.
-func parsePairs(s, what string) (map[string]float64, error) {
+// parseHandicap parses "Name=1.5,Other=2" into a map.
+func parseHandicap(s string) (map[string]float64, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -179,11 +161,11 @@ func parsePairs(s, what string) (map[string]float64, error) {
 	for _, part := range strings.Split(s, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -%s entry %q (want Name=value)", what, part)
+			return nil, fmt.Errorf("bad -handicap entry %q (want Name=value)", part)
 		}
 		f, err := strconv.ParseFloat(val, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad -%s value in %q: %v", what, part, err)
+			return nil, fmt.Errorf("bad -handicap value in %q: %v", part, err)
 		}
 		out[name] = f
 	}

@@ -109,8 +109,8 @@ func spanView(path string, topN int) error {
 		return fmt.Errorf("span file %s is empty", path)
 	}
 
-	// Roots are the cells; children are the stages. Retried stages (same
-	// name, higher Seq) fold into the same stage bucket.
+	// Roots are the cells; children are the stages. Same-named stages
+	// (higher Seq) fold into one stage bucket.
 	type cell struct {
 		name  string
 		durNs int64

@@ -22,12 +22,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/metrics"
@@ -93,8 +90,6 @@ run flags:
   -cache dir          durable result cache (default ".campaign"; "" = memory only)
   -csv file           write per-cell results as CSV ("-" = stdout)
   -q                  suppress progress lines
-  -http addr          serve /status and /metrics during the run (e.g. :8080)
-  -http-linger dur    keep the -http server up after the run (CI scrapes)
   -span-out file      write the run's span trace as JSONL
   -span-trace file    write the run's span trace as Chrome trace JSON
 
@@ -153,8 +148,6 @@ func cmdRun(args []string) error {
 		cacheDir     = fs.String("cache", ".campaign", "result cache directory (empty = memory only)")
 		csvOut       = fs.String("csv", "", "write per-cell results as CSV to this file (- = stdout)")
 		quiet        = fs.Bool("q", false, "suppress progress lines")
-		httpAddr     = fs.String("http", "", "serve /status and /metrics on this address while the campaign runs (e.g. :8080)")
-		httpLinger   = fs.Duration("http-linger", 0, "keep the -http server up this long after the run finishes")
 		spanOut      = fs.String("span-out", "", "write the run's span trace as JSONL to this file")
 		spanTrace    = fs.String("span-trace", "", "write the run's span trace as Chrome trace JSON to this file")
 	)
@@ -191,17 +184,12 @@ func cmdRun(args []string) error {
 		}
 	}
 
-	// Any observability flag turns the span plane on; with none set the
+	// Either span flag turns the span plane on; with neither set the
 	// engine keeps its zero-alloc untraced hot path.
 	var sink *obs.Sink
-	if *httpAddr != "" || *spanOut != "" || *spanTrace != "" {
+	if *spanOut != "" || *spanTrace != "" {
 		sink = obs.NewSink()
 		eng.Trace = obs.NewTracer(sink)
-	}
-	if *httpAddr != "" {
-		if err := serveHTTP(*httpAddr, eng, sink); err != nil {
-			return err
-		}
 	}
 
 	fmt.Fprintf(os.Stderr, "campaign: grid %q: %d workload(s) x %d policy(ies) x %d seed(s) = %d job(s), %d worker(s)\n",
@@ -252,56 +240,9 @@ func cmdRun(args []string) error {
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
-	// Linger after the results are final, so a scraper (the CI smoke
-	// test) can read the end-of-run /status and /metrics deterministically.
-	if *httpAddr != "" && *httpLinger > 0 {
-		fmt.Fprintf(os.Stderr, "campaign: run finished; serving for another %s\n", *httpLinger)
-		time.Sleep(*httpLinger)
-	}
 	if n := len(failed) + len(quarantined); n > 0 {
 		return fmt.Errorf("%d of %d jobs did not complete (rerun to retry just those cells)", n, len(results))
 	}
-	return nil
-}
-
-// serveHTTP starts the observability endpoints in the background:
-// /status (per-cell manifest state as JSON) and /metrics (text
-// exposition of the span-sink counters plus live job-state gauges).
-func serveHTTP(addr string, eng *campaign.Engine, sink *obs.Sink) error {
-	reg := metrics.NewRegistry()
-	sink.AttachMetrics(reg)
-	if m := eng.Manifest; m != nil {
-		// Live job-state gauges read the manifest under its own lock, so
-		// scrapes mid-run see a consistent snapshot.
-		count := func(pick func(p, d, f, q int) int) func() float64 {
-			return func() float64 {
-				p, d, f, q := m.Counts()
-				return float64(pick(p, d, f, q))
-			}
-		}
-		reg.GaugeFunc("campaign.jobs_pending", count(func(p, _, _, _ int) int { return p }))
-		reg.GaugeFunc("campaign.jobs_done", count(func(_, d, _, _ int) int { return d }))
-		reg.GaugeFunc("campaign.jobs_failed", count(func(_, _, f, _ int) int { return f }))
-		reg.GaugeFunc("campaign.jobs_quarantined", count(func(_, _, _, q int) int { return q }))
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/status", obs.StatusHandler(func() any {
-		if eng.Manifest == nil {
-			return campaign.StatusSnapshot{}
-		}
-		return eng.Manifest.Status()
-	}))
-	mux.Handle("/metrics", obs.MetricsHandler(reg.Snapshot))
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("campaign: -http %s: %w", addr, err)
-	}
-	fmt.Fprintf(os.Stderr, "campaign: serving /status and /metrics on http://%s\n", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign: http server:", err)
-		}
-	}()
 	return nil
 }
 

@@ -64,7 +64,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng := campaign.NewReplayEngine()
+	eng := campaign.NewEngine()
 	specfuzz.Register(eng)
 	fmt.Fprintf(os.Stderr, "campaign: replaying %s (originally quarantined: %s)\n", dump.Job, dump.Panic)
 	rep, err := campaign.Replay(eng, dump, *depth)

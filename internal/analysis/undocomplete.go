@@ -362,17 +362,6 @@ type ObligationReport struct {
 	Obligations []Obligation
 }
 
-// Unpaired returns the obligations with no restore counterpart.
-func (r ObligationReport) Unpaired() []Obligation {
-	var out []Obligation
-	for _, o := range r.Obligations {
-		if !o.Paired {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // UndoObligations computes the undo-obligation report for a module. It is
 // the programmatic face of the undocomplete analyzer, used by the repo's
 // own pairing test (and usable from tooling).

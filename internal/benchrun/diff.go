@@ -19,71 +19,51 @@ type Thresholds struct {
 	// counts are deterministic for a fixed build, so the default is 0:
 	// one new alloc on a hot path is a finding, not noise.
 	AllocSlack float64
-	// AllocRatio is the allowed fractional allocs/op increase; the
-	// effective bound per benchmark is base + max(AllocSlack,
-	// AllocRatio*base). Zero-alloc benchmarks are unaffected (any ratio
-	// of 0 is 0 — one new alloc still trips), while alloc-heavy
-	// simulator benchmarks get headroom for iteration-count amortization
-	// noise (one-time setup allocations divided by a different b.N).
-	// (Default 0.01.)
-	AllocRatio float64
-	// PerBench overrides TimeRatio for individual benchmarks (keyed by
-	// the baseline's Name, e.g. "BenchmarkSimulatorThroughput" — the
-	// short-iteration benchmarks are noisier than the long ones).
-	PerBench map[string]float64
 }
+
+// allocRatio is the allowed fractional allocs/op increase; the effective
+// bound per benchmark is base + max(AllocSlack, allocRatio*base).
+// Zero-alloc benchmarks are unaffected (any ratio of 0 is 0 — one new
+// alloc still trips), while alloc-heavy simulator benchmarks get headroom
+// for iteration-count amortization noise (one-time setup allocations
+// divided by a different b.N).
+const allocRatio = 0.01
 
 // withDefaults fills unset thresholds.
 func (t Thresholds) withDefaults() Thresholds {
 	if t.TimeRatio == 0 {
 		t.TimeRatio = 0.25
 	}
-	if t.AllocRatio == 0 {
-		t.AllocRatio = 0.01
-	}
 	return t
 }
 
 // allocBound is the allowed allocs/op for one benchmark.
 func (t Thresholds) allocBound(base float64) float64 {
-	slack := t.AllocSlack
-	if rel := t.AllocRatio * base; rel > slack {
-		slack = rel
-	}
-	return base + slack
-}
-
-// timeRatio returns the allowed slowdown for one benchmark.
-func (t Thresholds) timeRatio(name string) float64 {
-	if r, ok := t.PerBench[name]; ok {
-		return r
-	}
-	return t.TimeRatio
+	return base + max(t.AllocSlack, allocRatio*base)
 }
 
 // DiffRow is one benchmark's baseline-vs-fresh comparison.
 type DiffRow struct {
-	Name       string  `json:"name"`
-	BaseNs     float64 `json:"base_ns_per_op"`
-	FreshNs    float64 `json:"fresh_ns_per_op"`
-	TimeDelta  float64 `json:"time_delta"` // fresh/base - 1 (+0.30 = 30% slower)
-	BaseAllocs float64 `json:"base_allocs_per_op"`
-	NewAllocs  float64 `json:"fresh_allocs_per_op"`
-	Limit      float64 `json:"limit"` // the TimeRatio applied to this row
-	Regressed  bool    `json:"regressed"`
-	Reason     string  `json:"reason,omitempty"`
+	Name       string
+	BaseNs     float64
+	FreshNs    float64
+	TimeDelta  float64 // fresh/base - 1 (+0.30 = 30% slower)
+	BaseAllocs float64
+	NewAllocs  float64
+	Regressed  bool
+	Reason     string
 }
 
 // DiffReport is the outcome of one baseline comparison.
 type DiffReport struct {
-	Rows []DiffRow `json:"rows"`
+	Rows []DiffRow
 	// Missing lists baseline benchmarks absent from the fresh run — a
 	// silently deleted benchmark would otherwise un-gate itself, so a
 	// missing row is a regression too.
-	Missing []string `json:"missing,omitempty"`
+	Missing []string
 	// Added lists fresh benchmarks with no baseline row (informational:
 	// they start gating once recorded into the next baseline).
-	Added []string `json:"added,omitempty"`
+	Added []string
 }
 
 // Regressed reports whether any row (or a missing benchmark) trips the
@@ -102,8 +82,7 @@ func (d DiffReport) Regressed() bool {
 
 // Diff compares a fresh run against a committed baseline. Rows come back
 // in baseline order; a benchmark is regressed when its ns/op exceeds the
-// (possibly per-benchmark) time threshold or its allocs/op exceed the
-// baseline by more than AllocSlack.
+// time threshold or its allocs/op exceed the allocation bound.
 func Diff(base Baseline, fresh []Result, th Thresholds) DiffReport {
 	th = th.withDefaults()
 	byName := make(map[string]Result, len(fresh))
@@ -125,15 +104,14 @@ func Diff(base Baseline, fresh []Result, th Thresholds) DiffReport {
 			FreshNs:    f.NsPerOp,
 			BaseAllocs: b.AllocsPerOp,
 			NewAllocs:  f.AllocsPerOp,
-			Limit:      th.timeRatio(b.Name),
 		}
 		if b.NsPerOp > 0 {
 			row.TimeDelta = f.NsPerOp/b.NsPerOp - 1
 		}
 		switch {
-		case row.TimeDelta > row.Limit:
+		case row.TimeDelta > th.TimeRatio:
 			row.Regressed = true
-			row.Reason = fmt.Sprintf("%.1f%% slower (limit %.0f%%)", row.TimeDelta*100, row.Limit*100)
+			row.Reason = fmt.Sprintf("%.1f%% slower (limit %.0f%%)", row.TimeDelta*100, th.TimeRatio*100)
 		case f.AllocsPerOp > th.allocBound(b.AllocsPerOp):
 			row.Regressed = true
 			row.Reason = fmt.Sprintf("allocs/op %.0f → %.0f (bound %.0f)", b.AllocsPerOp, f.AllocsPerOp, th.allocBound(b.AllocsPerOp))

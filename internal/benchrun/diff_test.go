@@ -82,21 +82,6 @@ func TestDiffAllocRatioAbsorbsAmortizationNoise(t *testing.T) {
 	}
 }
 
-func TestDiffPerBenchOverride(t *testing.T) {
-	fresh := []Result{
-		{Name: "BenchmarkCacheLookup", NsPerOp: 140, AllocsPerOp: 0},
-		{Name: "BenchmarkPredictor", NsPerOp: 50, AllocsPerOp: 2},
-	}
-	th := Thresholds{PerBench: map[string]float64{"BenchmarkCacheLookup": 0.50}}
-	d := Diff(baseFor(t), fresh, th)
-	if d.Regressed() {
-		t.Fatalf("per-bench 50%% override not honored: %+v", d.Rows)
-	}
-	if d.Rows[0].Limit != 0.50 {
-		t.Fatalf("row limit = %v", d.Rows[0].Limit)
-	}
-}
-
 func TestDiffMissingBenchmarkRegresses(t *testing.T) {
 	fresh := []Result{
 		{Name: "BenchmarkCacheLookup", NsPerOp: 100},

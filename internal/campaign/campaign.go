@@ -16,9 +16,8 @@
 //   - Manifest: per-job status (pending / done / failed) persisted next to
 //     the cache for `campaign status` and resumability.
 //   - Engine: the worker pool. Results come back in job order regardless
-//     of scheduling, failed jobs are retried once with a bounded
-//     Config.MaxCycles instead of panicking, and a Reporter streams
-//     completed/total + ETA to stderr.
+//     of scheduling, a failed job is recorded as failed instead of
+//     panicking, and a Reporter streams completed/total + ETA to stderr.
 //   - Grid: the declarative cell grid plus the named grids the CLI
 //     exposes, seed-sweep parsing, and mean/geomean aggregation via
 //     internal/stats.
@@ -60,7 +59,7 @@ const SchemaVersion = 4
 // dispatched to the CellFunc registered for it on the engine (see
 // Engine.RegisterCell). internal/specfuzz registers KindSpecFuzz cells this
 // way: a fuzz cell is a first-class campaign cell — keyed, cached,
-// journaled, retried, and resumable exactly like a simulation cell.
+// journaled and resumable exactly like a simulation cell.
 type CellKind string
 
 // KindSim is the default cell kind: one sim.RunWorkload invocation.
@@ -161,16 +160,15 @@ type JobResult struct {
 	Aux      json.RawMessage
 	Err      error
 	Cached   bool // served from the disk cache or in-memory memo
-	Attempts int  // 0 for cache hits
+	Attempts int  // 1 when simulated, 0 for cache hits
 	Elapsed  time.Duration
 	// Quarantined marks a worker panic (an engine/model fault, not a bad
-	// cell config): the panic was recovered, the job was not retried, and
-	// a diagnostic dump was written to DumpPath.
+	// cell config): the panic was recovered and a diagnostic dump was
+	// written to DumpPath.
 	Quarantined bool
 	DumpPath    string
 }
 
-// Failed reports whether the job ultimately failed (after retries).
-// Quarantined jobs also count as failed; use Quarantined to tell "bad
-// config" from "engine fault".
+// Failed reports whether the job failed. Quarantined jobs also count as
+// failed; use Quarantined to tell "bad config" from "engine fault".
 func (r JobResult) Failed() bool { return r.Err != nil }

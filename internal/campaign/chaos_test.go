@@ -43,7 +43,6 @@ func chaosRun(t *testing.T, dir string, inj *faultinject.Injector) []JobResult {
 	cache.Faults = inj
 	eng := NewEngine()
 	eng.Workers = 2
-	eng.sleep = func(time.Duration) {}
 	eng.Cache = cache
 	eng.Faults = inj
 	eng.Reporter = NewReporter(io.Discard)

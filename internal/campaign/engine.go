@@ -20,20 +20,20 @@ import (
 	"repro/sim"
 )
 
-// Engine executes jobs with memoization, optional disk caching, bounded
-// parallelism, and retry-on-failure. The zero value is not ready to use;
-// call NewEngine.
+// Engine executes jobs with memoization, optional disk caching and
+// bounded parallelism. The zero value is not ready to use; call NewEngine.
 //
 // Result lookup order for a job: in-memory memo → disk cache → simulate.
 // Fresh results are written through to both layers, so a later engine (or
 // a later process) pointed at the same cache directory starts warm.
 //
-// Failure handling is layered: ordinary errors are retried under a
-// bounded cycle budget with deterministic exponential backoff; worker
-// panics are recovered into quarantined results with a diagnostic dump
-// instead of killing the pool; a cache directory that stops accepting
-// writes degrades the engine to cache-bypass mode rather than spamming
-// errors or failing jobs whose simulations succeeded.
+// Each cell gets one attempt: every error it can return depends only on
+// the job, so a second attempt would fail the same way. A failed cell is
+// recorded as failed and re-attempted by the next run. Worker panics are
+// recovered into quarantined results with a diagnostic dump instead of
+// killing the pool; a cache directory that stops accepting writes
+// degrades the engine to cache-bypass mode rather than spamming errors or
+// failing jobs whose simulations succeeded.
 type Engine struct {
 	// Cache is the optional disk layer (nil → memory-only engine).
 	Cache *Cache
@@ -41,18 +41,6 @@ type Engine struct {
 	// job is an independent CPU-bound sim.RunWorkload, so one worker per
 	// processor is the sweet spot.
 	Workers int
-	// Retries is how many times a failed job is re-attempted (default 1).
-	Retries int
-	// RetryMaxCycles bounds Config.MaxCycles on retry attempts so a
-	// pathologically stalled configuration times out instead of burning a
-	// worker for the 500M-cycle default (default 50M). A job whose own
-	// MaxCycles is already tighter keeps its own bound.
-	RetryMaxCycles uint64
-	// Backoff is the base delay before retry attempt n: Backoff<<(n-1)
-	// plus up to 100% jitter, derived deterministically from the job key
-	// so reruns back off identically regardless of worker scheduling
-	// (default 50ms; 0 disables).
-	Backoff time.Duration
 	// Manifest, when non-nil, receives per-job status updates; each
 	// completion is journaled with a single appended line.
 	Manifest *Manifest
@@ -64,7 +52,7 @@ type Engine struct {
 	// picks up a job never changes the faults it sees.
 	Faults *faultinject.Injector
 	// Trace, when non-nil, emits one span tree per job — lease →
-	// cache-probe → simulate (per attempt) → verify → journal-append —
+	// cache-probe → simulate → verify → journal-append —
 	// into its obs.Sink. Span identities are content-derived from the
 	// job's cache key, so the canonical span stream is byte-identical
 	// across worker counts; a nil tracer costs one nil check per stage
@@ -86,9 +74,6 @@ type Engine struct {
 
 	cacheFails atomic.Int32 // consecutive cache-write failures
 	cacheDown  atomic.Bool  // degraded to cache-bypass
-
-	// sleep is the backoff clock, replaceable in tests (nil = time.Sleep).
-	sleep func(time.Duration)
 }
 
 // cacheFailThreshold is how many consecutive write failures flip the
@@ -113,12 +98,7 @@ type CellFunc func(job Job) (sim.Result, json.RawMessage, error)
 // NewEngine returns a memory-only engine with default pool sizing; callers
 // attach Cache / Manifest / Reporter as needed.
 func NewEngine() *Engine {
-	return &Engine{
-		Retries:        1,
-		RetryMaxCycles: 50_000_000,
-		Backoff:        50 * time.Millisecond,
-		memo:           make(map[string]memoVal),
-	}
+	return &Engine{memo: make(map[string]memoVal)}
 }
 
 // RegisterCell installs the executor for a custom cell kind. Registering
@@ -143,8 +123,8 @@ func (e *Engine) cellFunc(kind CellKind) (CellFunc, bool) {
 }
 
 // Simulations returns how many actual simulator invocations the engine
-// has performed (cache and memo hits excluded, retries included) — the
-// number the cache-determinism tests pin to zero on a warm rerun.
+// has performed (cache and memo hits excluded) — the number the
+// cache-determinism tests pin to zero on a warm rerun.
 func (e *Engine) Simulations() int64 { return e.sims.Load() }
 
 // CacheBypassed reports whether repeated write failures degraded the
@@ -246,11 +226,11 @@ func (e *Engine) runAttempt(job Job, cfg sim.Config, faults *faultinject.Injecto
 
 // Backoff returns the delay before retry attempt n (1-based) of the
 // operation keyed by key: exponential in the attempt with up to 100%
-// jitter, all derived from (key, attempt) through xrand — so two runs of
-// the same campaign back off identically no matter how workers are
-// scheduled. The fabric worker reuses it for lease-wait and heartbeat
-// retry pacing, keyed by the worker id, so a fleet of workers hammering
-// one coordinator desynchronizes deterministically.
+// jitter, all derived from (key, attempt) through xrand — so two runs
+// back off identically no matter how goroutines are scheduled. The
+// fabric worker uses it for lease-wait and heartbeat retry pacing, keyed
+// by the worker id, so a fleet of workers hammering one coordinator
+// desynchronizes deterministically.
 func Backoff(key string, attempt int, base time.Duration) time.Duration {
 	if base <= 0 || attempt <= 0 {
 		return 0
@@ -274,20 +254,8 @@ func keySeed(key string) uint64 {
 	return h
 }
 
-// pause sleeps through the engine's clock (tests stub it out).
-func (e *Engine) pause(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if e.sleep != nil {
-		e.sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// diagRingCap is how many trailing trace events each attempt retains for
-// a potential quarantine dump.
+// diagRingCap is how many trailing trace events each simulation retains
+// for a potential quarantine dump.
 const diagRingCap = 256
 
 // quarantineDirName is the dump directory under the cache root.
@@ -341,8 +309,7 @@ func (e *Engine) writeQuarantineDump(job Job, key string, pe *PanicError, ring *
 }
 
 // RunOne executes a single job through the memo and cache, returning
-// whether the result was served from a cache layer. Failures are retried
-// per the engine's retry policy before being returned.
+// whether the result was served from a cache layer.
 func (e *Engine) RunOne(job Job) (res sim.Result, cached bool, err error) {
 	r := e.RunJob(job)
 	return r.Result, r.Cached, r.Err
@@ -401,7 +368,7 @@ func (e *Engine) runJob(job Job) JobResult {
 		return JobResult{Job: job, Err: kerr}
 	}
 	// One trace per cell, rooted at the content key: the span tree below
-	// (lease → cache-probe → simulate* → verify) is identical across
+	// (lease → cache-probe → simulate → verify) is identical across
 	// worker counts because every identity derives from key and stage
 	// name, never from scheduling. The root is left open here — Run (or
 	// RunOne) ends it after the journal-append stage. The e.Trace != nil
@@ -420,73 +387,44 @@ func (e *Engine) runJob(job Job) JobResult {
 		return JobResult{Job: job, Key: key, Result: val.res, Aux: val.aux, Cached: true}
 	}
 	faults := e.Faults.Child(key)
-	var (
-		err      error
-		attempts int
-	)
-	for attempt := 0; attempt <= e.Retries; attempt++ {
-		cfg := job.Config
-		// Every fresh simulation runs instrumented so the cached entry
-		// carries the full counter snapshot (Result.Metrics). Counter
-		// bindings are free on the hot path and no sampler is attached,
-		// so this does not slow the job or change its outcome.
-		cfg.Metrics = &sim.Metrics{}
-		// A small trace ring rides along purely as quarantine evidence;
-		// it observes, never alters, the simulation.
-		ring := trace.NewRing(diagRingCap)
-		if cfg.Trace == nil {
-			cfg.Trace = ring
-		}
-		cfg.Faults = faults
-		if attempt > 0 {
-			if e.RetryMaxCycles > 0 {
-				// Retry under a tighter cycle budget: a deterministic stall
-				// will stall again, and the bounded budget turns it into a
-				// prompt per-job timeout instead of a hung worker. A job
-				// that brought an even tighter bound of its own keeps it.
-				if cfg.MaxCycles == 0 || cfg.MaxCycles > e.RetryMaxCycles {
-					cfg.MaxCycles = e.RetryMaxCycles
-				}
-			}
-			e.pause(Backoff(key, attempt, e.Backoff))
-		}
-		attempts++
-		e.sims.Add(1)
-		sp := root.Child("simulate")
-		if sp != nil {
-			// Attr values built only on the traced path: the disabled
-			// tracer's hot path must not even format an integer.
-			sp.SetAttr("attempt", strconv.Itoa(attempt))
-		}
-		val, err = e.runAttempt(job, cfg, faults)
-		switch {
-		case err == nil:
-			sp.SetAttr("outcome", "ok")
-		case errors.As(err, new(*PanicError)):
-			sp.SetAttr("outcome", "panic")
-		default:
-			sp.SetAttr("outcome", "error")
-		}
-		sp.End()
-		if err == nil {
-			break
-		}
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			// A panic is an engine/model fault, not a flaky cell: retrying
-			// buys nothing and risks a second panic. Quarantine with the
-			// evidence instead.
-			root.SetAttr("quarantined", "true")
-			jr := JobResult{Job: job, Key: key, Attempts: attempts, Err: err, Quarantined: true}
-			jr.DumpPath = e.writeQuarantineDump(job, key, pe, ring, cfg.Metrics)
-			return jr
-		}
+	cfg := job.Config
+	// Every fresh simulation runs instrumented so the cached entry
+	// carries the full counter snapshot (Result.Metrics). Counter
+	// bindings are free on the hot path and no sampler is attached,
+	// so this does not slow the job or change its outcome.
+	cfg.Metrics = &sim.Metrics{}
+	// A small trace ring rides along purely as quarantine evidence;
+	// it observes, never alters, the simulation.
+	ring := trace.NewRing(diagRingCap)
+	if cfg.Trace == nil {
+		cfg.Trace = ring
 	}
-	jr := JobResult{Job: job, Key: key, Attempts: attempts}
+	cfg.Faults = faults
+	e.sims.Add(1)
+	sp := root.Child("simulate")
+	val, err := e.runAttempt(job, cfg, faults)
+	var pe *PanicError
+	switch {
+	case err == nil:
+		sp.SetAttr("outcome", "ok")
+	case errors.As(err, &pe):
+		sp.SetAttr("outcome", "panic")
+	default:
+		sp.SetAttr("outcome", "error")
+	}
+	sp.End()
+	// The error is not wrapped with the job name: every consumer
+	// (reporter, manifest, CLI failure listing) prints jr.Job alongside.
+	jr := JobResult{Job: job, Key: key, Attempts: 1, Err: err}
+	if pe != nil {
+		// A panic is an engine/model fault, not a bad cell: quarantine
+		// it with the evidence.
+		root.SetAttr("quarantined", "true")
+		jr.Quarantined = true
+		jr.DumpPath = e.writeQuarantineDump(job, key, pe, ring, cfg.Metrics)
+		return jr
+	}
 	if err != nil {
-		// Not wrapped with the job name: every consumer (reporter,
-		// manifest, CLI failure listing) prints jr.Job alongside.
-		jr.Err = err
 		return jr
 	}
 	jr.Result = val.res
@@ -499,7 +437,6 @@ func (e *Engine) runJob(job Job) JobResult {
 	if serr != nil {
 		// A result that simulated fine but failed to persist is still a
 		// usable result; surface the cache problem without failing the job.
-		jr.Err = nil
 		if e.Reporter != nil {
 			e.Reporter.Warn(fmt.Sprintf("cache write failed for %s: %v", job, serr))
 		}

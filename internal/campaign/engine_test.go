@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/sim"
@@ -154,8 +153,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 }
 
 // TestResumeAfterPartialFailure injects a failing cell into the grid: the
-// run must finish every good cell, retry and record the bad one as
-// failed, and a rerun must re-attempt only the failed cell.
+// run must finish every good cell, record the bad one as failed after a
+// single attempt, and a rerun must re-attempt only the failed cell.
 func TestResumeAfterPartialFailure(t *testing.T) {
 	dir := t.TempDir()
 	jobs := smallGrid().Jobs()
@@ -164,7 +163,6 @@ func TestResumeAfterPartialFailure(t *testing.T) {
 
 	eng := NewEngine()
 	eng.Workers = 4
-	eng.sleep = func(time.Duration) {} // no real backoff in tests
 	cache, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +175,8 @@ func TestResumeAfterPartialFailure(t *testing.T) {
 	if len(failed) != 1 || failed[0].Job.Workload != "no-such-workload" {
 		t.Fatalf("failed set: %+v", failed)
 	}
-	if failed[0].Attempts != 2 {
-		t.Fatalf("failed job attempted %d times, want 2 (one retry)", failed[0].Attempts)
+	if failed[0].Attempts != 1 {
+		t.Fatalf("failed job attempted %d times, want 1", failed[0].Attempts)
 	}
 	for _, r := range results {
 		if r.Job.Workload != "no-such-workload" && r.Err != nil {
@@ -202,71 +200,44 @@ func TestResumeAfterPartialFailure(t *testing.T) {
 	// Resume: only the failed cell is re-attempted, everything else is a
 	// cache hit.
 	resumed := NewEngine()
-	resumed.sleep = func(time.Duration) {}
 	resumed.Cache, err = OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resumed.Run(jobs)
-	if got := resumed.Simulations(); got != 2 { // 1 attempt + 1 retry of the bad cell
-		t.Fatalf("resume simulated %d times, want 2 (bad cell only)", got)
+	if got := resumed.Simulations(); got != 1 {
+		t.Fatalf("resume simulated %d times, want 1 (bad cell only)", got)
 	}
 }
 
-// TestRetryBoundsMaxCycles checks the per-job timeout: the retry attempt
-// runs under the engine's bounded cycle budget.
-func TestRetryBoundsMaxCycles(t *testing.T) {
+// TestMaxCyclesFailsInOneAttempt checks the per-job cycle bound: a job
+// that cannot finish inside its own MaxCycles fails after one attempt,
+// and running it leaves the caller's job config untouched.
+func TestMaxCyclesFailsInOneAttempt(t *testing.T) {
 	eng := NewEngine()
-	eng.sleep = func(time.Duration) {}
-	if eng.RetryMaxCycles == 0 {
-		t.Fatal("default engine must bound retry cycles")
-	}
-	// White-box: a failing job goes through the retry path without
-	// mutating the original job config.
-	job := Job{Workload: "no-such-workload", Config: sim.Config{Policy: sim.NonSecure}}
-	jr := eng.runJob(job)
-	if jr.Err == nil || jr.Attempts != 2 {
-		t.Fatalf("want 2 failed attempts, got %d (err=%v)", jr.Attempts, jr.Err)
-	}
-	if job.Config.MaxCycles != 0 {
-		t.Fatal("retry mutated the caller's job config")
-	}
-}
-
-// TestRetryKeepsTighterMaxCycles is the regression test for the retry
-// budget: a job that brings its own MaxCycles tighter than
-// RetryMaxCycles must keep it on retry. If the retry replaced the bound
-// with the looser engine default, the second attempt under a 64-cycle
-// budget would succeed and mask the first failure.
-func TestRetryKeepsTighterMaxCycles(t *testing.T) {
-	eng := NewEngine()
-	eng.sleep = func(time.Duration) {}
-	if eng.RetryMaxCycles <= 64 {
-		t.Fatalf("test assumes a generous default retry budget, got %d", eng.RetryMaxCycles)
-	}
 	job := Job{Workload: "astar", Config: sim.Config{
 		Policy: sim.NonSecure, Instructions: 6_000, NoWarmup: true, MaxCycles: 64}}
+	want := job.Config
 	jr := eng.runJob(job)
 	if jr.Err == nil {
-		t.Fatal("retry loosened the job's own MaxCycles bound: run succeeded under a 64-cycle budget")
+		t.Fatal("run succeeded under a 64-cycle budget")
 	}
-	if jr.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", jr.Attempts)
+	if jr.Attempts != 1 || eng.Simulations() != 1 {
+		t.Fatalf("attempts = %d, simulations = %d, want 1 each", jr.Attempts, eng.Simulations())
 	}
-	if job.Config.MaxCycles != 64 {
-		t.Fatal("retry mutated the caller's job config")
+	if !reflect.DeepEqual(job.Config, want) {
+		t.Fatalf("runJob mutated the caller's job config: %+v", job.Config)
 	}
 }
 
 // TestPanicQuarantine injects a worker panic: the pool must survive, the
-// job must come back quarantined (not retried, not plain-failed) with a
+// job must come back quarantined (not plain-failed) with a
 // diagnostic dump, and the manifest must record the quarantine.
 func TestPanicQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	jobs := smallGrid().Jobs()[:1]
 
 	eng := NewEngine()
-	eng.sleep = func(time.Duration) {}
 	cache, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +253,7 @@ func TestPanicQuarantine(t *testing.T) {
 		t.Fatalf("want quarantined result, got %+v", r)
 	}
 	if r.Attempts != 1 {
-		t.Fatalf("quarantined job attempted %d times, want 1 (panics are not retried)", r.Attempts)
+		t.Fatalf("quarantined job attempted %d times, want 1", r.Attempts)
 	}
 	if len(Failed(results)) != 0 {
 		t.Fatal("quarantined result leaked into Failed()")

@@ -55,7 +55,7 @@ func (r *Reporter) JobDone(jr JobResult) {
 		fmt.Fprintln(r.W, line)
 	case jr.Failed():
 		r.failed++
-		fmt.Fprintf(r.W, "campaign: FAILED %s after %d attempt(s): %v\n", jr.Job, jr.Attempts, jr.Err)
+		fmt.Fprintf(r.W, "campaign: FAILED %s: %v\n", jr.Job, jr.Err)
 	}
 	if r.Every > 1 && r.done%r.Every != 0 && r.done != r.total {
 		return

@@ -54,9 +54,8 @@ type ReplayReport struct {
 // Replay re-runs a quarantined job on eng with a full-depth trace ring
 // attached, so a panic that a campaign quarantine captured with only a
 // 256-event tail is diagnosable offline with the whole history. The
-// engine should be memory-only and retry-free (see NewReplayEngine):
-// replay must actually re-execute, not serve a cached result, and a
-// deterministic panic would just panic twice.
+// engine should be memory-only (NewEngine with no Cache): replay must
+// actually re-execute, not serve a cached result.
 //
 // Custom cell kinds replay too (their executor must be registered on
 // eng); the full-depth ring only captures simulator events for kinds
@@ -85,15 +84,4 @@ func Replay(eng *Engine, dump *QuarantineDump, depth int) (*ReplayReport, error)
 		}
 	}
 	return rep, nil
-}
-
-// NewReplayEngine returns an engine configured for diagnostic replay:
-// memory-only (a replay must re-execute, never serve the cache) and
-// retry-free (a deterministic panic or error should surface once, not
-// after a backoff dance).
-func NewReplayEngine() *Engine {
-	eng := NewEngine()
-	eng.Retries = 0
-	eng.Backoff = 0
-	return eng
 }

@@ -56,7 +56,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 // TestSpanJSONLWorkerCountInvariant pins span-plane determinism: the
 // canonical span JSONL of a 1-worker run and an 8-worker run of the same
 // grid must be byte-identical. Span identity is content-derived (job key,
-// stage name, retry ordinal); only wall-clock fields vary with schedule,
+// stage name, sibling ordinal); only wall-clock fields vary with schedule,
 // and the canonical form strips them.
 func TestSpanJSONLWorkerCountInvariant(t *testing.T) {
 	jobs := spanGrid().Jobs()

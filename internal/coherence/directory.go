@@ -97,9 +97,6 @@ func NewDirectory(cores int) *Directory {
 	return &Directory{cores: cores, entries: make(map[arch.LineAddr]entry)}
 }
 
-// Cores returns the number of cores the directory tracks.
-func (d *Directory) Cores() int { return d.cores }
-
 // get returns l's entry, or an empty one (no owner, no sharers) when l is
 // untracked. Callers store the updated entry back.
 func (d *Directory) get(l arch.LineAddr) entry {

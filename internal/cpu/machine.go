@@ -368,9 +368,6 @@ func (m *Machine) Step() {
 	}
 }
 
-// Predictor exposes the branch predictor (tests and stats).
-func (m *Machine) Predictor() *branch.Predictor { return m.bp }
-
 // Halted reports whether the program committed a halt.
 func (m *Machine) Halted() bool { return m.halted }
 

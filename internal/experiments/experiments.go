@@ -4,10 +4,10 @@
 // these runners; EXPERIMENTS.md records their output against the paper.
 //
 // Each runner returns a Report with the regenerated table (or series) and a
-// short paper-vs-measured note. The runners deliberately share a memoizing
-// Runner so a full paperbench pass simulates each (workload, config) pair
-// once; the memo is a thin layer over the internal/campaign engine, so it
-// can be backed by the same durable cache cmd/campaign uses.
+// short paper-vs-measured note. The runners deliberately share one Runner,
+// whose internal/campaign engine memoizes results, so a full paperbench
+// pass simulates each (workload, config) pair once; the engine can be
+// backed by the same durable cache cmd/campaign uses.
 package experiments
 
 import (
@@ -89,13 +89,12 @@ func CSV(reports []Report) string {
 	return b.String()
 }
 
-// Runner memoizes simulation results across experiments. Since the
-// campaign engine landed, the Runner is a thin layer over it: each run is
-// keyed by the content-addressed campaign key of its fully resolved
-// config (so two call sites that build the same effective configuration
-// share a result, and two that differ in any simulated parameter never
-// can), and pointing Engine.Cache at a directory makes the memo durable
-// across processes.
+// Runner shares simulation results across experiments. It is a thin
+// layer over a campaign engine, whose memo keys each run by the
+// content-addressed campaign key of its fully resolved config (so two
+// call sites that build the same effective configuration share a result,
+// and two that differ in any simulated parameter never can); pointing
+// Engine.Cache at a directory makes the memo durable across processes.
 type Runner struct {
 	Opts Options
 	// Engine executes and caches the individual runs. NewRunner attaches
@@ -104,13 +103,12 @@ type Runner struct {
 	Engine *campaign.Engine
 	Quiet  bool
 
-	memo map[string]sim.Result
 	errs []error
 }
 
 // NewRunner creates a runner backed by a memory-only campaign engine.
 func NewRunner(o Options) *Runner {
-	return &Runner{Opts: o, Engine: campaign.NewEngine(), memo: make(map[string]sim.Result)}
+	return &Runner{Opts: o, Engine: campaign.NewEngine()}
 }
 
 // Errors returns the simulation failures accumulated so far. A failed
@@ -119,31 +117,22 @@ func NewRunner(o Options) *Runner {
 // pass.
 func (r *Runner) Errors() []error { return r.errs }
 
-// run returns the memoized result for workload wl under policy p with an
-// optional config modification. The memo key is derived from the resolved
-// configuration itself, not from a caller-supplied label.
+// run returns the result for workload wl under policy p with an optional
+// config modification, simulating it only if the engine has no result
+// for the resolved configuration yet.
 func (r *Runner) run(wl string, p sim.Policy, mod func(*sim.Config)) sim.Result {
 	cfg := sim.Config{Policy: p, Instructions: r.Opts.Instructions}
 	if mod != nil {
 		mod(&cfg)
 	}
-	key, err := campaign.Key(wl, cfg)
-	if err != nil {
-		r.errs = append(r.errs, fmt.Errorf("%s/%s: %w", wl, p, err))
-		return sim.Result{}
-	}
-	if res, ok := r.memo[key]; ok {
-		return res
-	}
-	if !r.Quiet {
+	res, cached, err := r.Engine.RunOne(campaign.Job{Workload: wl, Config: cfg})
+	if !cached && !r.Quiet {
 		fmt.Printf("  running %-10s %-22s...\n", wl, string(p))
 	}
-	res, _, err := r.Engine.RunOne(campaign.Job{Workload: wl, Config: cfg})
 	if err != nil {
 		r.errs = append(r.errs, fmt.Errorf("%s/%s: %w", wl, p, err))
 		return sim.Result{}
 	}
-	r.memo[key] = res
 	return res
 }
 

@@ -108,6 +108,3 @@ func (it *Interp) Run(maxInstructions uint64) uint64 {
 	}
 	return it.Executed
 }
-
-// Regs returns a copy of the architectural register file.
-func (it *Interp) Regs() [NumRegs]uint64 { return it.regs }

@@ -347,9 +347,6 @@ func (h *Hierarchy) L2RT() arch.Cycle {
 	return lat
 }
 
-// MemRT returns the DRAM round-trip latency.
-func (h *Hierarchy) MemRT() arch.Cycle { return h.cfg.DRAM.RTCycles }
-
 // LoadOpts modifies how a load is issued.
 type LoadOpts struct {
 	Spec bool

@@ -22,8 +22,8 @@
 //     pays one nil check per stage and nothing else.
 //   - The Sink is mutex-guarded (campaign workers share it) and bounded:
 //     past MaxSpans, finished spans are counted as dropped instead of
-//     growing without limit. Started/ended/dropped are exported through
-//     AttachMetrics like every other counter in this repository.
+//     growing without limit. Stats reports started/ended/dropped, so a
+//     writer can warn when the trace was truncated.
 package obs
 
 import (
@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
 
@@ -87,9 +86,8 @@ type Span struct {
 	ended bool
 }
 
-// SinkStats counts the sink's own activity; AttachMetrics exports it so a
-// live /metrics endpoint (and the final registry snapshot) shows whether
-// the trace is complete or was truncated by the span bound.
+// SinkStats counts the sink's own activity: whether the trace is complete
+// or was truncated by the span bound.
 type SinkStats struct {
 	// Started counts spans handed out (Tracer.Trace, Span.Child).
 	Started uint64
@@ -141,28 +139,6 @@ func (s *Sink) Spans() []Span {
 	out := make([]Span, len(s.spans))
 	copy(out, s.spans)
 	return out
-}
-
-// AttachMetrics exports the sink's own counters into a registry, so the
-// live /metrics endpoint and the final snapshot both show whether the
-// span stream is complete.
-func (s *Sink) AttachMetrics(reg *metrics.Registry) {
-	st := &s.stats
-	reg.CounterFunc("obs.spans_started", func() uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return st.Started
-	})
-	reg.CounterFunc("obs.spans_ended", func() uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return st.Ended
-	})
-	reg.CounterFunc("obs.spans_dropped", func() uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return st.Dropped
-	})
 }
 
 // started counts one span handout.

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 func TestNilTracerIsFullyInert(t *testing.T) {
@@ -246,20 +244,5 @@ func TestChromeEventsShape(t *testing.T) {
 	}
 	if meta != 3 || x != 3 {
 		t.Fatalf("meta=%d x=%d, want 3/3", meta, x)
-	}
-}
-
-func TestAttachMetricsExportsSinkCounters(t *testing.T) {
-	sink := NewSink()
-	reg := metrics.NewRegistry()
-	sink.AttachMetrics(reg)
-	tr := NewTracer(sink)
-	tr.Instant("evt", "k")
-	snap := reg.Snapshot()
-	if snap.Counters["obs.spans_started"] != 1 || snap.Counters["obs.spans_ended"] != 1 {
-		t.Fatalf("snapshot = %+v", snap.Counters)
-	}
-	if _, ok := snap.Counters["obs.spans_dropped"]; !ok {
-		t.Fatal("obs.spans_dropped not exported")
 	}
 }

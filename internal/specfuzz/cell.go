@@ -49,14 +49,10 @@ func Register(e *campaign.Engine) {
 	})
 }
 
-// RunCell is the CellFunc for Kind: it decodes the gadget spec, runs the
+// runCell is the CellFunc for Kind: it decodes the gadget spec, runs the
 // differential pair under the job's policy, and returns the verdict as the
 // cell's Aux payload. The sim.Result half carries just enough identity for
 // the shared reporting surfaces (manifest rows, status tables).
-func RunCell(job campaign.Job) (sim.Result, json.RawMessage, error) {
-	return runCell(job, nil)
-}
-
 func runCell(job campaign.Job, tr *obs.Tracer) (sim.Result, json.RawMessage, error) {
 	var payload CellPayload
 	if err := json.Unmarshal(job.Cell, &payload); err != nil {

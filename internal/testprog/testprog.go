@@ -109,33 +109,15 @@ func WrongPathInflight() *isa.Program {
 	return b.Build()
 }
 
-// PointerChase builds a dependent-load chain of n steps starting at base:
-// each loaded value is the address of the next load. It separates
-// InvisiSpec-Initial (value propagation at visibility) from Revised
-// (propagation at data return) sharply.
-func PointerChase(n int, base arch.Addr) *isa.Program {
-	b := isa.NewBuilder("pointer-chase")
-	// Build the chain in memory: node i at base + i*64 points to node i+1.
-	for i := 0; i < n; i++ {
-		b.InitData(base+arch.Addr(i*64), uint64(base)+uint64((i+1)*64))
-	}
-	b.Li(1, int64(base))
-	b.Li(2, int64(n))
-	b.Label("loop")
-	b.Load(1, 1, 0) // r1 = next pointer (dependent chain)
-	b.AddI(2, 2, -1)
-	b.Br(isa.CondNE, 2, 0, "loop")
-	b.Halt()
-	return b.Build()
-}
-
-// SpecPointerChase is PointerChase with a data-dependent guard branch that
-// resolves several cycles *after* each load returns (through a multiply
-// chain), so the next iteration's load always issues speculatively. It is
-// the canonical workload for separating the policies: non-secure issues the
-// loads freely, delay-all stalls them, InvisiSpec-Revised forwards their
-// values but pays updates, and InvisiSpec-Initial additionally defers the
-// value to the visibility point.
+// SpecPointerChase builds a dependent-load chain of n steps starting at
+// base (each loaded value is the address of the next load) behind a
+// data-dependent guard branch that resolves several cycles *after* each
+// load returns (through a multiply chain), so the next iteration's load
+// always issues speculatively. It is the canonical workload for
+// separating the policies: non-secure issues the loads freely, delay-all
+// stalls them, InvisiSpec-Revised forwards their values but pays updates,
+// and InvisiSpec-Initial additionally defers the value to the visibility
+// point.
 func SpecPointerChase(n int, base arch.Addr) *isa.Program {
 	b := isa.NewBuilder("spec-pointer-chase")
 	for i := 0; i < n; i++ {

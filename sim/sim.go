@@ -465,10 +465,6 @@ type ProgramBuilder = isa.Builder
 // NewProgram creates a program builder.
 func NewProgram(name string) *ProgramBuilder { return isa.NewBuilder(name) }
 
-// Assemble parses the text assembly dialect (see internal/isa.Assemble's
-// doc comment for the grammar) into a runnable Program.
-func Assemble(name, src string) (*Program, error) { return isa.Assemble(name, src) }
-
 // SpectreResult is the Figure 11 record for one policy.
 type SpectreResult = attack.SpectreResult
 

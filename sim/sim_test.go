@@ -186,27 +186,6 @@ func TestNewBaselinePolicies(t *testing.T) {
 	}
 }
 
-func TestAssembleFacade(t *testing.T) {
-	prog, err := Assemble("asm", `
-		li r1, 20
-		addi r2, r1, 22
-		halt
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunProgram("asm", prog, Config{NoWarmup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Instructions != 3 {
-		t.Fatalf("committed %d", res.Instructions)
-	}
-	if _, err := Assemble("bad", "nonsense"); err == nil {
-		t.Fatal("assembler must report errors")
-	}
-}
-
 // TestConfigKnobsChecked pins the knobs buildPolicy rejects against the
 // resolved policy and hierarchy: each would otherwise panic in cache.New
 // or be silently dropped. The variants the ablations and digest cells use
