@@ -12,7 +12,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/sim"
@@ -29,16 +28,9 @@ func cmdInspect(args []string) error {
 		return spanView(*spansIn, *topN)
 	}
 
-	cache, err := campaign.OpenCache(*cacheDir)
+	entries, err := cachedEntries(*cacheDir)
 	if err != nil {
 		return err
-	}
-	entries, err := cache.Entries()
-	if err != nil {
-		return err
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("cache at %s is empty", *cacheDir)
 	}
 
 	t := stats.NewTable(fmt.Sprintf("%d cached cell(s) at %s", len(entries), *cacheDir),

@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"strings"
@@ -50,8 +52,6 @@ func main() {
 		err = cmdInspect(os.Args[2:])
 	case "fsck":
 		err = cmdFsck(os.Args[2:])
-	case "gc":
-		err = cmdGC(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -77,7 +77,6 @@ func usage() {
   campaign export [flags]   dump every cached result as CSV
   campaign inspect [flags]  per-cell summaries of a cache, or a span file's slowest cells
   campaign fsck   [flags]   scan a cache for corrupt/orphaned entries
-  campaign gc     [flags]   evict cache entries by age / grid membership
   campaign replay [flags] <dump>  re-run a quarantined cell, full-depth trace
 
 run flags:
@@ -111,13 +110,6 @@ fsck flags:
   -deep               cross-check manifest journal rows against cache
                       entries in both directions (done rows without a
                       backing entry; entries without a journal row)
-
-gc flags:
-  -cache dir          cache directory (default ".campaign")
-  -max-age dur        evict entries older than this (e.g. 720h)
-  -grid name          evict entries not in this grid (honors -workloads,
-                      -policies, -seeds, -instructions)
-  -dry-run            report what would be evicted, touch nothing
 
 replay flags:
   -depth N            replay trace capacity in events (default %d)
@@ -293,7 +285,7 @@ func cmdFsck(args []string) error {
 	deep := fs.Bool("deep", false, "cross-check manifest journal rows against cache entries")
 	fs.Parse(args)
 
-	rep, err := campaign.FsckWith(*cacheDir, campaign.FsckOptions{Prune: *prune, Deep: *deep})
+	rep, err := campaign.Fsck(*cacheDir, campaign.FsckOptions{Prune: *prune, Deep: *deep})
 	if err != nil {
 		return err
 	}
@@ -379,16 +371,9 @@ func cmdExport(args []string) error {
 	csvOut := fs.String("csv", "-", "CSV destination (- = stdout)")
 	fs.Parse(args)
 
-	cache, err := campaign.OpenCache(*cacheDir)
+	entries, err := cachedEntries(*cacheDir)
 	if err != nil {
 		return err
-	}
-	entries, err := cache.Entries()
-	if err != nil {
-		return err
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("cache at %s is empty", *cacheDir)
 	}
 	w := os.Stdout
 	if *csvOut != "-" {
@@ -408,8 +393,28 @@ func cmdExport(args []string) error {
 	return nil
 }
 
-// resolveGrid expands a named grid with the CLI's override flags applied
-// — the shared front half of `campaign run` and `campaign gc -grid`.
+// cachedEntries returns every verified entry of the cache at dir for the
+// read-only views (export, inspect). Unlike OpenCache it never creates
+// dir, so a mistyped -cache path is an error, not a new empty cache.
+func cachedEntries(dir string) ([]campaign.Entry, error) {
+	if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("no cache at %s", dir)
+	}
+	cache, err := campaign.OpenCache(dir)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := cache.Entries()
+	if err != nil {
+		return nil, err
+	}
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("cache at %s is empty", dir)
+	}
+	return entries, nil
+}
+
+// resolveGrid expands a named grid with the CLI's override flags applied.
 func resolveGrid(gridName, workloadsF, policiesF, seedsF string, instructions uint64) (campaign.Grid, []campaign.Job, error) {
 	seeds, err := campaign.ParseSeeds(seedsF)
 	if err != nil {

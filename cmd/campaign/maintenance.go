@@ -1,8 +1,8 @@
 package main
 
-// Cache maintenance subcommands: `campaign gc` evicts entries from a
-// long-lived cache, and `campaign replay` re-runs a quarantined cell from
-// its dump under a full-depth trace.
+// `campaign replay` re-runs a quarantined cell from its dump under a
+// full-depth trace: the dump names the job and the panic, and the re-run
+// supplies the events that led up to it.
 
 import (
 	"flag"
@@ -12,43 +12,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/specfuzz"
 )
-
-func cmdGC(args []string) error {
-	fs := flag.NewFlagSet("campaign gc", flag.ExitOnError)
-	var (
-		cacheDir     = fs.String("cache", ".campaign", "cache directory")
-		maxAge       = fs.Duration("max-age", 0, "evict entries older than this (0 = no age criterion)")
-		gridName     = fs.String("grid", "", "evict entries not belonging to this grid")
-		workloadsF   = fs.String("workloads", "", "comma-separated workload override (with -grid)")
-		policiesF    = fs.String("policies", "", "comma-separated policy override (with -grid)")
-		seedsF       = fs.String("seeds", "", "seed sweep (with -grid)")
-		instructions = fs.Uint64("instructions", 150_000, "measurement window (with -grid)")
-		dryRun       = fs.Bool("dry-run", false, "report what would be evicted, touch nothing")
-	)
-	fs.Parse(args)
-
-	opts := campaign.GCOptions{MaxAge: *maxAge, DryRun: *dryRun}
-	if *gridName != "" {
-		_, jobs, err := resolveGrid(*gridName, *workloadsF, *policiesF, *seedsF, *instructions)
-		if err != nil {
-			return err
-		}
-		opts.Keep = make(map[string]bool, len(jobs))
-		for _, job := range jobs {
-			key, err := job.Key()
-			if err != nil {
-				return err
-			}
-			opts.Keep[key] = true
-		}
-	}
-	rep, err := campaign.GC(*cacheDir, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep)
-	return nil
-}
 
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("campaign replay", flag.ExitOnError)

@@ -99,7 +99,7 @@ func TestChaosSchedules(t *testing.T) {
 
 		// Phase 2: fsck with prune. Whatever the faults left behind must
 		// be detected damage, never a crash; prune clears it.
-		if _, err := Fsck(dir, true); err != nil {
+		if _, err := Fsck(dir, FsckOptions{Prune: true}); err != nil {
 			t.Fatalf("seed %d: fsck: %v", seed, err)
 		}
 
@@ -124,7 +124,7 @@ func TestChaosSchedules(t *testing.T) {
 				seed, got.String(), ref.String())
 		}
 
-		rep, err := Fsck(dir, false)
+		rep, err := Fsck(dir, FsckOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: final fsck: %v", seed, err)
 		}

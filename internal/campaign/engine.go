@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/xrand"
 	"repro/sim"
 )
@@ -254,10 +253,6 @@ func keySeed(key string) uint64 {
 	return h
 }
 
-// diagRingCap is how many trailing trace events each simulation retains
-// for a potential quarantine dump.
-const diagRingCap = 256
-
 // quarantineDirName is the dump directory under the cache root.
 const quarantineDirName = "quarantine"
 
@@ -267,29 +262,25 @@ func QuarantineDir(cacheDir string) string {
 }
 
 // QuarantineDump is the diagnostic record written for a recovered panic:
-// enough to reproduce (job + config), see where the simulation was (last
-// trace events), and what it had counted (partial stats) — without
-// rerunning anything. `campaign replay` loads one of these and re-runs
-// the job under a full-depth tracer (see Replay).
+// enough to reproduce (job + config) and what it had counted (partial
+// stats) — without rerunning anything. The events leading up to the panic
+// come from `campaign replay`, which loads one of these and re-runs the
+// job deterministically under a full-depth tracer (see Replay).
 type QuarantineDump struct {
 	Job     Job               `json:"job"`
 	Key     string            `json:"key"`
 	Panic   string            `json:"panic"`
 	Stack   string            `json:"stack"`
-	Trace   []trace.Event     `json:"trace,omitempty"`
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 }
 
 // writeQuarantineDump persists the dump, returning its path ("" if no
 // cache dir is attached or the write failed — quarantine still proceeds).
-func (e *Engine) writeQuarantineDump(job Job, key string, pe *PanicError, ring *trace.Ring, col *sim.Metrics) string {
+func (e *Engine) writeQuarantineDump(job Job, key string, pe *PanicError, col *sim.Metrics) string {
 	if e.Cache == nil {
 		return ""
 	}
 	dump := QuarantineDump{Job: job, Key: key, Panic: pe.Value, Stack: pe.Stack}
-	if ring != nil {
-		dump.Trace = ring.Events()
-	}
 	if col != nil && col.Registry != nil {
 		dump.Metrics = col.Registry.Snapshot().Counters
 	}
@@ -393,12 +384,6 @@ func (e *Engine) runJob(job Job) JobResult {
 	// bindings are free on the hot path and no sampler is attached,
 	// so this does not slow the job or change its outcome.
 	cfg.Metrics = &sim.Metrics{}
-	// A small trace ring rides along purely as quarantine evidence;
-	// it observes, never alters, the simulation.
-	ring := trace.NewRing(diagRingCap)
-	if cfg.Trace == nil {
-		cfg.Trace = ring
-	}
 	cfg.Faults = faults
 	e.sims.Add(1)
 	sp := root.Child("simulate")
@@ -421,7 +406,7 @@ func (e *Engine) runJob(job Job) JobResult {
 		// it with the evidence.
 		root.SetAttr("quarantined", "true")
 		jr.Quarantined = true
-		jr.DumpPath = e.writeQuarantineDump(job, key, pe, ring, cfg.Metrics)
+		jr.DumpPath = e.writeQuarantineDump(job, key, pe, cfg.Metrics)
 		return jr
 	}
 	if err != nil {

@@ -41,12 +41,6 @@ type FsckReport struct {
 	MissingData []Flaw // done journal rows whose cache entry is absent/unusable
 	Unjournaled []Flaw // verified cache entries with no journal row
 
-	// GCOrphans marks an interrupted eviction: a gc-intent marker is
-	// present (gc crashed between publishing its victim list and deleting
-	// the marker), and these are the marker plus any listed entries still
-	// on disk. Prune finishes the eviction the dead gc started.
-	GCOrphans []Flaw
-
 	Pruned []string // removed by -prune
 }
 
@@ -56,8 +50,7 @@ type FsckReport struct {
 // deep scan.
 func (r *FsckReport) Clean() bool {
 	return len(r.Corrupt) == 0 && len(r.Orphans) == 0 &&
-		len(r.MissingData) == 0 && len(r.Unjournaled) == 0 &&
-		len(r.GCOrphans) == 0
+		len(r.MissingData) == 0 && len(r.Unjournaled) == 0
 }
 
 // String renders the operator-facing summary `campaign fsck` prints.
@@ -88,9 +81,6 @@ func (r *FsckReport) String() string {
 	for _, f := range r.Unjournaled {
 		fmt.Fprintf(&b, "\n  unjournaled: %s (%s)", f.Path, f.Reason)
 	}
-	for _, f := range r.GCOrphans {
-		fmt.Fprintf(&b, "\n  gc-orphan: %s (%s)", f.Path, f.Reason)
-	}
 	for _, p := range r.Pruned {
 		fmt.Fprintf(&b, "\n  pruned:  %s", p)
 	}
@@ -119,15 +109,11 @@ type FsckOptions struct {
 // Fsck scans a cache directory for corruption the way reads would detect
 // it — unparseable entries, checksum mismatches, entries filed under the
 // wrong key or shard, temp-file orphans, torn manifest lines — and
-// reports everything found. With prune set, corrupt entries and orphans
+// reports everything found. With Prune set, corrupt entries and orphans
 // are deleted (they will simply re-simulate); valid entries from other
-// schema versions are reported but never pruned.
-func Fsck(dir string, prune bool) (*FsckReport, error) {
-	return FsckWith(dir, FsckOptions{Prune: prune})
-}
-
-// FsckWith is Fsck with the full option set (see FsckOptions).
-func FsckWith(dir string, opts FsckOptions) (*FsckReport, error) {
+// schema versions are reported but never pruned. Deep adds the
+// journal/store cross-check (see FsckOptions).
+func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 	rep := &FsckReport{Dir: dir, Deep: opts.Deep}
 	verified := make(map[string]string) // entry key -> path, current schema only
 	if _, err := os.Stat(dir); err != nil {
@@ -193,39 +179,6 @@ func FsckWith(dir string, opts FsckOptions) (*FsckReport, error) {
 		rep.ManifestDropped = m.Dropped()
 	}
 
-	// An eviction marker means a gc died between publishing its victim
-	// list and retiring the marker. The marker plus every listed entry
-	// still on disk are the gc-race orphans; prune finishes the eviction.
-	var gcVictimKeys []string // listed keys whose entry survives, for prune
-	if data, err := os.ReadFile(GCIntentPath(dir)); err == nil {
-		var intent gcIntent
-		if err := json.Unmarshal(data, &intent); err != nil {
-			rep.GCOrphans = append(rep.GCOrphans, Flaw{
-				Path:   GCIntentPath(dir),
-				Reason: fmt.Sprintf("unparseable gc intent marker: %v", err),
-			})
-		} else {
-			rep.GCOrphans = append(rep.GCOrphans, Flaw{
-				Path:   GCIntentPath(dir),
-				Reason: fmt.Sprintf("interrupted gc (%d cell(s) marked for eviction)", len(intent.Keys)),
-			})
-			for _, key := range intent.Keys {
-				if len(key) < 2 {
-					continue
-				}
-				path := filepath.Join(dir, key[:2], key+".json")
-				if _, err := os.Stat(path); err == nil {
-					rep.GCOrphans = append(rep.GCOrphans, Flaw{
-						Path:   path,
-						Reason: "marked for eviction by an interrupted gc",
-					})
-					gcVictimKeys = append(gcVictimKeys, key)
-				}
-			}
-		}
-		sortFlaws(rep.GCOrphans[1:]) // keep the marker's own flaw first
-	}
-
 	var missingKeys []string // done rows to reset on prune
 	if opts.Deep && manifestOK {
 		for _, key := range sortedKeys(m.Jobs) {
@@ -254,9 +207,6 @@ func FsckWith(dir string, opts FsckOptions) (*FsckReport, error) {
 	}
 
 	if opts.Prune {
-		// GCOrphans last: the marker (its first flaw) must outlive the
-		// listed entries, so a prune interrupted mid-repair is itself
-		// resumable the same way.
 		for _, list := range [][]Flaw{rep.Corrupt, rep.Orphans, rep.Unjournaled} {
 			for _, f := range list {
 				if err := os.Remove(f.Path); err != nil {
@@ -265,27 +215,10 @@ func FsckWith(dir string, opts FsckOptions) (*FsckReport, error) {
 				rep.Pruned = append(rep.Pruned, f.Path)
 			}
 		}
-		for i := len(rep.GCOrphans) - 1; i >= 0; i-- {
-			f := rep.GCOrphans[i]
-			if err := os.Remove(f.Path); err != nil && !os.IsNotExist(err) {
-				return rep, fmt.Errorf("campaign: fsck prune: %w", err)
-			}
-			rep.Pruned = append(rep.Pruned, f.Path)
-		}
-		demote := missingKeys
-		if manifestOK {
-			// Evicted cells' done rows lie the same way missing-data rows
-			// do; demote them alongside.
-			for _, key := range gcVictimKeys {
-				if rec, ok := m.Jobs[key]; ok && rec.Status == StatusDone {
-					demote = append(demote, key)
-				}
-			}
-		}
-		if len(demote) > 0 {
+		if len(missingKeys) > 0 {
 			// A done row with no backing entry lies to resume estimates;
 			// demote it to pending so the cell honestly re-simulates.
-			for _, key := range demote {
+			for _, key := range missingKeys {
 				m.Jobs[key].Status = StatusPending
 				m.Jobs[key].Cached = false
 				rep.Pruned = append(rep.Pruned, "journal:"+key)

@@ -27,7 +27,7 @@ func TestFsckDeep(t *testing.T) {
 		t.Fatalf("%d jobs failed in setup run", n)
 	}
 
-	rep, err := FsckWith(dir, FsckOptions{Deep: true})
+	rep, err := Fsck(dir, FsckOptions{Deep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFsckDeep(t *testing.T) {
 	}
 
 	// A shallow scan sees nothing: every remaining file is intact.
-	rep, err = Fsck(dir, false)
+	rep, err = Fsck(dir, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFsckDeep(t *testing.T) {
 	}
 
 	// The deep scan sees both directions.
-	rep, err = FsckWith(dir, FsckOptions{Deep: true})
+	rep, err = Fsck(dir, FsckOptions{Deep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestFsckDeep(t *testing.T) {
 
 	// Prune repairs both: the stale done row is demoted to pending, the
 	// rowless entry is removed, and a deep re-scan agrees.
-	rep, err = FsckWith(dir, FsckOptions{Deep: true, Prune: true})
+	rep, err = Fsck(dir, FsckOptions{Deep: true, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Pruned) != 2 {
 		t.Fatalf("pruned %v, want the entry file and the journal row", rep.Pruned)
 	}
-	rep, err = FsckWith(dir, FsckOptions{Deep: true})
+	rep, err = Fsck(dir, FsckOptions{Deep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFsckDeep(t *testing.T) {
 	if got := again.Simulations(); got != 2 {
 		t.Fatalf("post-prune run simulated %d cells, want the 2 drifted ones", got)
 	}
-	rep, err = FsckWith(dir, FsckOptions{Deep: true})
+	rep, err = Fsck(dir, FsckOptions{Deep: true})
 	if err != nil {
 		t.Fatal(err)
 	}

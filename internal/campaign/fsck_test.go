@@ -26,7 +26,7 @@ func TestFsck(t *testing.T) {
 		t.Fatalf("%d jobs failed in setup run", n)
 	}
 
-	rep, err := Fsck(dir, false)
+	rep, err := Fsck(dir, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFsck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err = Fsck(dir, false)
+	rep, err = Fsck(dir, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestFsck(t *testing.T) {
 
 	// Prune removes exactly the damage; a re-scan is clean and the
 	// surviving entries are untouched.
-	rep, err = Fsck(dir, true)
+	rep, err = Fsck(dir, FsckOptions{Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Pruned) != 3 {
 		t.Fatalf("pruned %d files, want 3: %v", len(rep.Pruned), rep.Pruned)
 	}
-	rep, err = Fsck(dir, false)
+	rep, err = Fsck(dir, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,7 @@ func LoadDump(path string) (*QuarantineDump, error) {
 }
 
 // ReplayDepth is the default full-depth trace capacity for Replay — wide
-// enough to hold every event of a quarantine-sized cell, against the
-// 256-event ring the original run kept.
+// enough to hold every event of a quarantine-sized cell.
 const ReplayDepth = 1 << 16
 
 // ReplayReport is the outcome of re-running a quarantined cell under a
@@ -41,8 +40,7 @@ type ReplayReport struct {
 	// clean.
 	Result JobResult
 	// Events is the replay's full-depth trace — for simulation cells, the
-	// complete event history up to the panic (or completion), not just
-	// the 256-event tail the dump carried.
+	// complete event history up to the panic (or completion).
 	Events []trace.Event
 	// Dropped counts events the replay ring still had to discard (the
 	// cell out-ran even the full-depth capacity).
@@ -52,10 +50,11 @@ type ReplayReport struct {
 }
 
 // Replay re-runs a quarantined job on eng with a full-depth trace ring
-// attached, so a panic that a campaign quarantine captured with only a
-// 256-event tail is diagnosable offline with the whole history. The
-// engine should be memory-only (NewEngine with no Cache): replay must
-// actually re-execute, not serve a cached result.
+// attached, so a panic a campaign quarantined is diagnosable offline with
+// the whole event history: every cell is deterministic in its job, so the
+// re-run retraces the original. The engine should be memory-only
+// (NewEngine with no Cache): replay must actually re-execute, not serve a
+// cached result.
 //
 // Custom cell kinds replay too (their executor must be registered on
 // eng); the full-depth ring only captures simulator events for kinds

@@ -37,7 +37,7 @@ type chaosTally struct {
 	msgFaults, killsHolding, kills                  atomic.Int64
 }
 
-// TestChaosConvergence is the fabric's headline property test: across 100
+// TestChaosConvergence is the fabric's headline property test: across 40
 // seeded fault schedules — lost / dropped / duplicated / reordered /
 // corrupted messages, instantly-expiring grants, torn journal appends,
 // corrupt cache writes, and (every third seed) a worker killed mid-run —
@@ -50,7 +50,7 @@ func TestChaosConvergence(t *testing.T) {
 	tally := &chaosTally{}
 
 	t.Run("seeds", func(t *testing.T) {
-		for seed := uint64(0); seed < 100; seed++ {
+		for seed := uint64(0); seed < 40; seed++ {
 			seed := seed
 			t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 				t.Parallel()
