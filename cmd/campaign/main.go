@@ -330,6 +330,8 @@ func cmdStatus(args []string) error {
 	if cache, err := campaign.OpenCache(*cacheDir); err == nil {
 		if n, err := cache.Len(); err == nil {
 			fmt.Printf("cache: %d result file(s)\n", n)
+		} else {
+			fmt.Println(err)
 		}
 	}
 	if *verbose {
@@ -394,8 +396,10 @@ func cmdExport(args []string) error {
 }
 
 // cachedEntries returns every verified entry of the cache at dir for the
-// read-only views (export, inspect). Unlike OpenCache it never creates
-// dir, so a mistyped -cache path is an error, not a new empty cache.
+// read-only views (export, inspect), and fails when any entry is damaged
+// rather than show a view short of a cell. Unlike OpenCache it never
+// creates dir, so a mistyped -cache path is an error, not a new empty
+// cache.
 func cachedEntries(dir string) ([]campaign.Entry, error) {
 	if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("no cache at %s", dir)

@@ -27,9 +27,8 @@
 //   - enumexhaustive: every switch over an iota-declared enum covers all
 //     of its constants or carries an explicit default — the class of bug
 //     that silently drops a coherence-protocol transition.
-//   - wireenc: structs reaching json.Marshal (the manifest and fabric
-//     lease journals, checksummed cache entries, span JSONL, quarantine
-//     dumps) encode
+//   - wireenc: structs reaching json.Marshal (the manifest journal,
+//     checksummed cache entries, span JSONL, quarantine dumps) encode
 //     canonically — no interface-typed content (the dynamic type drifts
 //     across a round-trip) and no map keys outside encoding/json's
 //     sorted-key guarantee — so journal rows and cache checksums are

@@ -12,9 +12,8 @@ import (
 )
 
 // AnalyzerWireEnc guards the byte-determinism of everything this module
-// serializes as JSON: manifest and fabric lease journal rows, cache keys
-// and checksummed cache entries, span JSONL, and quarantine dumps. Those
-// bytes feed
+// serializes as JSON: manifest journal rows, cache keys and checksummed
+// cache entries, span JSONL, and quarantine dumps. Those bytes feed
 // content addresses and checksums, append-only journals that must replay
 // identically, and exports compared byte for byte across worker counts,
 // so a struct that can encode the same logical value two different ways
@@ -42,7 +41,7 @@ import (
 // accepted: encoding/json sorts those keys canonically.
 var AnalyzerWireEnc = &Analyzer{
 	Name:   "wireenc",
-	Doc:    "require canonical JSON encoding for structs reaching the manifest or lease journals, cache keys and entries, span JSONL, or quarantine dumps (no interface-typed content, ordered map keys)",
+	Doc:    "require canonical JSON encoding for structs reaching the manifest journal, cache keys and entries, span JSONL, or quarantine dumps (no interface-typed content, ordered map keys)",
 	Run:    runWireEnc,
 	Finish: finishWireEnc,
 }

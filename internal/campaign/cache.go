@@ -5,11 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
@@ -100,15 +98,16 @@ func OpenCache(dir string) (*Cache, error) {
 // Dir returns the cache root.
 func (c *Cache) Dir() string { return c.dir }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+func (c *Cache) path(key string) string { return entryPath(c.dir, key) }
+
+// entryPath is where the entry for key lives under the cache root dir.
+func entryPath(dir, key string) string {
+	return filepath.Join(dir, key[:2], key+".json")
 }
 
 // Verify re-derives the entry's checksum and reports whether it matches.
 // Entries written before SchemaVersion 4 have no Sum, but those fail the
-// schema check first, so an empty Sum here means tampering. The fabric
-// verifies every entry passed between a worker and the coordinator this
-// way — a peer's entry is trusted only after its bytes re-hash clean.
+// schema check first, so an empty Sum here means tampering.
 func (e Entry) Verify() bool {
 	want, err := checksum(e)
 	return err == nil && e.Sum == want
@@ -163,14 +162,12 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	return e, true
 }
 
-// NewEntry builds the checksummed cache entry for a finished job — the
-// canonical on-disk (and on-wire) representation of one cell's outcome.
-// The fabric sends these between workers and the coordinator; both sides
-// re-verify the checksum before trusting the bytes.
-func NewEntry(job Job, res sim.Result, aux json.RawMessage) (Entry, error) {
+// Put stores the result of job under its key as a checksummed entry. aux
+// is a custom cell kind's opaque payload (nil for plain simulation cells).
+func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
 	key, err := job.Key()
 	if err != nil {
-		return Entry{}, err
+		return err
 	}
 	rc := job.Config.Resolved()
 	e := Entry{
@@ -188,32 +185,8 @@ func NewEntry(job Job, res sim.Result, aux json.RawMessage) (Entry, error) {
 		e.Summary = Summarize(res)
 	}
 	if e.Sum, err = checksum(e); err != nil {
-		return Entry{}, err
-	}
-	return e, nil
-}
-
-// Put stores the result of job under its key. aux is a custom cell kind's
-// opaque payload (nil for plain simulation cells).
-func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
-	e, err := NewEntry(job, res, aux)
-	if err != nil {
 		return err
 	}
-	return c.PutEntry(e)
-}
-
-// PutEntry stores an already-built entry under its own key. The entry is
-// re-verified first: a caller holding a corrupt entry (a damaged wire
-// payload, a doctored file) gets an error instead of poisoning the store.
-func (c *Cache) PutEntry(e Entry) error {
-	if e.Schema != SchemaVersion {
-		return fmt.Errorf("campaign: cache put %s: schema %d, want %d", e.Key, e.Schema, SchemaVersion)
-	}
-	if len(e.Key) < 2 || !e.Verify() {
-		return fmt.Errorf("campaign: cache put %s: entry fails checksum verification", e.Key)
-	}
-	key := e.Key
 	data, err := json.MarshalIndent(e, "", " ")
 	if err != nil {
 		return fmt.Errorf("campaign: encoding cache entry: %w", err)
@@ -253,43 +226,20 @@ func (c *Cache) PutEntry(e Entry) error {
 }
 
 // Entries returns every cached entry, sorted by (workload, policy,
-// variant, seed) for deterministic export output.
+// variant, seed) for deterministic export output. Entries of other schema
+// versions are skipped, but a damaged entry file — what Fsck reports as
+// corrupt — fails the call, so an export is never silently short a cell.
 func (c *Cache) Entries() ([]Entry, error) {
-	var entries []Entry
-	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != c.dir && d.Name() == quarantineDirName {
-				return filepath.SkipDir // panic dumps, not result entries
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".json") {
-			return nil
-		}
-		if filepath.Dir(path) == c.dir {
-			return nil // manifest files live at the root
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		var e Entry
-		if err := json.Unmarshal(data, &e); err != nil || e.Schema != SchemaVersion {
-			return nil // skip torn/foreign files
-		}
-		if !e.Verify() {
-			c.noteCorrupt(path, "checksum mismatch")
-			return nil
-		}
-		entries = append(entries, e)
-		return nil
-	})
+	sc, err := scanCache(c.dir)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: scanning cache: %w", err)
 	}
+	if n := len(sc.corrupt); n > 0 {
+		f := sc.corrupt[0]
+		return nil, fmt.Errorf("campaign: cache at %s has %d damaged entr(ies), first %s (%s); `campaign fsck -prune` removes them and their cells re-simulate",
+			c.dir, n, f.Path, f.Reason)
+	}
+	entries := sc.clean
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
 		if a.Workload != b.Workload {

@@ -157,11 +157,10 @@ type JobResult struct {
 	// Aux is a custom cell kind's opaque result payload (nil for plain
 	// simulation cells); it round-trips through the memo and disk cache
 	// next to Result.
-	Aux      json.RawMessage
-	Err      error
-	Cached   bool // served from the disk cache or in-memory memo
-	Attempts int  // 1 when simulated, 0 for cache hits
-	Elapsed  time.Duration
+	Aux     json.RawMessage
+	Err     error
+	Cached  bool // served from the disk cache or in-memory memo
+	Elapsed time.Duration
 	// Quarantined marks a worker panic (an engine/model fault, not a bad
 	// cell config): the panic was recovered and a diagnostic dump was
 	// written to DumpPath.

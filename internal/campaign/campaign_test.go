@@ -201,7 +201,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Append(JobResult{Job: jobs[0], Key: mustKey(t, jobs[0]), Result: sim.Result{Cycles: 123}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(JobResult{Job: jobs[1], Key: mustKey(t, jobs[1]), Err: os.ErrDeadlineExceeded, Attempts: 2}); err != nil {
+	if err := m.Append(JobResult{Job: jobs[1], Key: mustKey(t, jobs[1]), Err: os.ErrDeadlineExceeded}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Save(); err != nil {
@@ -230,6 +230,27 @@ func TestManifestRoundTrip(t *testing.T) {
 	p, d, f, q = loaded.Counts()
 	if p != 1 || d != 1 || f != 0 || q != 0 {
 		t.Fatalf("counts after re-reconcile: pending=%d done=%d failed=%d quarantined=%d", p, d, f, q)
+	}
+
+	// Journals written by older binaries carry an "attempts" count per
+	// row; such a row must still load with its status, so their caches
+	// resume.
+	old := t.TempDir()
+	key := mustKey(t, jobs[1])
+	journal := `{"manifest":1,"grid":"quick","schema":4}` + "\n" +
+		`{"key":"` + key + `","rec":{"workload":"gcc","policy":"nonsecure","seed":1,"status":"failed","attempts":2,"err":"timeout"}}` + "\n"
+	if err := os.WriteFile(ManifestPath(old), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy, ok := LoadManifest(old)
+	if !ok {
+		t.Fatal("journal with attempts did not load")
+	}
+	if n := legacy.Dropped(); n != 0 {
+		t.Fatalf("journal with attempts: %d line(s) dropped", n)
+	}
+	if rec := legacy.Jobs[key]; rec == nil || rec.Status != StatusFailed || rec.Err != "timeout" {
+		t.Fatalf("row with attempts loaded as %+v, want failed with its error", rec)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/xrand"
 	"repro/sim"
 )
 
@@ -61,13 +60,6 @@ type Engine struct {
 	mu    sync.Mutex
 	memo  map[string]memoVal
 	cells map[CellKind]CellFunc
-	// openSpans parks each in-flight job's open root span under its cache
-	// key until the driver (Run / RunJob) collects it with takeSpan. The
-	// side channel exists so runJob can return a JobResult that carries no
-	// wall-clock-derived data at all — spans embed wall stamps, and a
-	// result free of them stays usable in hash/identity derivations
-	// downstream (fabric completion entries) without tripping detertaint.
-	openSpans map[string]*obs.Span
 
 	sims atomic.Int64
 
@@ -223,36 +215,6 @@ func (e *Engine) runAttempt(job Job, cfg sim.Config, faults *faultinject.Injecto
 	return memoVal{res: res}, err
 }
 
-// Backoff returns the delay before retry attempt n (1-based) of the
-// operation keyed by key: exponential in the attempt with up to 100%
-// jitter, all derived from (key, attempt) through xrand — so two runs
-// back off identically no matter how goroutines are scheduled. The
-// fabric worker uses it for lease-wait and heartbeat retry pacing, keyed
-// by the worker id, so a fleet of workers hammering one coordinator
-// desynchronizes deterministically.
-func Backoff(key string, attempt int, base time.Duration) time.Duration {
-	if base <= 0 || attempt <= 0 {
-		return 0
-	}
-	const maxBackoff = 2 * time.Second
-	d := base << uint(attempt-1)
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	r := xrand.New(xrand.Hash64(keySeed(key) ^ uint64(attempt)))
-	return d + time.Duration(r.Uint64n(uint64(d)))
-}
-
-// keySeed folds a cache key into an xrand seed (FNV-1a 64).
-func keySeed(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // quarantineDirName is the dump directory under the cache root.
 const quarantineDirName = "quarantine"
 
@@ -306,76 +268,42 @@ func (e *Engine) RunOne(job Job) (res sim.Result, cached bool, err error) {
 	return r.Result, r.Cached, r.Err
 }
 
-// stashSpan parks an in-flight job's open root span for the driver.
-func (e *Engine) stashSpan(key string, sp *obs.Span) {
-	if sp == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.openSpans == nil {
-		e.openSpans = make(map[string]*obs.Span)
-	}
-	e.openSpans[key] = sp
-}
-
-// takeSpan collects (and forgets) the open root span runJob parked for
-// key. Nil when the engine has no tracer, or the job never keyed.
-func (e *Engine) takeSpan(key string) *obs.Span {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sp := e.openSpans[key]
-	delete(e.openSpans, key)
-	return sp
-}
-
 // RunJob executes a single job through the memo and cache and returns the
-// full JobResult — including the custom-kind Aux payload, quarantine
-// state, and attempt count that RunOne flattens away. The fabric worker
-// runs leased cells through this entry point so a completion message can
-// carry everything the coordinator journals.
-//
-// The returned result carries no Elapsed measurement and no span handle:
-// keeping wall-clock-derived values out of this value means everything
-// built from it — fabric completion messages, cache entries rebuilt from
-// Result/Aux — stays free of wall taint (detertaint tracks this
-// transitively). Batch callers that want per-job wall cost stamp it
-// themselves, as Run does.
+// full JobResult — including the custom-kind Aux payload and quarantine
+// state that RunOne flattens away. It carries no Elapsed measurement:
+// batch callers that want per-job wall cost stamp it themselves, as Run
+// does.
 func (e *Engine) RunJob(job Job) JobResult {
-	r := e.runJob(job)
-	e.takeSpan(r.Key).End()
+	r, root := e.runJob(job)
+	root.End()
 	return r
 }
 
-// runJob executes one job. The job's root trace span is deliberately NOT
-// part of the return value — spans carry wall-clock stamps, and a tainted
-// span riding in (or alongside) the result would poison every downstream
-// identity derivation for the taint analysis. It is parked under the
-// job's key instead; the driver collects it with takeSpan, appends its
-// journal stage, and ends it.
-func (e *Engine) runJob(job Job) JobResult {
+// runJob executes one job and returns its result with the job's root
+// trace span still open (nil without a tracer), so the caller can add its
+// journal stage before ending it.
+func (e *Engine) runJob(job Job) (JobResult, *obs.Span) {
 	key, kerr := job.Key()
 	if kerr != nil {
-		return JobResult{Job: job, Err: kerr}
+		return JobResult{Job: job, Err: kerr}, nil
 	}
 	// One trace per cell, rooted at the content key: the span tree below
 	// (lease → cache-probe → simulate → verify) is identical across
 	// worker counts because every identity derives from key and stage
 	// name, never from scheduling. The root is left open here — Run (or
-	// RunOne) ends it after the journal-append stage. The e.Trace != nil
+	// RunJob) ends it after the journal-append stage. The e.Trace != nil
 	// guard keeps job.String() off the untraced hot path (it allocates).
 	var root *obs.Span
 	if e.Trace != nil {
 		root = e.Trace.Trace(job.String(), key)
 		root.Child("lease").End()
-		e.stashSpan(key, root)
 	}
 	probe := root.Child("cache-probe")
 	val, hit := e.lookup(key)
 	probe.SetAttr("hit", strconv.FormatBool(hit))
 	probe.End()
 	if hit {
-		return JobResult{Job: job, Key: key, Result: val.res, Aux: val.aux, Cached: true}
+		return JobResult{Job: job, Key: key, Result: val.res, Aux: val.aux, Cached: true}, root
 	}
 	faults := e.Faults.Child(key)
 	cfg := job.Config
@@ -400,17 +328,17 @@ func (e *Engine) runJob(job Job) JobResult {
 	sp.End()
 	// The error is not wrapped with the job name: every consumer
 	// (reporter, manifest, CLI failure listing) prints jr.Job alongside.
-	jr := JobResult{Job: job, Key: key, Attempts: 1, Err: err}
+	jr := JobResult{Job: job, Key: key, Err: err}
 	if pe != nil {
 		// A panic is an engine/model fault, not a bad cell: quarantine
 		// it with the evidence.
 		root.SetAttr("quarantined", "true")
 		jr.Quarantined = true
 		jr.DumpPath = e.writeQuarantineDump(job, key, pe, cfg.Metrics)
-		return jr
+		return jr, root
 	}
 	if err != nil {
-		return jr
+		return jr, root
 	}
 	jr.Result = val.res
 	jr.Aux = val.aux
@@ -426,7 +354,7 @@ func (e *Engine) runJob(job Job) JobResult {
 			e.Reporter.Warn(fmt.Sprintf("cache write failed for %s: %v", job, serr))
 		}
 	}
-	return jr
+	return jr, root
 }
 
 // Run executes jobs on the worker pool and returns their results in job
@@ -470,8 +398,7 @@ func (e *Engine) Run(jobs []Job) []JobResult {
 					return
 				}
 				start := time.Now()
-				jr := e.runJob(jobs[i])
-				sp := e.takeSpan(jr.Key)
+				jr, sp := e.runJob(jobs[i])
 				jr.Elapsed = time.Since(start)
 				results[i] = jr
 				if e.Manifest != nil {

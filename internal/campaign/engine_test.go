@@ -175,8 +175,8 @@ func TestResumeAfterPartialFailure(t *testing.T) {
 	if len(failed) != 1 || failed[0].Job.Workload != "no-such-workload" {
 		t.Fatalf("failed set: %+v", failed)
 	}
-	if failed[0].Attempts != 1 {
-		t.Fatalf("failed job attempted %d times, want 1", failed[0].Attempts)
+	if got := eng.Simulations(); got != int64(len(jobs)) {
+		t.Fatalf("run simulated %d times for %d cells, want one each (the bad cell attempted once)", got, len(jobs))
 	}
 	for _, r := range results {
 		if r.Job.Workload != "no-such-workload" && r.Err != nil {
@@ -218,15 +218,15 @@ func TestMaxCyclesFailsInOneAttempt(t *testing.T) {
 	job := Job{Workload: "astar", Config: sim.Config{
 		Policy: sim.NonSecure, Instructions: 6_000, NoWarmup: true, MaxCycles: 64}}
 	want := job.Config
-	jr := eng.runJob(job)
+	jr := eng.RunJob(job)
 	if jr.Err == nil {
 		t.Fatal("run succeeded under a 64-cycle budget")
 	}
-	if jr.Attempts != 1 || eng.Simulations() != 1 {
-		t.Fatalf("attempts = %d, simulations = %d, want 1 each", jr.Attempts, eng.Simulations())
+	if got := eng.Simulations(); got != 1 {
+		t.Fatalf("simulations = %d, want 1", got)
 	}
 	if !reflect.DeepEqual(job.Config, want) {
-		t.Fatalf("runJob mutated the caller's job config: %+v", job.Config)
+		t.Fatalf("RunJob mutated the caller's job config: %+v", job.Config)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestPanicQuarantine(t *testing.T) {
 	if !r.Quarantined || r.Err == nil {
 		t.Fatalf("want quarantined result, got %+v", r)
 	}
-	if r.Attempts != 1 {
-		t.Fatalf("quarantined job attempted %d times, want 1", r.Attempts)
+	if got := eng.Simulations(); got != 1 {
+		t.Fatalf("quarantined job simulated %d times, want 1", got)
 	}
 	if len(Failed(results)) != 0 {
 		t.Fatal("quarantined result leaked into Failed()")

@@ -106,19 +106,22 @@ type FsckOptions struct {
 	Deep bool
 }
 
-// Fsck scans a cache directory for corruption the way reads would detect
-// it — unparseable entries, checksum mismatches, entries filed under the
-// wrong key or shard, temp-file orphans, torn manifest lines — and
-// reports everything found. With Prune set, corrupt entries and orphans
-// are deleted (they will simply re-simulate); valid entries from other
-// schema versions are reported but never pruned. Deep adds the
-// journal/store cross-check (see FsckOptions).
-func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
-	rep := &FsckReport{Dir: dir, Deep: opts.Deep}
-	verified := make(map[string]string) // entry key -> path, current schema only
-	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("campaign: fsck: %w", err)
-	}
+// cacheScan is one walk over a cache directory's entry shards, each file
+// classified the way a read would judge it. Fsck reports it whole;
+// Cache.Entries serves its clean entries and refuses a scan with corrupt
+// ones, so the two can never disagree about what is damaged.
+type cacheScan struct {
+	scanned int     // entry files examined
+	clean   []Entry // current-schema entries that verified
+	foreign int     // valid entries from other schema versions
+	corrupt []Flaw  // unparseable / misfiled / checksum-mismatched entries
+	orphans []Flaw  // leftover temp files from interrupted writes
+}
+
+// scanCache walks dir, skipping the quarantine dumps and the manifest
+// files at the root, and classifies every entry file.
+func scanCache(dir string) (*cacheScan, error) {
+	sc := &cacheScan{}
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -131,46 +134,66 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		}
 		name := d.Name()
 		if isTempFile(name) {
-			rep.Orphans = append(rep.Orphans, Flaw{Path: path, Reason: "interrupted atomic write"})
+			sc.orphans = append(sc.orphans, Flaw{Path: path, Reason: "interrupted atomic write"})
 			return nil
 		}
-		if filepath.Dir(path) == dir {
-			return nil // manifest files live at the root, checked below
+		if filepath.Dir(path) == dir || !strings.HasSuffix(name, ".json") {
+			return nil // manifest files live at the root
 		}
-		if !strings.HasSuffix(name, ".json") {
-			return nil
-		}
-		rep.Scanned++
+		sc.scanned++
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
 		var e Entry
 		if err := json.Unmarshal(data, &e); err != nil {
-			rep.Corrupt = append(rep.Corrupt, Flaw{Path: path, Reason: fmt.Sprintf("unparseable: %v", err)})
+			sc.corrupt = append(sc.corrupt, Flaw{Path: path, Reason: fmt.Sprintf("unparseable: %v", err)})
 			return nil
 		}
 		if e.Schema != SchemaVersion {
-			rep.Foreign++
+			sc.foreign++
 			return nil
 		}
-		if len(e.Key) < 2 || name != e.Key+".json" || filepath.Base(filepath.Dir(path)) != e.Key[:2] {
-			rep.Corrupt = append(rep.Corrupt, Flaw{Path: path, Reason: fmt.Sprintf("misfiled: entry key %s", e.Key)})
+		if len(e.Key) < 2 || path != entryPath(dir, e.Key) {
+			sc.corrupt = append(sc.corrupt, Flaw{Path: path, Reason: fmt.Sprintf("misfiled: entry key %s", e.Key)})
 			return nil
 		}
 		if !e.Verify() {
-			rep.Corrupt = append(rep.Corrupt, Flaw{Path: path, Reason: "checksum mismatch"})
+			sc.corrupt = append(sc.corrupt, Flaw{Path: path, Reason: "checksum mismatch"})
 			return nil
 		}
-		rep.OK++
-		verified[e.Key] = path
+		sc.clean = append(sc.clean, e)
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+	sortFlaws(sc.corrupt)
+	sortFlaws(sc.orphans)
+	return sc, nil
+}
+
+// Fsck scans a cache directory for corruption the way reads would detect
+// it — unparseable entries, checksum mismatches, entries filed under the
+// wrong key or shard, temp-file orphans, torn manifest lines — and
+// reports everything found. With Prune set, corrupt entries and orphans
+// are deleted (they will simply re-simulate); valid entries from other
+// schema versions are reported but never pruned. Deep adds the
+// journal/store cross-check (see FsckOptions).
+func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
+	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("campaign: fsck: %w", err)
 	}
-	sortFlaws(rep.Corrupt)
-	sortFlaws(rep.Orphans)
+	sc, err := scanCache(dir)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: fsck: %w", err)
+	}
+	rep := &FsckReport{Dir: dir, Deep: opts.Deep, Scanned: sc.scanned, OK: len(sc.clean),
+		Foreign: sc.foreign, Corrupt: sc.corrupt, Orphans: sc.orphans}
+	verified := make(map[string]string, len(sc.clean)) // entry key -> path
+	for _, e := range sc.clean {
+		verified[e.Key] = entryPath(dir, e.Key)
+	}
 
 	m, manifestOK := LoadManifest(dir)
 	if manifestOK {

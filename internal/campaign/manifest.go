@@ -31,7 +31,6 @@ type JobRecord struct {
 	Variant  string     `json:"variant,omitempty"`
 	Seed     uint64     `json:"seed"`
 	Status   string     `json:"status"`
-	Attempts int        `json:"attempts,omitempty"`
 	Cached   bool       `json:"cached,omitempty"`
 	Err      string     `json:"err,omitempty"`
 	Cycles   uint64     `json:"cycles,omitempty"`
@@ -167,7 +166,6 @@ func (m *Manifest) recordLocked(r JobResult) *JobRecord {
 		Variant:  r.Job.Variant,
 		Seed:     rc.Seed,
 		Status:   StatusDone,
-		Attempts: r.Attempts,
 		Cached:   r.Cached,
 		Cycles:   r.Result.Cycles,
 		IPC:      r.Result.IPC,
@@ -183,13 +181,6 @@ func (m *Manifest) recordLocked(r JobResult) *JobRecord {
 	}
 	m.Jobs[r.Key] = rec
 	return rec
-}
-
-// Record updates one job's outcome in memory only (Append also persists).
-func (m *Manifest) Record(r JobResult) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recordLocked(r)
 }
 
 // Append updates one job's outcome and appends it to the journal — a
@@ -312,19 +303,6 @@ func (m *Manifest) Save() error {
 		return fmt.Errorf("campaign: saving manifest: %w", err)
 	}
 	return nil
-}
-
-// Close releases the journal handle (flushing is the OS's job: every
-// append was a direct write).
-func (m *Manifest) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.journal == nil {
-		return nil
-	}
-	err := m.journal.Close()
-	m.journal = nil
-	return err
 }
 
 // Counts returns the number of jobs per status.

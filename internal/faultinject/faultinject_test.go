@@ -198,7 +198,7 @@ func TestStrings(t *testing.T) {
 			t.Errorf("site %d bad name %q", s, name)
 		}
 	}
-	kinds := []Kind{KindNone, KindError, KindCorrupt, KindTruncate, KindPanic, KindStall, KindDrop, KindDuplicate, KindReorder}
+	kinds := []Kind{KindNone, KindError, KindCorrupt, KindTruncate, KindPanic, KindStall}
 	seen := make(map[string]bool)
 	for _, k := range kinds {
 		if seen[k.String()] {

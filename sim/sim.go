@@ -258,6 +258,11 @@ func checkKnobs(cfg Config, hcfg memsys.Config) error {
 		return fmt.Errorf("sim: DisableRestore applies only to policy %q, not %q", CleanupSpec, cfg.Policy)
 	case cfg.ConstantTimeCleanup != 0 && cfg.Policy != CleanupSpec:
 		return fmt.Errorf("sim: ConstantTimeCleanup applies only to policy %q, not %q", CleanupSpec, cfg.Policy)
+	case cfg.ConstantTimeCleanup >= cfg.WatchdogWindow:
+		// Every squash stalls commit for at least the pad, so the first
+		// one would trip the forward-progress watchdog. Shorter pads can
+		// still livelock against it; that stays the watchdog's call.
+		return fmt.Errorf("sim: ConstantTimeCleanup %d must be below WatchdogWindow %d, or the first padded squash trips the forward-progress watchdog", cfg.ConstantTimeCleanup, cfg.WatchdogWindow)
 	case cfg.L1PartitionWays < 0 || cfg.L1PartitionWays > 0 && hcfg.L1.Ways%cfg.L1PartitionWays != 0:
 		return fmt.Errorf("sim: L1PartitionWays %d must be 0 or divide the L1's %d ways", cfg.L1PartitionWays, hcfg.L1.Ways)
 	case cfg.L2RemapEvery != 0 && !hcfg.RandomizeL2:

@@ -206,6 +206,9 @@ func TestConfigKnobsChecked(t *testing.T) {
 		{"DisableRestore under nonsecure", Config{Policy: NonSecure, DisableRestore: true}, "DisableRestore"},
 		{"ConstantTimeCleanup under nonsecure", Config{Policy: NonSecure, ConstantTimeCleanup: 50}, "ConstantTimeCleanup"},
 		{"ConstantTimeCleanup under delay-all", Config{Policy: DelayAll, ConstantTimeCleanup: 50}, "ConstantTimeCleanup"},
+		{"cleanup pad 1<<62 at the default watchdog", Config{Policy: CleanupSpec, ConstantTimeCleanup: 1 << 62}, "WatchdogWindow"},
+		{"cleanup pad equal to the default watchdog", Config{Policy: CleanupSpec, ConstantTimeCleanup: 200_000}, "WatchdogWindow"},
+		{"cleanup pad equal to a set watchdog", Config{Policy: CleanupSpec, ConstantTimeCleanup: 5_000, WatchdogWindow: 5_000}, "WatchdogWindow"},
 
 		{"ablation constant-time cleanup", Config{Policy: CleanupSpec, ConstantTimeCleanup: 50}, ""},
 		{"ablation and digest NoMo partition", Config{Policy: CleanupSpec, L1PartitionWays: 4}, ""},
