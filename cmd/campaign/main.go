@@ -11,7 +11,6 @@
 //	campaign status -cache .campaign
 //	campaign export -cache .campaign -csv all.csv
 //	campaign inspect -cache .campaign
-//	campaign inspect -spans spans.jsonl -top 5
 //	campaign fsck   -cache .campaign -prune
 //
 // Grids: all | paper | headline | quick (see internal/campaign.GridByName).
@@ -29,8 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/sim"
 )
@@ -75,7 +72,7 @@ func usage() {
   campaign run    [flags]   expand a grid and run the missing cells
   campaign status [flags]   show per-job status from a cache's manifest
   campaign export [flags]   dump every cached result as CSV
-  campaign inspect [flags]  per-cell summaries of a cache, or a span file's slowest cells
+  campaign inspect [flags]  per-cell summaries of a cache
   campaign fsck   [flags]   scan a cache for corrupt/orphaned entries
   campaign replay [flags] <dump>  re-run a quarantined cell, full-depth trace
 
@@ -89,8 +86,6 @@ run flags:
   -cache dir          durable result cache (default ".campaign"; "" = memory only)
   -csv file           write per-cell results as CSV ("-" = stdout)
   -q                  suppress progress lines
-  -span-out file      write the run's span trace as JSONL
-  -span-trace file    write the run's span trace as Chrome trace JSON
 
 status/export flags:
   -cache dir          cache directory (default ".campaign")
@@ -99,9 +94,6 @@ status/export flags:
 
 inspect flags:
   -cache dir          cache directory (default ".campaign")
-  -spans file         span JSONL from "campaign run -span-out": render the
-                      top-N slowest cells and the per-stage breakdown
-  -top N              with -spans: slowest cells to list (default 10)
 
 fsck flags:
   -cache dir          cache directory (default ".campaign")
@@ -140,8 +132,6 @@ func cmdRun(args []string) error {
 		cacheDir     = fs.String("cache", ".campaign", "result cache directory (empty = memory only)")
 		csvOut       = fs.String("csv", "", "write per-cell results as CSV to this file (- = stdout)")
 		quiet        = fs.Bool("q", false, "suppress progress lines")
-		spanOut      = fs.String("span-out", "", "write the run's span trace as JSONL to this file")
-		spanTrace    = fs.String("span-trace", "", "write the run's span trace as Chrome trace JSON to this file")
 	)
 	fs.Parse(args)
 
@@ -176,23 +166,9 @@ func cmdRun(args []string) error {
 		}
 	}
 
-	// Either span flag turns the span plane on; with neither set the
-	// engine keeps its zero-alloc untraced hot path.
-	var sink *obs.Sink
-	if *spanOut != "" || *spanTrace != "" {
-		sink = obs.NewSink()
-		eng.Trace = obs.NewTracer(sink)
-	}
-
 	fmt.Fprintf(os.Stderr, "campaign: grid %q: %d workload(s) x %d policy(ies) x %d seed(s) = %d job(s), %d worker(s)\n",
 		grid.Name, len(grid.Workloads), len(grid.Policies), max(1, len(grid.Seeds)), len(jobs), workers(*parallel))
 	results := eng.Run(jobs)
-
-	if sink != nil {
-		if err := writeSpans(sink, *spanOut, *spanTrace); err != nil {
-			return err
-		}
-	}
 
 	fmt.Println(campaign.SummaryTable(results).String())
 
@@ -234,46 +210,6 @@ func cmdRun(args []string) error {
 	}
 	if n := len(failed) + len(quarantined); n > 0 {
 		return fmt.Errorf("%d of %d jobs did not complete (rerun to retry just those cells)", n, len(results))
-	}
-	return nil
-}
-
-// writeSpans exports the collected span trace: JSONL in canonical span
-// order (wall-clock durations preserved — only the order is normalized)
-// and/or Chrome trace JSON for the Perfetto UI.
-func writeSpans(sink *obs.Sink, jsonlPath, chromePath string) error {
-	spans := sink.Spans()
-	obs.SortCanonical(spans)
-	if st := sink.Stats(); st.Dropped > 0 {
-		fmt.Fprintf(os.Stderr, "campaign: warning: span sink dropped %d span(s) (cap %d)\n", st.Dropped, sink.MaxSpans)
-	}
-	if jsonlPath != "" {
-		f, err := os.Create(jsonlPath)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteJSONL(f, spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "campaign: wrote %d span(s) to %s\n", len(spans), jsonlPath)
-	}
-	if chromePath != "" {
-		f, err := os.Create(chromePath)
-		if err != nil {
-			return err
-		}
-		if err := metrics.WriteChromeEvents(f, obs.ChromeEvents(spans, 1)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "campaign: wrote Chrome trace to", chromePath)
 	}
 	return nil
 }
@@ -437,9 +373,8 @@ func resolveGrid(gridName, workloadsF, policiesF, seedsF string, instructions ui
 		}
 	}
 	if policiesF != "" {
-		grid.Policies = nil
-		for _, p := range campaign.ParseList(policiesF) {
-			grid.Policies = append(grid.Policies, sim.Policy(p))
+		if grid.Policies, err = campaign.ParsePolicies(policiesF); err != nil {
+			return campaign.Grid{}, nil, err
 		}
 	}
 	jobs := grid.Jobs()

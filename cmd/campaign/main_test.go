@@ -86,3 +86,13 @@ func TestViewsRefuseADamagedCache(t *testing.T) {
 		t.Errorf("export wrote a partial CSV (stat: %v)", err)
 	}
 }
+
+// TestRunRejectsUnknownPolicy: a mistyped -policies name must fail the
+// run before any cell simulates, like a mistyped -workloads name, instead
+// of journaling failed cells that can never succeed.
+func TestRunRejectsUnknownPolicy(t *testing.T) {
+	_, _, err := resolveGrid("quick", "", "nonsecure,bogus", "", 0)
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("err = %v, want one naming \"bogus\"", err)
+	}
+}

@@ -11,12 +11,12 @@
 // paired with restore writes reachable from the cleanup path),
 // enumexhaustive (switches over iota enums cover every constant or
 // declare a default), wireenc (structs reaching the manifest journal,
-// cache keys and entries, span JSONL, or quarantine dumps carry no
-// interface-typed content or unordered map keys, and custom MarshalJSON
-// bodies no map ranges, so journal rows and cache checksums encode
-// canonically), hotalloc (no unjustified allocation — make/new/composite
-// literals, growing appends, interface boxing, closures, fmt calls —
-// reachable from the per-cycle hot roots; see -hotreport), cyclemath
+// cache keys and entries, or quarantine dumps carry no interface-typed
+// content or unordered map keys, and custom MarshalJSON bodies no map
+// ranges, so journal rows and cache checksums encode canonically),
+// hotalloc (no unjustified allocation — make/new/composite literals,
+// growing appends, interface boxing, closures, fmt calls — reachable
+// from the per-cycle hot roots; see -hotreport), cyclemath
 // (uint64 cycle subtraction dominated by a provable a>=b guard, no
 // signed<->unsigned cycle conversions, latency and cycle fields typed
 // uint64), and staledirective (suppressions that no longer suppress

@@ -110,28 +110,6 @@ func policyNames() string {
 	return strings.Join(names, " ")
 }
 
-func parsePolicies(s string) ([]sim.Policy, error) {
-	if s == "" {
-		return nil, nil
-	}
-	known := make(map[sim.Policy]bool)
-	for _, p := range sim.Policies() {
-		known[p] = true
-	}
-	var out []sim.Policy
-	for _, f := range strings.Split(s, ",") {
-		p := sim.Policy(strings.TrimSpace(f))
-		if p == "" {
-			continue
-		}
-		if !known[p] {
-			return nil, fmt.Errorf("unknown policy %q (valid: %s)", p, policyNames())
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("specfuzz run", flag.ExitOnError)
 	var (
@@ -148,7 +126,7 @@ func cmdRun(args []string) error {
 	)
 	fs.Parse(args)
 
-	policies, err := parsePolicies(*policiesF)
+	policies, err := campaign.ParsePolicies(*policiesF)
 	if err != nil {
 		return err
 	}
@@ -260,7 +238,7 @@ func cmdMinimize(args []string) error {
 	if *corpusIn == "" {
 		return fmt.Errorf("minimize: -corpus is required")
 	}
-	pols, err := parsePolicies(*policyF)
+	pols, err := campaign.ParsePolicies(*policyF)
 	if err != nil {
 		return err
 	}
@@ -319,15 +297,15 @@ func cmdCorpus(args []string) error {
 		return fmt.Errorf("corpus: %s has no entries", *inF)
 	}
 
-	policies, err := parsePolicies(*policiesF)
+	policies, err := campaign.ParsePolicies(*policiesF)
 	if err != nil {
 		return err
 	}
-	mustLeak, err := parsePolicies(*requireLeak)
+	mustLeak, err := campaign.ParsePolicies(*requireLeak)
 	if err != nil {
 		return err
 	}
-	mustClean, err := parsePolicies(*requireClean)
+	mustClean, err := campaign.ParsePolicies(*requireClean)
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,8 @@
 //     (see determinism.go).
 //   - detertaint: wall-clock reads, math/rand and maps.Keys/Values
 //     iterators are tracked as taint through calls, fields and closures,
-//     and reported where they reach a cache key, a seed or span ID, or a
-//     Stats field; direct math/rand calls are always reported.
+//     and reported where they reach a cache key, a seed, or a Stats
+//     field; direct math/rand calls are always reported.
 //   - metricscomplete: every exported numeric Stats field reaches the
 //     metrics registry in its package's AttachMetrics, so new counters
 //     cannot silently drop out of the sampler and Perfetto exports.
@@ -28,10 +28,10 @@
 //     of its constants or carries an explicit default — the class of bug
 //     that silently drops a coherence-protocol transition.
 //   - wireenc: structs reaching json.Marshal (the manifest journal,
-//     checksummed cache entries, span JSONL, quarantine dumps) encode
-//     canonically — no interface-typed content (the dynamic type drifts
-//     across a round-trip) and no map keys outside encoding/json's
-//     sorted-key guarantee — so journal rows and cache checksums are
+//     checksummed cache entries, quarantine dumps) encode canonically —
+//     no interface-typed content (the dynamic type drifts across a
+//     round-trip) and no map keys outside encoding/json's sorted-key
+//     guarantee — so journal rows and cache checksums are
 //     byte-stable.
 //   - hotalloc: no allocation site (make/new/literals/append/interface
 //     boxing/closures/fmt) is reachable from the declared per-cycle hot

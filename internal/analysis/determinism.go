@@ -29,7 +29,7 @@ import (
 // Ambient-nondeterminism sources (time.Now, math/rand) are no longer
 // flagged syntactically here: the detertaint analyzer tracks them
 // interprocedurally and reports only flows that actually reach
-// determinism-sensitive sinks (cache keys, span identity, stats), so
+// determinism-sensitive sinks (cache keys, seeds, stats), so
 // reporting-only wall-clock reads need no directive at all.
 var AnalyzerDeterminism = &Analyzer{
 	Name: "determinism",

@@ -26,23 +26,23 @@ import (
 //
 //   - seed/identity derivation: arguments to xrand.Hash*/xrand.New and to
 //     crypto hash inputs (sha256.Sum256 and friends, hash.Hash.Write) —
-//     the repo's cache keys, span IDs, and replacement decisions all
-//     derive from these;
+//     the repo's cache keys, seeds and replacement decisions all derive
+//     from these;
 //   - stats accumulation: assignments into fields of *Stats structs;
 //   - sink parameters: a parameter that (transitively) flows into one of
 //     the above inside its function makes every call site a sink too —
-//     campaign.Key and the span-ID helpers become sinks automatically.
+//     campaign.Key becomes a sink automatically.
 //
 // Because only source→sink *flows* are findings, reporting-only wall
-// reads (progress ETA, span wall stamps that the canonical export form
-// strips) are proven safe and need no directive — the syntactic time.Now
-// check this replaces demanded one at every such site. Direct calls into
-// math/rand are still reported unconditionally: simulator randomness must
-// flow through explicitly seeded internal/xrand generators, and there is
-// no reporting-only excuse for ambient randomness. JSONL export is
-// deliberately NOT a wall sink: exports may carry wall stamps as long as
-// their canonical comparison form strips them, which the byte-identity
-// tests enforce.
+// reads (progress ETA, the journal's per-cell wall time) are proven safe
+// and need no directive — the syntactic time.Now check this replaces
+// demanded one at every such site. Direct calls into math/rand are still
+// reported unconditionally: simulator randomness must flow through
+// explicitly seeded internal/xrand generators, and there is no
+// reporting-only excuse for ambient randomness. JSONL output is
+// deliberately NOT a wall sink: the manifest journal carries each cell's
+// wall time, and the exports the byte-identity tests compare leave it
+// out.
 var AnalyzerDeterTaint = &Analyzer{
 	Name: "detertaint",
 	Doc:  "track wall-clock, math/rand, and map-order taint through calls, fields, and closures into key/ID/stats sinks",

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // AnalyzerMetricsComplete guards the full-depth-observability contract:
@@ -14,9 +13,7 @@ import (
 //
 // For each method AttachMetrics(reg *metrics.Registry, …) the analyzer
 // determines the receiver's stat carriers — its fields named Stats or
-// Traffic whose types are structs, any field (exported or not) whose named
-// type ends in "Stats" (the internal/obs style: `stats SinkStats` guarded
-// by the receiver's own mutex), or, when it has none of those (the MSHR
+// Traffic whose types are structs, or, when it has none of those (the MSHR
 // style), the receiver struct itself — and requires every exported numeric
 // field of each carrier to be referenced somewhere in the AttachMetrics
 // body (pointer binding, CounterFunc closure, GaugeFunc closure all count).
@@ -79,15 +76,13 @@ func firstParamIsRegistry(sig *types.Signature) bool {
 }
 
 // statCarriers returns the structs whose exported numeric fields must all
-// be registered: the receiver's Stats/Traffic fields when present, fields
-// of a named *Stats type (obs's `stats SinkStats` — the counters are
-// exported through an accessor while the field itself stays behind the
-// mutex), otherwise the receiver struct itself.
+// be registered: the receiver's Stats/Traffic fields when present,
+// otherwise the receiver struct itself.
 func statCarriers(recv *types.Struct) []*types.Struct {
 	var out []*types.Struct
 	for i := 0; i < recv.NumFields(); i++ {
 		f := recv.Field(i)
-		if !isStatCarrierField(f) {
+		if f.Name() != "Stats" && f.Name() != "Traffic" {
 			continue
 		}
 		if s, ok := f.Type().Underlying().(*types.Struct); ok {
@@ -98,18 +93,6 @@ func statCarriers(recv *types.Struct) []*types.Struct {
 		out = append(out, recv)
 	}
 	return out
-}
-
-// isStatCarrierField matches both carrier conventions: a field named Stats
-// or Traffic (the cache/MSHR style), or a field whose named type ends in
-// "Stats" regardless of the field's own name or exportedness (the obs
-// style, where the carrier hides behind a mutex and an accessor).
-func isStatCarrierField(f *types.Var) bool {
-	if f.Name() == "Stats" || f.Name() == "Traffic" {
-		return true
-	}
-	named, ok := f.Type().(*types.Named)
-	return ok && strings.HasSuffix(named.Obj().Name(), "Stats")
 }
 
 // referencedFields collects every struct field selected anywhere in body.

@@ -38,26 +38,3 @@ func (q *Queue) AttachMetrics(reg *metrics.Registry) {
 	reg.BindCounter("q.allocs", &q.Allocs)
 	reg.GaugeFunc("q.depth", func() float64 { return float64(q.depth) })
 }
-
-// SinkStats mirrors the internal/obs carrier idiom: the carrier is an
-// unexported field of a named *Stats type, read through closures.
-type SinkStats struct {
-	Started uint64
-	Ended   uint64
-	Dropped uint64 // want `exported counter Dropped is never bound`
-}
-
-// Sink carries its stats in an unexported field; the exported numeric
-// MaxSpans knob must NOT be treated as a counter once that carrier is
-// recognized.
-type Sink struct {
-	MaxSpans int
-	stats    SinkStats
-}
-
-// AttachMetrics binds Started and Ended but forgets Dropped.
-func (s *Sink) AttachMetrics(reg *metrics.Registry) {
-	st := &s.stats
-	reg.CounterFunc("sink.started", func() uint64 { return st.Started })
-	reg.CounterFunc("sink.ended", func() uint64 { return st.Ended })
-}

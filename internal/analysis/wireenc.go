@@ -13,11 +13,11 @@ import (
 
 // AnalyzerWireEnc guards the byte-determinism of everything this module
 // serializes as JSON: manifest journal rows, cache keys and checksummed
-// cache entries, span JSONL, and quarantine dumps. Those bytes feed
-// content addresses and checksums, append-only journals that must replay
-// identically, and exports compared byte for byte across worker counts,
-// so a struct that can encode the same logical value two different ways
-// is a latent divergence bug.
+// cache entries, and quarantine dumps. Those bytes feed content addresses
+// and checksums, append-only journals that must replay identically, and
+// exports compared byte for byte across worker counts, so a struct that
+// can encode the same logical value two different ways is a latent
+// divergence bug.
 //
 // The analyzer seeds on every static json.Marshal / json.Unmarshal /
 // (*json.Encoder).Encode / (*json.Decoder).Decode call site, then walks
@@ -41,7 +41,7 @@ import (
 // accepted: encoding/json sorts those keys canonically.
 var AnalyzerWireEnc = &Analyzer{
 	Name:   "wireenc",
-	Doc:    "require canonical JSON encoding for structs reaching the manifest journal, cache keys and entries, span JSONL, or quarantine dumps (no interface-typed content, ordered map keys)",
+	Doc:    "require canonical JSON encoding for structs reaching the manifest journal, cache keys and entries, or quarantine dumps (no interface-typed content, ordered map keys)",
 	Run:    runWireEnc,
 	Finish: finishWireEnc,
 }

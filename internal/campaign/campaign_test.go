@@ -350,6 +350,7 @@ func TestParseSeeds(t *testing.T) {
 		{"0..3", nil, true},
 		{"a,b", nil, true},
 		{"1..99999", nil, true},
+		{"18446744073709551614..18446744073709551615", []uint64{1<<64 - 2, 1<<64 - 1}, false},
 	}
 	for _, c := range cases {
 		got, err := ParseSeeds(c.in)

@@ -8,13 +8,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 	"repro/sim"
 )
 
@@ -49,13 +47,6 @@ type Engine struct {
 	// derives a child injector keyed by its cache key, so which worker
 	// picks up a job never changes the faults it sees.
 	Faults *faultinject.Injector
-	// Trace, when non-nil, emits one span tree per job — lease →
-	// cache-probe → simulate → verify → journal-append —
-	// into its obs.Sink. Span identities are content-derived from the
-	// job's cache key, so the canonical span stream is byte-identical
-	// across worker counts; a nil tracer costs one nil check per stage
-	// and zero allocations (pinned by the obs benchmarks).
-	Trace *obs.Tracer
 
 	mu    sync.Mutex
 	memo  map[string]memoVal
@@ -274,36 +265,13 @@ func (e *Engine) RunOne(job Job) (res sim.Result, cached bool, err error) {
 // batch callers that want per-job wall cost stamp it themselves, as Run
 // does.
 func (e *Engine) RunJob(job Job) JobResult {
-	r, root := e.runJob(job)
-	root.End()
-	return r
-}
-
-// runJob executes one job and returns its result with the job's root
-// trace span still open (nil without a tracer), so the caller can add its
-// journal stage before ending it.
-func (e *Engine) runJob(job Job) (JobResult, *obs.Span) {
 	key, kerr := job.Key()
 	if kerr != nil {
-		return JobResult{Job: job, Err: kerr}, nil
+		return JobResult{Job: job, Err: kerr}
 	}
-	// One trace per cell, rooted at the content key: the span tree below
-	// (lease → cache-probe → simulate → verify) is identical across
-	// worker counts because every identity derives from key and stage
-	// name, never from scheduling. The root is left open here — Run (or
-	// RunJob) ends it after the journal-append stage. The e.Trace != nil
-	// guard keeps job.String() off the untraced hot path (it allocates).
-	var root *obs.Span
-	if e.Trace != nil {
-		root = e.Trace.Trace(job.String(), key)
-		root.Child("lease").End()
-	}
-	probe := root.Child("cache-probe")
 	val, hit := e.lookup(key)
-	probe.SetAttr("hit", strconv.FormatBool(hit))
-	probe.End()
 	if hit {
-		return JobResult{Job: job, Key: key, Result: val.res, Aux: val.aux, Cached: true}, root
+		return JobResult{Job: job, Key: key, Result: val.res, Aux: val.aux, Cached: true}
 	}
 	faults := e.Faults.Child(key)
 	cfg := job.Config
@@ -314,47 +282,31 @@ func (e *Engine) runJob(job Job) (JobResult, *obs.Span) {
 	cfg.Metrics = &sim.Metrics{}
 	cfg.Faults = faults
 	e.sims.Add(1)
-	sp := root.Child("simulate")
 	val, err := e.runAttempt(job, cfg, faults)
-	var pe *PanicError
-	switch {
-	case err == nil:
-		sp.SetAttr("outcome", "ok")
-	case errors.As(err, &pe):
-		sp.SetAttr("outcome", "panic")
-	default:
-		sp.SetAttr("outcome", "error")
-	}
-	sp.End()
 	// The error is not wrapped with the job name: every consumer
 	// (reporter, manifest, CLI failure listing) prints jr.Job alongside.
 	jr := JobResult{Job: job, Key: key, Err: err}
-	if pe != nil {
+	var pe *PanicError
+	if errors.As(err, &pe) {
 		// A panic is an engine/model fault, not a bad cell: quarantine
 		// it with the evidence.
-		root.SetAttr("quarantined", "true")
 		jr.Quarantined = true
 		jr.DumpPath = e.writeQuarantineDump(job, key, pe, cfg.Metrics)
-		return jr, root
+		return jr
 	}
 	if err != nil {
-		return jr, root
+		return jr
 	}
 	jr.Result = val.res
 	jr.Aux = val.aux
-	// "verify" is the write-through stage: the checksummed cache entry is
-	// the artifact whose integrity fsck later re-verifies.
-	verify := root.Child("verify")
-	serr := e.store(job, key, val)
-	verify.End()
-	if serr != nil {
+	if serr := e.store(job, key, val); serr != nil {
 		// A result that simulated fine but failed to persist is still a
 		// usable result; surface the cache problem without failing the job.
 		if e.Reporter != nil {
 			e.Reporter.Warn(fmt.Sprintf("cache write failed for %s: %v", job, serr))
 		}
 	}
-	return jr, root
+	return jr
 }
 
 // Run executes jobs on the worker pool and returns their results in job
@@ -365,18 +317,6 @@ func (e *Engine) runJob(job Job) (JobResult, *obs.Span) {
 // individual job failures — inspect JobResult.Err/Quarantined (or
 // Failed/Quarantined on the returned slice) for the per-cell outcomes.
 func (e *Engine) Run(jobs []Job) []JobResult {
-	if e.Trace != nil && e.Faults != nil {
-		// Fault events land in the same timeline as the engine stages:
-		// one instant span per fired fault, keyed on the event's own
-		// content (site/kind/hit count), which the schedule fixes
-		// deterministically regardless of worker interleaving.
-		e.Faults.SetObserver(func(ev faultinject.Event) {
-			e.Trace.Instant("fault", ev.String(),
-				obs.Attr{K: "site", V: ev.Site.String()},
-				obs.Attr{K: "kind", V: ev.Kind.String()},
-				obs.Attr{K: "hit", V: strconv.FormatUint(ev.Hit, 10)})
-		})
-	}
 	if e.Manifest != nil {
 		e.Manifest.Reconcile(e.Manifest.Grid, jobs)
 		_ = e.Manifest.Save()
@@ -398,18 +338,14 @@ func (e *Engine) Run(jobs []Job) []JobResult {
 					return
 				}
 				start := time.Now()
-				jr, sp := e.runJob(jobs[i])
+				jr := e.RunJob(jobs[i])
 				jr.Elapsed = time.Since(start)
 				results[i] = jr
 				if e.Manifest != nil {
-					jsp := sp.Child("journal-append")
-					merr := e.Manifest.Append(jr)
-					jsp.End()
-					if merr != nil && e.Reporter != nil {
+					if merr := e.Manifest.Append(jr); merr != nil && e.Reporter != nil {
 						e.Reporter.Warn(fmt.Sprintf("manifest append failed for %s: %v", jr.Job, merr))
 					}
 				}
-				sp.End()
 				if e.Reporter != nil {
 					e.Reporter.JobDone(jr)
 				}

@@ -106,9 +106,11 @@ func ParseSeeds(s string) ([]uint64, error) {
 		if b-a >= 1000 {
 			return nil, fmt.Errorf("campaign: seed range %q too large (max 1000 seeds)", s)
 		}
+		// Loop over a count: when b is the largest uint64, v <= b holds
+		// for every v.
 		var seeds []uint64
-		for v := a; v <= b; v++ {
-			seeds = append(seeds, v)
+		for i := uint64(0); i <= b-a; i++ {
+			seeds = append(seeds, a+i)
 		}
 		return seeds, nil
 	}
@@ -132,6 +134,26 @@ func ParseList(s string) []string {
 		}
 	}
 	return out
+}
+
+// ParsePolicies parses a comma-separated policy flag, rejecting any name
+// that is not one of sim.Policies.
+func ParsePolicies(s string) ([]sim.Policy, error) {
+	known := make(map[sim.Policy]bool)
+	var valid []string
+	for _, p := range sim.Policies() {
+		known[p] = true
+		valid = append(valid, string(p))
+	}
+	var out []sim.Policy
+	for _, name := range ParseList(s) {
+		p := sim.Policy(name)
+		if !known[p] {
+			return nil, fmt.Errorf("unknown policy %q (valid: %s)", p, strings.Join(valid, " "))
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // baselineCycles maps (workload, variant, seed) → non-secure cycles, used

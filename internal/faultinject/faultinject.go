@@ -127,25 +127,10 @@ type Injector struct {
 	seed uint64
 	root *Injector // event sink for derived injectors; nil = self
 
-	mu       sync.Mutex
-	plans    [numSites][]fault
-	hits     [numSites]uint64
-	events   []Event
-	observer func(Event)
-}
-
-// SetObserver installs a callback invoked (outside the injector lock)
-// for every fault that fires anywhere in this injector's Child tree —
-// the campaign tracer uses it to emit fault spans into the same timeline
-// as the engine stages. Call before the run starts; nil-safe.
-func (in *Injector) SetObserver(fn func(Event)) {
-	if in == nil {
-		return
-	}
-	s := in.sink()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observer = fn
+	mu     sync.Mutex
+	plans  [numSites][]fault
+	hits   [numSites]uint64
+	events []Event
 }
 
 // sink returns the injector holding the event log: the root of a Child
@@ -157,17 +142,12 @@ func (in *Injector) sink() *Injector {
 	return in
 }
 
-// record appends a fired fault to the root event log and notifies the
-// observer, if any (outside the lock: observers may take their own).
+// record appends a fired fault to the root event log.
 func (in *Injector) record(e Event) {
 	s := in.sink()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.events = append(s.events, e)
-	fn := s.observer
-	s.mu.Unlock()
-	if fn != nil {
-		fn(e)
-	}
 }
 
 // siteKinds lists the fault kinds each site can express; random schedules

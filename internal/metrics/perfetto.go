@@ -227,15 +227,6 @@ func ExportChromeTraceMulti(w io.Writer, runs []ChromeTraceOpts) error {
 		}
 		events = append(events, BuildChromeEvents(opts)...)
 	}
-	return WriteChromeEvents(w, events)
-}
-
-// WriteChromeEvents wraps pre-built events in the trace-event JSON Object
-// Format and writes them out. It is the shared serialization tail for
-// every Chrome-trace exporter in the repository (simulator tracks here,
-// campaign spans in internal/obs), so all of them stay loadable by the
-// same Perfetto/chrome://tracing drag-and-drop.
-func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
 	file := chromeTraceFile{TraceEvents: events, DisplayTimeUnit: "ms"}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

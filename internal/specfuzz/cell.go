@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/campaign"
-	"repro/internal/obs"
 	"repro/sim"
 )
 
@@ -40,20 +39,16 @@ func NewJob(spec GadgetSpec, policy sim.Policy, seed uint64) (campaign.Job, erro
 	}, nil
 }
 
-// Register installs the fuzz-cell executor on a campaign engine. The
-// executor reads e.Trace at call time, so oracle phases land in the same
-// span sink as the engine's own stage spans when tracing is on.
+// Register installs the fuzz-cell executor on a campaign engine.
 func Register(e *campaign.Engine) {
-	e.RegisterCell(Kind, func(job campaign.Job) (sim.Result, json.RawMessage, error) {
-		return runCell(job, e.Trace)
-	})
+	e.RegisterCell(Kind, runCell)
 }
 
 // runCell is the CellFunc for Kind: it decodes the gadget spec, runs the
 // differential pair under the job's policy, and returns the verdict as the
 // cell's Aux payload. The sim.Result half carries just enough identity for
 // the shared reporting surfaces (manifest rows, status tables).
-func runCell(job campaign.Job, tr *obs.Tracer) (sim.Result, json.RawMessage, error) {
+func runCell(job campaign.Job) (sim.Result, json.RawMessage, error) {
 	var payload CellPayload
 	if err := json.Unmarshal(job.Cell, &payload); err != nil {
 		return sim.Result{}, nil, fmt.Errorf("specfuzz: decoding cell payload for %s: %w", job.Workload, err)
@@ -61,7 +56,7 @@ func runCell(job campaign.Job, tr *obs.Tracer) (sim.Result, json.RawMessage, err
 	if payload.Spec.ID != job.Workload {
 		return sim.Result{}, nil, fmt.Errorf("specfuzz: cell payload names gadget %q but job names %q", payload.Spec.ID, job.Workload)
 	}
-	v, err := RunPairTraced(payload.Spec, job.Config, tr)
+	v, err := RunPair(payload.Spec, job.Config)
 	if err != nil {
 		return sim.Result{}, nil, err
 	}

@@ -2,12 +2,10 @@ package specfuzz
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/cpu"
 	"repro/internal/memsys"
-	"repro/internal/obs"
 	"repro/sim"
 )
 
@@ -98,60 +96,25 @@ type Verdict struct {
 // same seed, so replacement and CEASER randomness are identical and any
 // surviving difference is attributable to the secret alone.
 func RunPair(s GadgetSpec, cfg sim.Config) (Verdict, error) {
-	return RunPairTraced(s, cfg, nil)
-}
-
-// RunPairTraced is RunPair with oracle-phase tracing: one root span per
-// (gadget, policy, seed) pair with children timing-a / timing-b /
-// state-a / state-b / compare, keyed on content so the span stream is
-// deterministic. A nil tracer is RunPair exactly (no spans, no
-// allocations for them).
-func RunPairTraced(s GadgetSpec, cfg sim.Config, tr *obs.Tracer) (Verdict, error) {
 	v := Verdict{Gadget: s.ID, Policy: string(cfg.Policy)}
 
-	var root *obs.Span
-	if tr != nil {
-		root = tr.Trace("oracle:"+s.ID+"/"+string(cfg.Policy),
-			fmt.Sprintf("oracle/%s/%s/seed=%d", s.ID, cfg.Policy, cfg.Seed))
-		defer root.End()
-	}
-	phase := func(name string, f func() error) error {
-		sp := root.Child(name)
-		err := f()
-		if sp != nil {
-			sp.SetAttr("ok", strconv.FormatBool(err == nil))
-		}
-		sp.End()
-		return err
-	}
-
-	var ta, tb, sa, sb Observation
-	if err := phase("timing-a", func() (err error) {
-		ta, err = runOnce(s, s.SecretA, cfg, ModeTiming)
-		return
-	}); err != nil {
+	ta, err := runOnce(s, s.SecretA, cfg, ModeTiming)
+	if err != nil {
 		return v, err
 	}
-	if err := phase("timing-b", func() (err error) {
-		tb, err = runOnce(s, s.SecretB, cfg, ModeTiming)
-		return
-	}); err != nil {
+	tb, err := runOnce(s, s.SecretB, cfg, ModeTiming)
+	if err != nil {
 		return v, err
 	}
-	if err := phase("state-a", func() (err error) {
-		sa, err = runOnce(s, s.SecretA, cfg, ModeState)
-		return
-	}); err != nil {
+	sa, err := runOnce(s, s.SecretA, cfg, ModeState)
+	if err != nil {
 		return v, err
 	}
-	if err := phase("state-b", func() (err error) {
-		sb, err = runOnce(s, s.SecretB, cfg, ModeState)
-		return
-	}); err != nil {
+	sb, err := runOnce(s, s.SecretB, cfg, ModeState)
+	if err != nil {
 		return v, err
 	}
 
-	cmp := root.Child("compare")
 	v.ProbeA, v.ProbeB = ta.Probe, tb.Probe
 	for k := range ta.Probe {
 		var d uint64
@@ -179,9 +142,5 @@ func RunPairTraced(s GadgetSpec, cfg sim.Config, tr *obs.Tracer) (Verdict, error
 		v.Leak = true
 		v.Channels = append(v.Channels, "state")
 	}
-	if cmp != nil {
-		cmp.SetAttr("leak", strconv.FormatBool(v.Leak))
-	}
-	cmp.End()
 	return v, nil
 }
