@@ -96,3 +96,15 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 		t.Fatalf("err = %v, want one naming \"bogus\"", err)
 	}
 }
+
+// TestResolveGridFoldsRepeats: a name or seed given twice is one cell, not
+// two jobs that simulate the same cell and weigh it double in the summary.
+func TestResolveGridFoldsRepeats(t *testing.T) {
+	_, jobs, err := resolveGrid("quick", "astar,astar", "nonsecure,nonsecure", "1,1", 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 {
+		t.Fatalf("%d jobs, want 1", len(jobs))
+	}
+}

@@ -2,25 +2,19 @@
 // this module: determinism (flow-sensitive map iteration order),
 // metricscomplete (every Stats counter bound to the registry), cachekey
 // (every sim.Config field keyed or excluded+zeroed), errdiscipline (no
-// panic in internal/ outside must* helpers), lockorder (acquisition
-// cycles, double and callee re-acquisition, locks held across goroutine
-// spawns, guarded fields touched without their mutex — interprocedural
-// via call-graph summaries), detertaint (wall-clock/math-rand/map-order
-// taint tracked through calls, fields, and closures into key/ID/stats
-// sinks), undocomplete (speculative mutations in cache/memsys/coherence
-// paired with restore writes reachable from the cleanup path),
-// enumexhaustive (switches over iota enums cover every constant or
-// declare a default), wireenc (structs reaching the manifest journal,
-// cache keys and entries, or quarantine dumps carry no interface-typed
-// content or unordered map keys, and custom MarshalJSON bodies no map
-// ranges, so journal rows and cache checksums encode canonically),
-// hotalloc (no unjustified allocation — make/new/composite literals,
-// growing appends, interface boxing, closures, fmt calls — reachable
-// from the per-cycle hot roots; see -hotreport), cyclemath
-// (uint64 cycle subtraction dominated by a provable a>=b guard, no
-// signed<->unsigned cycle conversions, latency and cycle fields typed
-// uint64), and staledirective (suppressions that no longer suppress
-// anything).
+// panic in internal/ outside must* helpers), lockorder (no lock-order
+// cycles, interprocedural via call-graph summaries), detertaint
+// (wall-clock/math-rand/map-order taint tracked through calls, fields,
+// and closures into key/ID/stats sinks), undocomplete (speculative
+// mutations in cache/memsys/coherence paired with restore writes
+// reachable from the cleanup path), enumexhaustive (switches over iota
+// enums cover every constant or declare a default), hotalloc (no
+// unjustified allocation — make/new/composite literals, growing appends,
+// interface boxing, closures, fmt calls — reachable from the per-cycle
+// hot roots; see -hotreport), cyclemath (uint64 cycle subtraction
+// dominated by a provable a>=b guard, no signed<->unsigned cycle
+// conversions, latency and cycle fields typed uint64), and
+// staledirective (suppressions that no longer suppress anything).
 //
 // Usage:
 //
@@ -32,8 +26,9 @@
 // Findings print one per line as file:line:col: analyzer: message.
 // Packages are directory patterns relative to the current directory
 // ("./...", "./internal/campaign", "./internal/..."); the default is the
-// whole module. Exit status is 1 when findings are reported, 2 on a load
-// or usage error, 0 when clean.
+// whole module; a pattern that matches no package is a usage error. Exit
+// status is 1 when findings are reported, 2 on a load or usage error, 0
+// when clean.
 //
 // -hotreport prints the hot-path allocation budget report: every
 // function reachable from the hot roots that still carries allocation
@@ -55,6 +50,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -204,7 +200,8 @@ func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
 
 // packageMatcher turns CLI patterns into a package predicate. Patterns are
 // directory paths relative to cwd; a trailing /... matches the whole
-// subtree. No patterns (or "./...") selects every package.
+// subtree. No patterns selects every package. A pattern that matches no
+// package is an error, so a mistyped or moved path cannot lint clean.
 func packageMatcher(cwd string, mod *analysis.Module, patterns []string) (func(*analysis.Package) bool, error) {
 	if len(patterns) == 0 {
 		return nil, nil
@@ -212,6 +209,9 @@ func packageMatcher(cwd string, mod *analysis.Module, patterns []string) (func(*
 	type rule struct {
 		dir     string
 		subtree bool
+	}
+	matches := func(r rule, p *analysis.Package) bool {
+		return p.Dir == r.dir || r.subtree && strings.HasPrefix(p.Dir, r.dir+string(filepath.Separator))
 	}
 	var rules []rule
 	for _, pat := range patterns {
@@ -227,17 +227,12 @@ func packageMatcher(cwd string, mod *analysis.Module, patterns []string) (func(*
 			r.dir = filepath.Join(cwd, r.dir)
 		}
 		r.dir = filepath.Clean(r.dir)
+		if !slices.ContainsFunc(mod.Pkgs, func(p *analysis.Package) bool { return matches(r, p) }) {
+			return nil, fmt.Errorf("pattern %q matches no package", pat)
+		}
 		rules = append(rules, r)
 	}
 	return func(p *analysis.Package) bool {
-		for _, r := range rules {
-			if p.Dir == r.dir {
-				return true
-			}
-			if r.subtree && strings.HasPrefix(p.Dir, r.dir+string(filepath.Separator)) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(rules, func(r rule) bool { return matches(r, p) })
 	}, nil
 }

@@ -22,17 +22,11 @@
 //   - errdiscipline: no panic in internal/ simulation packages outside
 //     must* helpers — failures must flow to the campaign engine as errors.
 //   - lockorder: the lock-acquisition graph across the concurrent layers
-//     (campaign, faultinject, …) is acyclic, and mutex-guarded fields are
-//     never touched on paths where the guard is provably not held.
+//     (campaign, faultinject, …) is acyclic — the deadlock that -race
+//     and the tests rarely trip.
 //   - enumexhaustive: every switch over an iota-declared enum covers all
 //     of its constants or carries an explicit default — the class of bug
 //     that silently drops a coherence-protocol transition.
-//   - wireenc: structs reaching json.Marshal (the manifest journal,
-//     checksummed cache entries, quarantine dumps) encode canonically —
-//     no interface-typed content (the dynamic type drifts across a
-//     round-trip) and no map keys outside encoding/json's sorted-key
-//     guarantee — so journal rows and cache checksums are
-//     byte-stable.
 //   - hotalloc: no allocation site (make/new/literals/append/interface
 //     boxing/closures/fmt) is reachable from the declared per-cycle hot
 //     roots without a justified suppression; simlint -hotreport emits the
@@ -103,7 +97,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerDeterTaint,
 		AnalyzerUndoComplete,
 		AnalyzerEnumExhaustive,
-		AnalyzerWireEnc,
 		AnalyzerHotAlloc,
 		AnalyzerCycleMath,
 		AnalyzerStaleDirective,
@@ -254,10 +247,6 @@ type Runner struct {
 	// lockAcc accumulates cross-package lock-graph edges during the
 	// parallel phase; AnalyzerLockOrder.Finish reads it.
 	lockAcc lockAccumulator
-
-	// wireAcc accumulates JSON serialization sites during the parallel
-	// phase; AnalyzerWireEnc.Finish walks the types they root.
-	wireAcc wireAccumulator
 }
 
 // NewRunner prepares a runner: it scans every loaded file for //simlint

@@ -20,8 +20,7 @@ import (
 //     every module type whose method set implements the interface (a
 //     sound over-approximation for code that never leaves the module).
 //   - spawn: the call (or literal) is launched on a new goroutine by a
-//     `go` statement. Spawn edges matter to the lock analyses: the callee
-//     starts with an empty lock set regardless of what the spawner holds.
+//     `go` statement.
 //   - closure: a function literal defined in the body. The literal's node
 //     carries its own body; the closure edge records where it was built,
 //     so summaries can flow from literal to enclosing function (a literal
@@ -50,7 +49,6 @@ type cgNode struct {
 	lit   *ast.FuncLit  // nil for declared functions
 	body  *ast.BlockStmt
 	out   []*cgEdge // edges to callees, sorted by site position
-	in    []*cgEdge // edges from callers
 }
 
 // name renders a short human-readable identity for messages and tests.
@@ -68,7 +66,6 @@ func (n *cgNode) name() string {
 
 // cgEdge is one caller→callee relation observed at a call or go site.
 type cgEdge struct {
-	caller *cgNode
 	callee *cgNode
 	site   token.Pos
 	kind   edgeKind
@@ -83,13 +80,6 @@ type callGraph struct {
 	// methods a call through it can reach.
 	implementers map[*types.Func][]*types.Func
 }
-
-// nodeFor resolves a declared function to its node (nil if not in the
-// module, e.g. stdlib).
-func (g *callGraph) nodeFor(fn *types.Func) *cgNode { return g.byFn[fn] }
-
-// litNode resolves a function literal to its node.
-func (g *callGraph) litNode(l *ast.FuncLit) *cgNode { return g.byLit[l] }
 
 // callees returns the (deduplicated, deterministic) callee nodes a call
 // expression can reach: the static callee, or every module implementer
@@ -154,15 +144,6 @@ func buildCallGraph(mod *Module) *callGraph {
 	// nested literals, which own their statements).
 	for _, n := range g.nodes {
 		g.addEdges(n)
-	}
-	for _, n := range g.nodes {
-		sort.Slice(n.in, func(i, j int) bool {
-			a, b := n.in[i], n.in[j]
-			if a.caller.index != b.caller.index {
-				return a.caller.index < b.caller.index
-			}
-			return a.site < b.site
-		})
 	}
 	return g
 }
@@ -232,9 +213,7 @@ func appendUniqueFunc(fns []*types.Func, fn *types.Func) []*types.Func {
 func (g *callGraph) addEdges(n *cgNode) {
 	var walk func(node ast.Node, inGo bool)
 	link := func(callee *cgNode, site token.Pos, kind edgeKind) {
-		e := &cgEdge{caller: n, callee: callee, site: site, kind: kind}
-		n.out = append(n.out, e)
-		callee.in = append(callee.in, e)
+		n.out = append(n.out, &cgEdge{callee: callee, site: site, kind: kind})
 	}
 	walk = func(node ast.Node, inGo bool) {
 		ast.Inspect(node, func(m ast.Node) bool {

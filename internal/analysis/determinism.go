@@ -87,7 +87,7 @@ func checkMapOrder(p *Pass, body *ast.BlockStmt) {
 	var obligations []obligation
 	var direct []*ast.RangeStmt // map ranges that are not pure collect loops
 
-	walkSameFunc(body, func(n ast.Node) {
+	walkShallow(body, func(n ast.Node) {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return
@@ -687,20 +687,6 @@ func sortedSyntactically(p *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, v *ty
 		return !found
 	})
 	return found
-}
-
-// walkSameFunc visits every node of body except nested function
-// literals, which are analyzed as their own functions.
-func walkSameFunc(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }
 
 // isBlankOrNil reports whether a range binding is absent or the blank

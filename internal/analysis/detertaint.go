@@ -545,6 +545,22 @@ func statsSinkField(pkg *Package, lhs ast.Expr) (string, bool) {
 	return named.Obj().Name() + "." + sel.Sel.Name, true
 }
 
+// selectedField resolves a selector to the struct field it reads or
+// writes, or nil.
+func selectedField(pkg *Package, sel *ast.SelectorExpr) *types.Var {
+	selInfo, ok := pkg.Info.Selections[sel]
+	if !ok || selInfo.Kind() != types.FieldVal {
+		return nil
+	}
+	fv, _ := selInfo.Obj().(*types.Var)
+	return fv
+}
+
+// callName renders a short display name for a call site.
+func callName(call *ast.CallExpr) string {
+	return exprString(call.Fun)
+}
+
 // runDeterTaint is the reporting pass: it walks every function of the
 // package with its local taint environment and reports source→sink flows
 // plus direct math/rand calls.

@@ -11,88 +11,33 @@ import (
 	"sync"
 )
 
-// AnalyzerLockOrder checks the module's mutex discipline across the
-// concurrent layers (internal/campaign, internal/faultinject, the metrics
-// sampler, …) five ways, using the interprocedural lock summaries from
-// summary.go:
+// AnalyzerLockOrder checks that the module's mutexes are always taken in
+// one order. Every (held, acquired) pair observed anywhere in the module —
+// including acquisitions made transitively through helper calls and
+// interface method sets, via the lock summaries in summary.go — is an
+// edge of a module-wide acquisition graph. A cycle means two goroutines
+// can deadlock by taking the same locks in opposite orders; it is
+// reported once, from the Finish phase.
 //
-//   - Lock-order cycles: every (held, acquired) pair observed anywhere in
-//     the module — including acquisitions made transitively through
-//     helper calls and interface method sets — forms a module-wide
-//     acquisition graph; a cycle means two goroutines can deadlock by
-//     taking the same locks in opposite orders. Reported once per cycle
-//     from the Finish phase.
-//   - Double acquisition: taking a mutex class on a path where the
-//     dataflow says it is already held (self-deadlock for sync.Mutex).
-//   - Callee re-acquisition: calling a function whose summary says it may
-//     (transitively) acquire a class that is provably held at the call
-//     site — the deadlock the intra-procedural pass cannot see.
-//   - Goroutine spawns: a `go func` literal starts with an EMPTY lock
-//     set, whatever the spawner holds, so guarded-field accesses inside a
-//     spawned literal are checked against a provably-unlocked entry state
-//     instead of being silently skipped. And when a class is provably
-//     held at the `go` statement while the spawned function's summary
-//     acquires that same class, the spawn is flagged: the goroutine
-//     blocks on the spawner's lock, which is a latent deadlock if the
-//     spawner ever waits on the goroutine before releasing.
-//   - Guard violations: a field that is written under a struct's mutex
-//     somewhere is treated as guarded by it; any access to that field in
-//     another method of the same struct, on a path where the dataflow
-//     proves the guard is NOT held, is reported. Methods whose name ends
-//     in "Locked" are assumed to be called with every receiver mutex held.
-//
-// The lock-state lattice per mutex class is {No, Yes, Maybe}; joins of
-// disagreeing paths produce Maybe, and only provable states (Yes for
-// ordering/double-acquire/re-acquisition, No for guard violations) are
-// acted on, so conditional locking never produces findings. `defer
-// mu.Unlock()` keeps the class held through the function, matching its
-// runtime semantics.
+// A class is held at a program point when every path into the point holds
+// it: the dataflow fact is a must-held set, joined by intersection, so a
+// lock taken on one branch only adds no edge after the join. Methods whose
+// name ends in "Locked" start with every receiver mutex held; every other
+// function, and every function literal (a spawned goroutine included),
+// starts with nothing held. `defer mu.Unlock()` keeps the class held
+// through the function, matching its runtime semantics.
 var AnalyzerLockOrder = &Analyzer{
 	Name:   "lockorder",
-	Doc:    "detect lock-order cycles, double/callee re-acquisition, locks held across goroutine spawns, and guarded fields accessed where the guard is provably not held",
+	Doc:    "detect lock-order cycles: mutex classes taken in opposite orders anywhere in the module, through calls and interface method sets",
 	Run:    runLockOrder,
 	Finish: finishLockOrder,
 }
 
-const (
-	lsYes   uint8 = 1
-	lsMaybe uint8 = 2
-)
-
-// lockFact is the dataflow fact: the state of every interesting mutex
-// class at a program point. Absent classes are No when the entry state is
-// known, and Maybe when it is not (function literals invoked on the
-// caller's goroutine, whose lock state is invisible).
+// lockFact is the dataflow fact: the mutex classes held on every path
+// into a program point. reached is false until some path gets there.
 type lockFact struct {
 	reached bool
-	unknown bool
-	m       map[string]uint8
-}
-
-func (f lockFact) state(class string) uint8 {
-	if s, ok := f.m[class]; ok {
-		return s
-	}
-	if f.unknown {
-		return lsMaybe
-	}
-	return 0
-}
-
-// heldYes returns the classes provably held, sorted.
-func (f lockFact) heldYes() []string {
-	var held []string
-	for c := range f.m {
-		held = append(held, c)
-	}
-	sort.Strings(held)
-	out := held[:0]
-	for _, c := range held {
-		if f.m[c] == lsYes {
-			out = append(out, c)
-		}
-	}
-	return out
+	held    map[string]bool
 }
 
 func joinLockFacts(a, b lockFact) lockFact {
@@ -102,32 +47,13 @@ func joinLockFacts(a, b lockFact) lockFact {
 	if !b.reached {
 		return a
 	}
-	out := lockFact{reached: true, unknown: a.unknown || b.unknown, m: make(map[string]uint8)}
-	keys := make([]string, 0, len(a.m)+len(b.m))
-	for c := range a.m {
-		keys = append(keys, c)
-	}
-	for c := range b.m {
-		keys = append(keys, c)
-	}
-	sort.Strings(keys)
-	for i, c := range keys {
-		if i > 0 && keys[i-1] == c {
-			continue
-		}
-		sa, inA := a.m[c]
-		sb, inB := b.m[c]
-		if inA && inB && sa == sb {
-			out.m[c] = sa
-		} else {
-			out.m[c] = lsMaybe
-		}
-	}
-	return out
+	held := maps.Clone(a.held)
+	maps.DeleteFunc(held, func(c string, _ bool) bool { return !b.held[c] })
+	return lockFact{reached: true, held: held}
 }
 
 func equalLockFacts(a, b lockFact) bool {
-	return a.reached == b.reached && a.unknown == b.unknown && maps.Equal(a.m, b.m)
+	return a.reached == b.reached && maps.Equal(a.held, b.held)
 }
 
 // lockEdge is one observed acquisition order: to was acquired while from
@@ -147,7 +73,7 @@ type lockAccumulator struct {
 // are deterministic regardless of worker scheduling.
 func (a *lockAccumulator) record(from, to string, pos token.Position) {
 	if from == to {
-		return // double acquisition is its own finding, not a graph edge
+		return // re-entry, not an ordering: it hangs the first test that reaches it
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -177,57 +103,28 @@ func runLockOrder(p *Pass) {
 		return
 	}
 	facts := p.runner.lockModel(p.Mod)
-	g := facts.g
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			recv := receiverStruct(p.Pkg, fd)
-			checkLockBody(p, facts, fd.Body, methodEntryClasses(p.Pkg, fd), recv, false)
-			checkNestedLits(p, facts, g, fd.Body, recv)
+			checkLockBody(p, facts, fd.Body, methodEntryClasses(p.Pkg, fd))
+			// Every function literal under the declaration is its own
+			// function, entered with nothing held.
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if fl, ok := n.(*ast.FuncLit); ok {
+					checkLockBody(p, facts, fl.Body, nil)
+				}
+				return true
+			})
 		}
 	}
-}
-
-// checkNestedLits analyzes every function literal under body as its own
-// function, recursively. A literal whose every use is a `go` spawn starts
-// on a fresh goroutine with an empty lock set (entry provably unlocked);
-// any other literal runs with its caller's invisible lock state (Maybe).
-func checkNestedLits(p *Pass, facts *lockFacts, g *callGraph, body *ast.BlockStmt, recv *types.Named) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		fl, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		spawned := litAlwaysSpawned(g, fl)
-		checkLockBody(p, facts, fl.Body, nil, recv, !spawned)
-		checkNestedLits(p, facts, g, fl.Body, recv)
-		return false
-	})
-}
-
-// litAlwaysSpawned reports whether every call-graph edge into the literal
-// is a goroutine spawn (so its entry lock state is provably empty).
-func litAlwaysSpawned(g *callGraph, fl *ast.FuncLit) bool {
-	n := g.litNode(fl)
-	if n == nil || len(n.in) == 0 {
-		return false
-	}
-	for _, e := range n.in {
-		if e.kind != edgeSpawn {
-			return false
-		}
-	}
-	return true
 }
 
 // checkLockBody solves the lock-state dataflow over one function body and
-// reports double acquisitions, callee re-acquisitions, spawn hazards, and
-// guard violations, recording acquisition edges into the module
-// accumulator.
-func checkLockBody(p *Pass, facts *lockFacts, body *ast.BlockStmt, entryHeld []string, recv *types.Named, unknownEntry bool) {
+// records its acquisition edges into the module accumulator.
+func checkLockBody(p *Pass, facts *lockFacts, body *ast.BlockStmt, entryHeld []string) {
 	g := buildCFG(body)
 	if g == nil {
 		return // unstructured control flow: stay silent rather than guess
@@ -235,9 +132,9 @@ func checkLockBody(p *Pass, facts *lockFacts, body *ast.BlockStmt, entryHeld []s
 	d := dataflow[lockFact]{
 		Bottom: func() lockFact { return lockFact{} },
 		Entry: func() lockFact {
-			f := lockFact{reached: true, unknown: unknownEntry, m: make(map[string]uint8)}
+			f := lockFact{reached: true, held: make(map[string]bool)}
 			for _, c := range entryHeld {
-				f.m[c] = lsYes
+				f.held[c] = true
 			}
 			return f
 		},
@@ -249,15 +146,15 @@ func checkLockBody(p *Pass, facts *lockFacts, body *ast.BlockStmt, entryHeld []s
 	for _, b := range g.blocks {
 		f := in[b]
 		for _, n := range b.nodes {
-			scanLockNode(p, facts, recv, n, f)
+			recordLockEdges(p, facts, n, f)
 			f = lockTransfer(p.Pkg, n, f)
 		}
 	}
 }
 
 // lockTransfer applies one node's effect on the lock state: Lock/RLock
-// statements set Yes, Unlock/RUnlock statements clear, deferred unlocks
-// hold to function exit and are no-ops.
+// statements add the class, Unlock/RUnlock statements remove it, and
+// deferred unlocks hold to function exit and are no-ops.
 func lockTransfer(pkg *Package, n ast.Node, f lockFact) lockFact {
 	stmt, ok := n.(*ast.ExprStmt)
 	if !ok {
@@ -268,109 +165,48 @@ func lockTransfer(pkg *Package, n ast.Node, f lockFact) lockFact {
 		return f
 	}
 	class, op := lockOp(pkg, call)
-	if class == "" {
+	if class == "" || !f.reached {
 		return f
 	}
-	out := lockFact{reached: f.reached, unknown: f.unknown, m: maps.Clone(f.m)}
-	if out.m == nil {
-		out.m = make(map[string]uint8)
+	held := maps.Clone(f.held)
+	if op == lockAcquire {
+		held[class] = true
+	} else {
+		delete(held, class)
 	}
-	switch op {
-	case lockAcquire:
-		out.m[class] = lsYes
-	case lockRelease:
-		delete(out.m, class)
-	}
-	return out
+	return lockFact{reached: true, held: held}
 }
 
-// scanLockNode inspects one CFG node under fact f: records acquisition
-// edges (direct and through callee summaries), reports double and callee
-// re-acquisitions, checks goroutine spawns, and reports guarded-field
-// accesses with the guard provably not held. Function literals are
-// skipped — they are analyzed as their own functions.
-func scanLockNode(p *Pass, facts *lockFacts, recv *types.Named, n ast.Node, f lockFact) {
-	if !f.reached {
+// recordLockEdges records, for one CFG node under fact f, an edge from
+// every held class to each class the node acquires, directly or through
+// its callees' summaries. Function literals are their own functions, and
+// a `go` statement's goroutine starts with nothing held, so neither adds
+// an edge here.
+func recordLockEdges(p *Pass, facts *lockFacts, n ast.Node, f lockFact) {
+	if !f.reached || len(f.held) == 0 {
 		return
 	}
+	held := sortedBoolKeys(f.held)
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.GoStmt:
-			scanGoStmt(p, facts, m, f)
+		case *ast.FuncLit, *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			class, op := lockOp(p.Pkg, m)
-			if op == lockAcquire {
-				if f.state(class) == lsYes {
-					p.Reportf(m.Pos(), "acquiring %s while it is already held on this path (self-deadlock)", shortClass(p, class))
+			var acq []string
+			switch class, op := lockOp(p.Pkg, m); op {
+			case lockAcquire:
+				acq = []string{class}
+			case 0:
+				acq = facts.acquiresOf(p.Pkg, m)
+			}
+			for _, to := range acq {
+				for _, h := range held {
+					p.runner.lockAcc.record(h, to, p.Mod.Fset.Position(m.Pos()))
 				}
-				for _, held := range f.heldYes() {
-					p.runner.lockAcc.record(held, class, p.Mod.Fset.Position(m.Pos()))
-				}
-				return true
-			}
-			if op == lockRelease {
-				return true
-			}
-			if acq := facts.acquiresOf(p.Pkg, m); len(acq) > 0 {
-				held := f.heldYes()
-				for _, to := range acq {
-					if f.state(to) == lsYes {
-						p.Reportf(m.Pos(), "calling %s, which may (transitively) acquire %s while it is already held on this path (deadlock through callee)",
-							callName(m), shortClass(p, to))
-					}
-					for _, h := range held {
-						p.runner.lockAcc.record(h, to, p.Mod.Fset.Position(m.Pos()))
-					}
-				}
-			}
-		case *ast.SelectorExpr:
-			fv := selectedField(p.Pkg, m)
-			if fv == nil || recv == nil {
-				return true
-			}
-			guard := facts.guarded[fv]
-			if guard == "" || !strings.HasPrefix(guard, classPrefix(recv)) {
-				return true // only check fields of the method's own struct
-			}
-			if f.state(guard) == 0 {
-				p.Reportf(m.Sel.Pos(), "%s.%s is guarded by %s (written under it elsewhere) but accessed where the guard is provably not held",
-					recv.Obj().Name(), fv.Name(), shortClass(p, guard))
 			}
 		}
 		return true
 	})
-}
-
-// scanGoStmt checks one `go` statement under fact f: when a class is
-// provably held at the spawn and the spawned function may (transitively)
-// acquire that same class, the spawn is a latent deadlock. Spawned
-// acquisitions of other classes are NOT ordering edges — the goroutine
-// establishes its own acquisition order from an empty lock set.
-func scanGoStmt(p *Pass, facts *lockFacts, g *ast.GoStmt, f lockFact) {
-	held := f.heldYes()
-	if len(held) == 0 {
-		return
-	}
-	var acq []string
-	if fl, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		acq = facts.nodeAcquires(facts.g.litNode(fl))
-	} else {
-		acq = facts.acquiresOf(p.Pkg, g.Call)
-	}
-	for _, c := range acq {
-		if f.state(c) == lsYes {
-			p.Reportf(g.Pos(), "goroutine spawned while %s is held, and the spawned function may (transitively) acquire %s: it blocks until the spawner releases, a latent deadlock if the spawner waits on it; release before spawning",
-				shortClass(p, c), shortClass(p, c))
-		}
-	}
-}
-
-// callName renders a short display name for a call site.
-func callName(call *ast.CallExpr) string {
-	return exprString(call.Fun)
 }
 
 const (
@@ -436,8 +272,8 @@ func mutexClass(pkg *Package, e ast.Expr) string {
 	return ""
 }
 
-// classPrefix is the class-name prefix for a struct's mutex fields and
-// guarded fields: "pkg/path.Struct".
+// classPrefix is the class-name prefix for a struct's mutex fields:
+// "pkg/path.Struct".
 func classPrefix(named *types.Named) string {
 	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
 }
@@ -466,34 +302,14 @@ func derefNamed(t types.Type) *types.Named {
 	return named
 }
 
-// selectedField resolves a selector to the struct field it reads or
-// writes, or nil.
-func selectedField(pkg *Package, sel *ast.SelectorExpr) *types.Var {
-	selInfo, ok := pkg.Info.Selections[sel]
-	if !ok || selInfo.Kind() != types.FieldVal {
-		return nil
-	}
-	fv, _ := selInfo.Obj().(*types.Var)
-	return fv
-}
-
-// receiverStruct returns the named struct type a method declaration
-// belongs to, or nil for plain functions.
-func receiverStruct(pkg *Package, fd *ast.FuncDecl) *types.Named {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	return derefNamed(pkg.Info.TypeOf(fd.Recv.List[0].Type))
-}
-
 // methodEntryClasses returns the mutex classes assumed held at entry:
 // every receiver mutex for methods following the *Locked naming
 // convention, nothing otherwise.
 func methodEntryClasses(pkg *Package, fd *ast.FuncDecl) []string {
-	if !strings.HasSuffix(fd.Name.Name, "Locked") {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || !strings.HasSuffix(fd.Name.Name, "Locked") {
 		return nil
 	}
-	named := receiverStruct(pkg, fd)
+	named := derefNamed(pkg.Info.TypeOf(fd.Recv.List[0].Type))
 	if named == nil {
 		return nil
 	}
@@ -527,110 +343,8 @@ func sortedBoolKeys(set map[string]bool) []string {
 	return keys
 }
 
-// deriveGuards runs the lock dataflow over one method and records every
-// field of recv written while a receiver mutex is provably held.
-func deriveGuards(pkg *Package, fd *ast.FuncDecl, recv *types.Named, facts *lockFacts) {
-	g := buildCFG(fd.Body)
-	if g == nil {
-		return
-	}
-	entryHeld := methodEntryClasses(pkg, fd)
-	d := dataflow[lockFact]{
-		Bottom: func() lockFact { return lockFact{} },
-		Entry: func() lockFact {
-			f := lockFact{reached: true, m: make(map[string]uint8)}
-			for _, c := range entryHeld {
-				f.m[c] = lsYes
-			}
-			return f
-		},
-		Join:     joinLockFacts,
-		Equal:    equalLockFacts,
-		Transfer: func(n ast.Node, f lockFact) lockFact { return lockTransfer(pkg, n, f) },
-	}
-	in := d.forward(g)
-	classes := structMutexClasses(recv)
-	prefix := classPrefix(recv)
-	for _, b := range g.blocks {
-		f := in[b]
-		for _, n := range b.nodes {
-			if f.reached {
-				var heldClass string
-				for _, c := range classes {
-					if f.state(c) == lsYes {
-						heldClass = c
-						break
-					}
-				}
-				if heldClass != "" {
-					for _, fv := range writtenFields(pkg, n) {
-						if fv.Pkg() == nil || isMutexType(fv.Type()) || isSyncInternalType(fv.Type()) {
-							continue
-						}
-						owner := fieldOwner(recv, fv)
-						if owner == "" || owner != prefix {
-							continue
-						}
-						if old, ok := facts.guarded[fv]; !ok || heldClass < old {
-							facts.guarded[fv] = heldClass
-						}
-					}
-				}
-			}
-			f = lockTransfer(pkg, n, f)
-		}
-	}
-}
-
-// fieldOwner returns recv's class prefix when fv is a direct field of
-// recv's underlying struct, else "".
-func fieldOwner(recv *types.Named, fv *types.Var) string {
-	st, ok := recv.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i) == fv {
-			return classPrefix(recv)
-		}
-	}
-	return ""
-}
-
-// writtenFields returns the struct fields node writes: assignment
-// left-hand sides and inc/dec operands that are field selectors.
-// Function literals are skipped.
-func writtenFields(pkg *Package, n ast.Node) []*types.Var {
-	var out []*types.Var
-	addSel := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			if fv := selectedField(pkg, sel); fv != nil {
-				out = append(out, fv)
-			}
-		}
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range m.Lhs {
-				addSel(lhs)
-				// Writes through an index also dirty the field: x.f[i] = v.
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					addSel(idx.X)
-				}
-			}
-		case *ast.IncDecStmt:
-			addSel(m.X)
-		}
-		return true
-	})
-	return out
-}
-
-// isSyncInternalType excludes fields whose own type provides its
-// synchronization (atomics, WaitGroup, Once, …) from guard inference.
+// isSyncInternalType reports whether a field's own type provides its
+// synchronization (atomics, WaitGroup, Once, …).
 func isSyncInternalType(t types.Type) bool {
 	named := derefNamed(t)
 	if named == nil || named.Obj().Pkg() == nil {

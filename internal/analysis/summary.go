@@ -1,23 +1,12 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// This file computes the per-function summaries the interprocedural
-// analyzers consume, by bottom-up fixpoint over the call graph in
-// callgraph.go:
-//
-//   - lock summaries: the set of mutex classes a function may acquire,
-//     transitively through calls, goroutine spawns, and closures it
-//     builds. lockorder uses them for acquisition-order edges, for the
-//     callee-reacquisition deadlock check, and for the lock-held-across-
-//     spawn check.
-//   - guarded fields: a struct field written at least once while a mutex
-//     of the same struct is provably held is treated as guarded by it
-//     (the cheapest sound-enough guard inference for this codebase's
-//     mu-plus-fields style).
+// This file computes the per-function lock summaries lockorder consumes,
+// by bottom-up fixpoint over the call graph in callgraph.go: the set of
+// mutex classes a function may acquire, transitively through calls,
+// goroutine spawns, and closures it builds. lockorder turns them into
+// acquisition-order edges at call sites that hold a lock.
 //
 // Summary domains are finite sets, updates are monotone unions, so the
 // fixpoint terminates; the deterministic node order makes the result —
@@ -29,8 +18,6 @@ type lockFacts struct {
 	// acquires maps a call-graph node to the mutex classes it may
 	// (transitively) acquire.
 	acquires map[*cgNode]map[string]bool
-	// guarded maps a struct field to the mutex class guarding it.
-	guarded map[*types.Var]string
 }
 
 // acquiresOf returns the classes a call expression may acquire in its
@@ -52,24 +39,12 @@ func (lf *lockFacts) acquiresOf(pkg *Package, call *ast.CallExpr) []string {
 	return sortedBoolKeys(set)
 }
 
-// nodeAcquires returns the classes node may acquire, sorted.
-func (lf *lockFacts) nodeAcquires(n *cgNode) []string {
-	if n == nil || len(lf.acquires[n]) == 0 {
-		return nil
-	}
-	return sortedBoolKeys(lf.acquires[n])
-}
-
-// lockModel builds, once per module, the acquisition summaries and the
-// guarded-field map over the call graph.
+// lockModel builds, once per module, the acquisition summaries over the
+// call graph.
 func (r *Runner) lockModel(mod *Module) *lockFacts {
 	r.lockOnce.Do(func() {
 		g := r.callGraph(mod)
-		facts := &lockFacts{
-			g:        g,
-			acquires: make(map[*cgNode]map[string]bool),
-			guarded:  make(map[*types.Var]string),
-		}
+		facts := &lockFacts{g: g, acquires: make(map[*cgNode]map[string]bool)}
 
 		// Direct acquisitions: Lock/RLock calls in each node's own body
 		// (nested literals excluded — they are their own nodes).
@@ -89,9 +64,9 @@ func (r *Runner) lockModel(mod *Module) *lockFacts {
 
 		// Transitive closure over call, spawn, and closure edges. Spawn
 		// edges are included deliberately: a goroutine the function
-		// launches can acquire the class concurrently, which is exactly
-		// what the ordering and held-across-spawn checks reason about.
-		// Self-edges (recursion) are harmless unions.
+		// launches can acquire the class while the caller still holds
+		// its own locks, so the summary over-approximates. Self-edges
+		// (recursion) are harmless unions.
 		g.fixpoint(func(n *cgNode) bool {
 			changed := false
 			for _, e := range n.out {
@@ -114,19 +89,6 @@ func (r *Runner) lockModel(mod *Module) *lockFacts {
 			return changed
 		})
 
-		// Guarded fields: dataflow over each method of a mutex-bearing
-		// struct, recording fields written while a receiver mutex is
-		// provably held.
-		for _, n := range g.nodes {
-			if n.decl == nil {
-				continue
-			}
-			recv := receiverStruct(n.pkg, n.decl)
-			if recv == nil || len(structMutexClasses(recv)) == 0 {
-				continue
-			}
-			deriveGuards(n.pkg, n.decl, recv, facts)
-		}
 		r.locks = facts
 	})
 	return r.locks

@@ -3,54 +3,6 @@ package lockord
 
 import "sync"
 
-// Counter's n is guarded: Add writes it under mu.
-type Counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Add establishes the guard relation by writing n with mu held.
-func (c *Counter) Add() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n++
-}
-
-// Bad reads the guarded field with the guard provably not held.
-func (c *Counter) Bad() int {
-	return c.n // want `Counter.n is guarded by lockord.Counter.mu`
-}
-
-// readLocked follows the *Locked convention: mu is assumed held at entry.
-func (c *Counter) readLocked() int {
-	return c.n
-}
-
-// Snapshot uses the convention helper correctly.
-func (c *Counter) Snapshot() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readLocked()
-}
-
-// Cond may or may not hold the lock at the read: Maybe is not provable,
-// so no finding.
-func (c *Counter) Cond(locked bool) int {
-	if locked {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	return c.n
-}
-
-// Double acquires the same mutex class twice on one path.
-func (c *Counter) Double() {
-	c.mu.Lock()
-	c.mu.Lock() // want `acquiring lockord.Counter.mu while it is already held`
-	c.mu.Unlock()
-	c.mu.Unlock()
-}
-
 // A and B form a lock-order cycle through AB and BA.
 type A struct{ mu sync.Mutex }
 
@@ -85,34 +37,90 @@ func ABIndirect(a *A, b *B) {
 	lockB(b)
 }
 
-// addTwice forwards to Add; the reacquisition summary must be transitive.
-func addTwice(c *Counter) {
-	c.Add()
+// E and F form a cycle through a *Locked method, which starts with its
+// receiver's mutex held.
+type E struct {
+	mu sync.Mutex
+	f  *F
 }
 
-// Reenter calls, with the lock held, a helper whose summary says it
-// re-acquires the same class two frames down.
-func (c *Counter) Reenter() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addTwice(c) // want `calling addTwice, which may \(transitively\) acquire lockord.Counter.mu while it is already held`
+type F struct{ mu sync.Mutex }
+
+// flushLocked is called with e.mu held, so taking F.mu orders E.mu
+// before it.
+func (e *E) flushLocked() {
+	e.f.mu.Lock() // want `lock-order cycle: lockord.E.mu -> lockord.F.mu -> lockord.E.mu`
+	e.f.mu.Unlock()
 }
 
-// SpawnHeld spawns, with the lock held, a goroutine whose body needs the
-// same lock: it cannot run until the spawner releases.
-func (c *Counter) SpawnHeld() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	go func() { // want `goroutine spawned while lockord.Counter.mu is held, and the spawned function may \(transitively\) acquire lockord.Counter.mu`
-		c.Add()
-	}()
-	c.n++
+// toucher reaches E.mu through an interface method, so FE's F->E edge
+// comes from the callee summaries' interface fan-out.
+type toucher interface{ touch() }
+
+func (e *E) touch() {
+	e.mu.Lock()
+	e.mu.Unlock()
 }
 
-// SpawnFree spawns the same goroutine with no lock held: no finding, and
-// the literal's own analysis starts from a fresh entry state.
-func (c *Counter) SpawnFree() {
+// FE takes F.mu, then E.mu through toucher — the opposite order.
+func FE(t toucher, f *F) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t.touch()
+}
+
+// G.mu is taken on one branch only: after the join it is not held on
+// every path, so taking H.mu adds no G->H edge, and HG's opposite order
+// closes no cycle.
+type G struct{ mu sync.Mutex }
+
+type H struct{ mu sync.Mutex }
+
+// Branch holds G.mu only when lock is set.
+func Branch(g *G, h *H, lock bool) {
+	if lock {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+	}
+	h.mu.Lock()
+	h.mu.Unlock()
+}
+
+// HG takes H.mu then G.mu.
+func HG(g *G, h *H) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	g.mu.Lock()
+	g.mu.Unlock()
+}
+
+// A goroutine spawned while I.mu is held starts with nothing held, so its
+// J.mu adds no I->J edge, and JI's opposite order closes no cycle.
+type I struct{ mu sync.Mutex }
+
+type J struct{ mu sync.Mutex }
+
+func lockJ(j *J) {
+	j.mu.Lock()
+	j.mu.Unlock()
+}
+
+// SpawnHeld spawns, with I.mu held, a function and a literal that take
+// J.mu.
+func SpawnHeld(i *I, j *J) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	go lockJ(j)
 	go func() {
-		c.Add()
+		j.mu.Lock()
+		j.mu.Unlock()
 	}()
+}
+
+// JI takes J.mu then I.mu.
+func JI(i *I, j *J) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	i.mu.Lock()
+	i.mu.Unlock()
 }

@@ -345,6 +345,7 @@ func TestParseSeeds(t *testing.T) {
 		{"", nil, false},
 		{"1..5", []uint64{1, 2, 3, 4, 5}, false},
 		{"1,7,42", []uint64{1, 7, 42}, false},
+		{"1,1,2", []uint64{1, 2}, false},
 		{" 2 .. 3 ", []uint64{2, 3}, false},
 		{"5..1", nil, true},
 		{"0..3", nil, true},

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -91,7 +92,8 @@ func GridByName(name string, instructions uint64, seeds []uint64) (Grid, error) 
 }
 
 // ParseSeeds parses a seed-sweep flag: either a comma list ("1,7,42") or
-// an inclusive range ("1..5").
+// an inclusive range ("1..5"). A repeated seed in the list is kept once,
+// at its first place, so it cannot become a second job.
 func ParseSeeds(s string) ([]uint64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -120,16 +122,20 @@ func ParseSeeds(s string) ([]uint64, error) {
 		if err != nil || v == 0 {
 			return nil, fmt.Errorf("campaign: bad seed %q in %q", part, s)
 		}
-		seeds = append(seeds, v)
+		if !slices.Contains(seeds, v) {
+			seeds = append(seeds, v)
+		}
 	}
 	return seeds, nil
 }
 
-// ParseList splits a comma-separated flag value, trimming blanks.
+// ParseList splits a comma-separated flag value, trimming blanks. A
+// repeated value is kept once, at its first place, so it cannot become a
+// second job.
 func ParseList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
+		if part = strings.TrimSpace(part); part != "" && !slices.Contains(out, part) {
 			out = append(out, part)
 		}
 	}

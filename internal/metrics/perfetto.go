@@ -25,7 +25,7 @@ type ChromeEvent struct {
 	S    string `json:"s,omitempty"`
 	// The trace-event spec requires heterogeneous args; this export is a
 	// viewer artifact, never journaled, checksummed, or re-read.
-	Args map[string]any `json:"args,omitempty"` //simlint:allow wireenc -- Chrome trace viewer schema; write-only export, not a journal
+	Args map[string]any `json:"args,omitempty"`
 }
 
 // chromeTraceFile is the JSON Object Format of the trace-event spec.
