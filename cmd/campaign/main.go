@@ -70,7 +70,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   campaign run    [flags]   expand a grid and run the missing cells
-  campaign status [flags]   show per-job status from a cache's manifest
+  campaign status [flags]   show the last run's per-job status
   campaign export [flags]   dump every cached result as CSV
   campaign inspect [flags]  per-cell summaries of a cache
   campaign fsck   [flags]   scan a cache for corrupt/orphaned entries
@@ -99,9 +99,9 @@ fsck flags:
   -cache dir          cache directory (default ".campaign")
   -prune              delete corrupt entries and orphaned temp files
                       (pruned cells simply re-simulate on the next run)
-  -deep               cross-check manifest journal rows against cache
-                      entries in both directions (done rows without a
-                      backing entry; entries without a journal row)
+  -deep               also check that every done manifest journal row
+                      has a verified cache entry (-prune resets such a
+                      row to pending)
 
 replay flags:
   -depth N            replay trace capacity in events (default %d)
@@ -218,7 +218,7 @@ func cmdFsck(args []string) error {
 	fs := flag.NewFlagSet("campaign fsck", flag.ExitOnError)
 	cacheDir := fs.String("cache", ".campaign", "cache directory")
 	prune := fs.Bool("prune", false, "delete corrupt entries and orphaned temp files")
-	deep := fs.Bool("deep", false, "cross-check manifest journal rows against cache entries")
+	deep := fs.Bool("deep", false, "check that every done manifest journal row has a verified cache entry")
 	fs.Parse(args)
 
 	rep, err := campaign.Fsck(*cacheDir, campaign.FsckOptions{Prune: *prune, Deep: *deep})

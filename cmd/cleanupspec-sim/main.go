@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,6 +42,10 @@ func main() {
 		counters     = flag.Bool("counters", false, "dump the full final counter registry")
 	)
 	flag.Parse()
+	if err := checkSampling(*sampleEvery, *metricsOut, *width); err != nil {
+		fmt.Fprintln(os.Stderr, "cleanupspec-sim:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("workloads:")
@@ -134,6 +139,22 @@ func main() {
 			check(err)
 		}
 	}
+}
+
+// checkSampling rejects a zero sampling interval next to an output built
+// from samples: at 0 the sampler records nothing, so the series file
+// would be empty and the phase plot flat. The Perfetto trace needs no
+// samples; its events come from the trace ring.
+func checkSampling(every uint64, metricsOut string, width int) error {
+	switch {
+	case every > 0:
+		return nil
+	case metricsOut != "":
+		return errors.New("-sample-every 0 records no samples for -metrics-out")
+	case width > 0:
+		return errors.New("-sample-every 0 records no samples for the -width phase plot")
+	}
+	return nil
 }
 
 // printPhasePlot renders the run's phase behaviour: one sparkline per

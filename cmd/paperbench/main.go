@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,6 +44,10 @@ func main() {
 		sampleEvery  = flag.Uint64("sample-every", 1000, "metrics sampling interval in cycles")
 	)
 	flag.Parse()
+	if err := checkSampling(*sampleEvery, *metricsOut); err != nil {
+		fmt.Fprintln(os.Stderr, "paperbench:", err)
+		os.Exit(2)
+	}
 
 	if *metricsOut != "" || *traceOut != "" {
 		if err := exportObservability(*metricsWL, *instructions, *sampleEvery, *metricsOut, *traceOut); err != nil {
@@ -132,6 +137,16 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// checkSampling rejects a zero sampling interval next to -metrics-out: at
+// 0 the sampler records nothing, so every series file would be empty.
+// -trace-out alone needs no samples; its events come from the trace ring.
+func checkSampling(every uint64, metricsOut string) error {
+	if every == 0 && metricsOut != "" {
+		return errors.New("-sample-every 0 records no samples for -metrics-out")
+	}
+	return nil
 }
 
 // exportObservability runs the nonsecure + cleanupspec pair on one workload

@@ -22,8 +22,8 @@
 //   - errdiscipline: no panic in internal/ simulation packages outside
 //     must* helpers — failures must flow to the campaign engine as errors.
 //   - lockorder: the lock-acquisition graph across the concurrent layers
-//     (campaign, faultinject, …) is acyclic — the deadlock that -race
-//     and the tests rarely trip.
+//     (the campaign engine, manifest and reporter, …) is acyclic — the
+//     deadlock that -race and the tests rarely trip.
 //   - enumexhaustive: every switch over an iota-declared enum covers all
 //     of its constants or carries an explicit default — the class of bug
 //     that silently drops a coherence-protocol transition.

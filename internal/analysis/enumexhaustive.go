@@ -9,12 +9,13 @@ import (
 )
 
 // AnalyzerEnumExhaustive enforces exhaustive switches over the module's
-// iota-declared enums (trace.Kind, arch.CohState, isa.Op, faultinject.Site,
-// …). A switch whose tag has an iota-enum type must either cover every
-// declared constant of that type or carry an explicit default clause;
-// otherwise adding an enum member (a new coherence state, a new fault
-// site) silently falls through instead of failing loudly. Cardinality
-// sentinels (numSites, maxOps, …Count) are not treated as members.
+// iota-declared enums (trace.Kind, arch.CohState, isa.Op,
+// specfuzz.WindowKind, …). A switch whose tag has an iota-enum type must
+// either cover every declared constant of that type or carry an explicit
+// default clause; otherwise adding an enum member (a new coherence state,
+// a new gadget window) silently falls through instead of failing loudly.
+// Cardinality sentinels (numWindowKinds, maxOps, …Count) are not treated
+// as members.
 var AnalyzerEnumExhaustive = &Analyzer{
 	Name: "enumexhaustive",
 	Doc:  "require switches over iota-declared enum types to cover every constant or declare an explicit default",
@@ -200,7 +201,7 @@ func (r *Runner) enumRegistry(mod *Module) map[*types.TypeName]*enumInfo {
 }
 
 // enumSentinelName reports whether a constant name denotes a cardinality
-// sentinel (numSites, MaxOps, stateCount) rather than an enum member.
+// sentinel (numWindowKinds, MaxOps, stateCount) rather than an enum member.
 func enumSentinelName(name string) bool {
 	for _, prefix := range []string{"num", "Num", "max", "Max"} {
 		if strings.HasPrefix(name, prefix) {

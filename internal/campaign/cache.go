@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/faultinject"
 	"repro/sim"
 )
 
@@ -27,8 +26,6 @@ type Cache struct {
 
 	// Warn, when non-nil, receives one line per detected corrupt entry.
 	Warn func(msg string)
-	// Faults injects read/write faults for chaos tests (nil = disabled).
-	Faults *faultinject.Injector
 
 	corrupt atomic.Int64
 }
@@ -135,14 +132,6 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	if err != nil {
 		return Entry{}, false
 	}
-	switch k := c.Faults.Check(faultinject.SiteCacheRead); k {
-	case faultinject.KindError:
-		return Entry{}, false // injected read error: a plain miss
-	case faultinject.KindCorrupt:
-		data = c.Faults.Mutate(k, data)
-	default:
-		// KindNone and kinds scheduled for other sites: read proceeds.
-	}
 	var e Entry
 	if err := json.Unmarshal(data, &e); err != nil {
 		c.noteCorrupt(path, "unparseable")
@@ -190,16 +179,6 @@ func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
 	data, err := json.MarshalIndent(e, "", " ")
 	if err != nil {
 		return fmt.Errorf("campaign: encoding cache entry: %w", err)
-	}
-	switch k := c.Faults.Check(faultinject.SiteCacheWrite); k {
-	case faultinject.KindError:
-		return fmt.Errorf("campaign: cache write %s: %w", key, faultinject.ErrInjected)
-	case faultinject.KindCorrupt, faultinject.KindTruncate:
-		// Persist damaged bytes through the normal atomic path: the torn
-		// entry must be caught by the read-side checksum, not by luck.
-		data = c.Faults.Mutate(k, data)
-	default:
-		// KindNone and kinds scheduled for other sites: write proceeds.
 	}
 	path := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

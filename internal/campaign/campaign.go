@@ -13,8 +13,8 @@
 //     same sim.Result, so a key is safe to use as a cache address.
 //   - Cache: JSON result files under a cache directory, sharded by key
 //     prefix, written atomically (temp file + rename).
-//   - Manifest: per-job status (pending / done / failed) persisted next to
-//     the cache for `campaign status` and resumability.
+//   - Manifest: the last run's per-job status (pending / done / failed)
+//     persisted next to the cache for `campaign status` and resumability.
 //   - Engine: the worker pool. Results come back in job order regardless
 //     of scheduling, a failed job is recorded as failed instead of
 //     panicking, and a Reporter streams completed/total + ETA to stderr.
@@ -136,7 +136,6 @@ func cellKey(kind CellKind, wl string, cfg sim.Config, cell json.RawMessage) (st
 	rc.Trace = nil // observation-only; does not affect results
 	rc.Metrics = nil
 	rc.SampleEvery = 0
-	rc.Faults = nil
 	blob, err := json.Marshal(keyRecord{Schema: SchemaVersion, Workload: wl, Config: rc, Kind: kind, Cell: cell})
 	if err != nil {
 		// sim.Config is a plain struct of scalars and pointers today (and

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/sim"
 )
 
@@ -70,8 +69,8 @@ func TestKeyDeterminismAndSensitivity(t *testing.T) {
 	}
 
 	// The observability hooks are observation-only and must not affect
-	// identity: same key with a trace ring, a metrics collector, a
-	// sampling interval, or a fault injector attached.
+	// identity: same key with a trace ring, a metrics collector or a
+	// sampling interval attached.
 	traced := base
 	traced.Trace = sim.NewTraceRing(16)
 	if keyOf(t, "astar", traced) != k {
@@ -82,11 +81,6 @@ func TestKeyDeterminismAndSensitivity(t *testing.T) {
 	instrumented.SampleEvery = 1000
 	if keyOf(t, "astar", instrumented) != k {
 		t.Error("metrics collector / sampling interval changed the key")
-	}
-	faulted := base
-	faulted.Faults = faultinject.New(3)
-	if keyOf(t, "astar", faulted) != k {
-		t.Error("fault injector changed the key")
 	}
 }
 
@@ -289,6 +283,45 @@ func TestManifestJournalAppendOnly(t *testing.T) {
 	}
 	if _, _, f, q := loaded.Counts(); f != 0 || q != 1 {
 		t.Fatalf("failed=%d quarantined=%d, want 0/1", f, q)
+	}
+}
+
+// TestManifestDescribesLastRun runs one grid at one window, then twice at
+// another, on one cache, as `campaign run` does: the journal must then
+// describe the last run alone — its two cells done, both served from the
+// cache — not the cells earlier runs left behind.
+func TestManifestDescribesLastRun(t *testing.T) {
+	dir := t.TempDir()
+	for _, window := range []uint64{4_000, 5_000, 5_000} {
+		jobs := Grid{Name: "quick", Workloads: []string{"astar", "gcc"},
+			Policies: []sim.Policy{sim.NonSecure}, Instructions: window}.Jobs()
+		eng := NewEngine()
+		cache, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Cache = cache
+		m, ok := LoadManifest(dir)
+		if !ok {
+			m = NewManifest(dir, "quick")
+		}
+		eng.Manifest = m
+		if n := len(Failed(eng.Run(jobs))); n != 0 {
+			t.Fatalf("window %d: %d jobs failed", window, n)
+		}
+	}
+
+	m, ok := LoadManifest(dir)
+	if !ok {
+		t.Fatal("manifest did not load back")
+	}
+	if p, d, f, q := m.Counts(); p != 0 || d != 2 || f != 0 || q != 0 {
+		t.Fatalf("counts after the last run: pending=%d done=%d failed=%d quarantined=%d, want 0/2/0/0", p, d, f, q)
+	}
+	for _, rec := range m.Records() {
+		if !rec.Cached {
+			t.Errorf("row %s/%s: simulated, but the last run served every cell from the cache", rec.Workload, rec.Policy)
+		}
 	}
 }
 

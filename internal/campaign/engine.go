@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/sim"
 )
 
@@ -43,10 +42,6 @@ type Engine struct {
 	// Reporter, when non-nil, streams completed/total + ETA as jobs
 	// finish.
 	Reporter *Reporter
-	// Faults, when non-nil, is the chaos-test fault schedule. Each job
-	// derives a child injector keyed by its cache key, so which worker
-	// picks up a job never changes the faults it sees.
-	Faults *faultinject.Injector
 
 	mu    sync.Mutex
 	memo  map[string]memoVal
@@ -176,22 +171,13 @@ func (e *PanicError) Error() string { return "worker panic: " + e.Value }
 // a panicking worker comes back as a *PanicError instead of tearing down
 // the whole pool. Custom cell kinds dispatch to their registered CellFunc;
 // the default kind is one sim.RunWorkload invocation.
-func (e *Engine) runAttempt(job Job, cfg sim.Config, faults *faultinject.Injector) (val memoVal, err error) {
+func (e *Engine) runAttempt(job Job, cfg sim.Config) (val memoVal, err error) {
 	defer func() {
 		//simlint:allow errdiscipline -- panic isolation boundary: a worker panic becomes a quarantined JobResult with a diagnostic dump, the pool survives
 		if r := recover(); r != nil {
 			err = &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 		}
 	}()
-	switch faults.Check(faultinject.SiteWorkerExec) {
-	case faultinject.KindError:
-		return memoVal{}, fmt.Errorf("campaign: worker executing %s: %w", job, faultinject.ErrInjected)
-	case faultinject.KindPanic:
-		//simlint:allow errdiscipline -- deliberate injected fault: the chaos suite proves this panic is recovered and quarantined, never escapes the pool
-		panic(fmt.Sprintf("faultinject: injected worker panic for %s", job))
-	default:
-		// KindNone and kinds scheduled for other sites: run normally.
-	}
 	if job.Kind != KindSim {
 		fn, ok := e.cellFunc(job.Kind)
 		if !ok {
@@ -273,16 +259,14 @@ func (e *Engine) RunJob(job Job) JobResult {
 	if hit {
 		return JobResult{Job: job, Key: key, Result: val.res, Aux: val.aux, Cached: true}
 	}
-	faults := e.Faults.Child(key)
 	cfg := job.Config
 	// Every fresh simulation runs instrumented so the cached entry
 	// carries the full counter snapshot (Result.Metrics). Counter
 	// bindings are free on the hot path and no sampler is attached,
 	// so this does not slow the job or change its outcome.
 	cfg.Metrics = &sim.Metrics{}
-	cfg.Faults = faults
 	e.sims.Add(1)
-	val, err := e.runAttempt(job, cfg, faults)
+	val, err := e.runAttempt(job, cfg)
 	// The error is not wrapped with the job name: every consumer
 	// (reporter, manifest, CLI failure listing) prints jr.Job alongside.
 	jr := JobResult{Job: job, Key: key, Err: err}

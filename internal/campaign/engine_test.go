@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/sim"
 )
 
@@ -24,6 +23,20 @@ func smallGrid() Grid {
 		Seeds:        []uint64{1, 2},
 		Instructions: 6_000,
 	}
+}
+
+// kindModel is a custom cell kind that stands in for a simulator model:
+// simulateCell is its working executor, panickingCell a model bug that
+// panics on every cell of the kind.
+const kindModel CellKind = "model"
+
+func simulateCell(job Job) (sim.Result, json.RawMessage, error) {
+	res, err := sim.RunWorkload(job.Workload, job.Config)
+	return res, nil, err
+}
+
+func panickingCell(job Job) (sim.Result, json.RawMessage, error) {
+	panic("model bug in " + job.String())
 }
 
 // TestParallelMatchesSerial is the end-to-end determinism check: a
@@ -230,12 +243,14 @@ func TestMaxCyclesFailsInOneAttempt(t *testing.T) {
 	}
 }
 
-// TestPanicQuarantine injects a worker panic: the pool must survive, the
-// job must come back quarantined (not plain-failed) with a
-// diagnostic dump, and the manifest must record the quarantine.
+// TestPanicQuarantine runs a cell whose executor panics, a model bug: the
+// pool must survive, the job must come back quarantined (not
+// plain-failed) with a diagnostic dump, and the manifest must record the
+// quarantine.
 func TestPanicQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	jobs := smallGrid().Jobs()[:1]
+	jobs[0].Kind = kindModel
 
 	eng := NewEngine()
 	cache, err := OpenCache(dir)
@@ -244,8 +259,7 @@ func TestPanicQuarantine(t *testing.T) {
 	}
 	eng.Cache = cache
 	eng.Manifest = NewManifest(dir, "test")
-	eng.Faults = faultinject.Plan("panic-test").
-		Schedule(faultinject.SiteWorkerExec, faultinject.KindPanic, 1)
+	eng.RegisterCell(kindModel, panickingCell)
 
 	results := eng.Run(jobs)
 	r := results[0]
@@ -278,7 +292,7 @@ func TestPanicQuarantine(t *testing.T) {
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatalf("dump unparseable: %v", err)
 	}
-	if dump.Key != r.Key || !strings.Contains(dump.Panic, "injected worker panic") || dump.Stack == "" {
+	if dump.Key != r.Key || !strings.Contains(dump.Panic, "model bug in model:astar") || dump.Stack == "" {
 		t.Fatalf("dump missing evidence: %+v", dump)
 	}
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Flaw is one damaged file found by Fsck.
@@ -30,27 +32,25 @@ type FsckReport struct {
 	ManifestRecords int
 	ManifestDropped int // torn journal lines
 
-	// Deep cross-check results (Fsck with Deep set): the journal and the
-	// entry store describe the same campaign from two sides, and a crash
-	// between cache.Put and Manifest.Append (or a lost Put) lets them
-	// drift. Both directions are recoverable — the engine re-simulates a
-	// missing entry and re-journals an unjournaled one — but drift means
-	// resume estimates and `campaign status` counts lie, so -deep makes
-	// it visible.
+	// Deep check results (Fsck with Deep set): a journal row that
+	// says done while no verified entry backs it (a lost Put, or an entry
+	// deleted by hand) makes resume estimates and `campaign status` lie,
+	// so -deep makes it visible. The other direction is no drift: an
+	// entry without a row is what `paperbench -cache`, a manifest-less
+	// engine or an older grid leaves in a shared cache, and the next run
+	// that needs it serves it and journals it.
 	Deep        bool
 	MissingData []Flaw // done journal rows whose cache entry is absent/unusable
-	Unjournaled []Flaw // verified cache entries with no journal row
 
 	Pruned []string // removed by -prune
 }
 
 // Clean reports whether the scan found nothing to repair. A missing or
 // rebuilt manifest is not dirt — the engine reconstructs it — but corrupt
-// or orphaned entry files are, and so is journal/store drift found by a
-// deep scan.
+// or orphaned entry files are, and so is a done row without an entry
+// found by a deep scan.
 func (r *FsckReport) Clean() bool {
-	return len(r.Corrupt) == 0 && len(r.Orphans) == 0 &&
-		len(r.MissingData) == 0 && len(r.Unjournaled) == 0
+	return len(r.Corrupt) == 0 && len(r.Orphans) == 0 && len(r.MissingData) == 0
 }
 
 // String renders the operator-facing summary `campaign fsck` prints.
@@ -78,9 +78,6 @@ func (r *FsckReport) String() string {
 	for _, f := range r.MissingData {
 		fmt.Fprintf(&b, "\n  missing: %s (%s)", f.Path, f.Reason)
 	}
-	for _, f := range r.Unjournaled {
-		fmt.Fprintf(&b, "\n  unjournaled: %s (%s)", f.Path, f.Reason)
-	}
 	for _, p := range r.Pruned {
 		fmt.Fprintf(&b, "\n  pruned:  %s", p)
 	}
@@ -96,12 +93,12 @@ func isTempFile(name string) bool {
 
 // FsckOptions selects what a cache scan checks and repairs.
 type FsckOptions struct {
-	// Prune deletes corrupt entries and orphans, removes unjournaled
-	// entries, and resets done journal rows with no backing entry to
-	// pending — every repair makes the affected cell simply re-simulate.
+	// Prune deletes corrupt entries and orphans, and resets done journal
+	// rows with no backing entry to pending — every repair makes the
+	// affected cell simply re-simulate.
 	Prune bool
-	// Deep cross-checks manifest journal rows against the entry store in
-	// both directions (requires a readable manifest; silently skipped
+	// Deep checks that every done manifest journal row has a verified
+	// cache entry (requires a readable manifest; silently skipped
 	// otherwise, since a rebuilt manifest has nothing to disagree with).
 	Deep bool
 }
@@ -178,8 +175,8 @@ func scanCache(dir string) (*cacheScan, error) {
 // wrong key or shard, temp-file orphans, torn manifest lines — and
 // reports everything found. With Prune set, corrupt entries and orphans
 // are deleted (they will simply re-simulate); valid entries from other
-// schema versions are reported but never pruned. Deep adds the
-// journal/store cross-check (see FsckOptions).
+// schema versions are reported but never pruned. Deep adds the check of
+// done journal rows against the entries (see FsckOptions).
 func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("campaign: fsck: %w", err)
@@ -190,9 +187,9 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 	}
 	rep := &FsckReport{Dir: dir, Deep: opts.Deep, Scanned: sc.scanned, OK: len(sc.clean),
 		Foreign: sc.foreign, Corrupt: sc.corrupt, Orphans: sc.orphans}
-	verified := make(map[string]string, len(sc.clean)) // entry key -> path
+	verified := make(map[string]bool, len(sc.clean))
 	for _, e := range sc.clean {
-		verified[e.Key] = entryPath(dir, e.Key)
+		verified[e.Key] = true
 	}
 
 	m, manifestOK := LoadManifest(dir)
@@ -204,12 +201,12 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 
 	var missingKeys []string // done rows to reset on prune
 	if opts.Deep && manifestOK {
-		for _, key := range sortedKeys(m.Jobs) {
+		for _, key := range stats.SortedKeys(m.Jobs) {
 			rec := m.Jobs[key]
 			if rec.Status != StatusDone {
 				continue
 			}
-			if _, ok := verified[key]; !ok {
+			if !verified[key] {
 				rep.MissingData = append(rep.MissingData, Flaw{
 					Path:   key,
 					Reason: fmt.Sprintf("journal says %s/%s is done but no verified cache entry backs it", rec.Workload, rec.Policy),
@@ -217,20 +214,10 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 				missingKeys = append(missingKeys, key)
 			}
 		}
-		for _, key := range sortedKeys(verified) {
-			if _, ok := m.Jobs[key]; !ok {
-				rep.Unjournaled = append(rep.Unjournaled, Flaw{
-					Path:   verified[key],
-					Reason: fmt.Sprintf("cache entry %s has no journal row", key),
-				})
-			}
-		}
-		sortFlaws(rep.MissingData)
-		sortFlaws(rep.Unjournaled)
 	}
 
 	if opts.Prune {
-		for _, list := range [][]Flaw{rep.Corrupt, rep.Orphans, rep.Unjournaled} {
+		for _, list := range [][]Flaw{rep.Corrupt, rep.Orphans} {
 			for _, f := range list {
 				if err := os.Remove(f.Path); err != nil {
 					return rep, fmt.Errorf("campaign: fsck prune: %w", err)
@@ -253,17 +240,6 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		sort.Strings(rep.Pruned)
 	}
 	return rep, nil
-}
-
-// sortedKeys returns a map's keys in sorted order, for deterministic
-// flaw listings.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func sortFlaws(flaws []Flaw) {

@@ -3,15 +3,14 @@ package campaign
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 // TestFsckDeep desynchronizes a warm cache's manifest journal from its
-// entry store in both directions — a done row whose entry vanished, and
-// an entry whose journal row was lost — and checks the deep scan reports
-// exactly that drift, a shallow scan stays blind to it, and prune
-// restores agreement.
+// entry store — a done row whose entry vanished, and an entry whose
+// journal row was lost — and checks the deep scan reports the first as
+// drift and keeps the second (the next run serves and journals it), a
+// shallow scan stays blind to both, and prune restores agreement.
 func TestFsckDeep(t *testing.T) {
 	dir := t.TempDir()
 	jobs := smallGrid().Jobs()[:4]
@@ -45,19 +44,7 @@ func TestFsckDeep(t *testing.T) {
 	// Drift 2: strip the second job's row from the journal while its entry
 	// stays (a crash between cache.Put and Manifest.Append).
 	k1 := mustKey(t, jobs[1])
-	data, err := os.ReadFile(ManifestPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.Contains(line, k1) {
-			kept = append(kept, line)
-		}
-	}
-	if err := os.WriteFile(ManifestPath(dir), []byte(strings.Join(kept, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dropJournalRow(t, dir, k1)
 
 	// A shallow scan sees nothing: every remaining file is intact.
 	rep, err = Fsck(dir, FsckOptions{})
@@ -68,7 +55,7 @@ func TestFsckDeep(t *testing.T) {
 		t.Fatalf("shallow scan should not see journal drift: %s", rep)
 	}
 
-	// The deep scan sees both directions.
+	// The deep scan sees the done row without an entry, and nothing else.
 	rep, err = Fsck(dir, FsckOptions{Deep: true})
 	if err != nil {
 		t.Fatal(err)
@@ -79,25 +66,22 @@ func TestFsckDeep(t *testing.T) {
 	if len(rep.MissingData) != 1 || rep.MissingData[0].Path != k0 {
 		t.Fatalf("missing-data = %+v, want the deleted entry's row %s", rep.MissingData, k0)
 	}
-	if len(rep.Unjournaled) != 1 || !strings.Contains(rep.Unjournaled[0].Path, k1) {
-		t.Fatalf("unjournaled = %+v, want the rowless entry %s", rep.Unjournaled, k1)
-	}
 
-	// Prune repairs both: the stale done row is demoted to pending, the
-	// rowless entry is removed, and a deep re-scan agrees.
+	// Prune demotes the stale done row to pending and keeps the rowless
+	// entry; a deep re-scan agrees.
 	rep, err = Fsck(dir, FsckOptions{Deep: true, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pruned) != 2 {
-		t.Fatalf("pruned %v, want the entry file and the journal row", rep.Pruned)
+	if len(rep.Pruned) != 1 || rep.Pruned[0] != "journal:"+k0 {
+		t.Fatalf("pruned %v, want only the journal row of %s", rep.Pruned, k0)
 	}
 	rep, err = Fsck(dir, FsckOptions{Deep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
-		t.Fatalf("cache still drifted after prune: %s", rep)
+	if !rep.Clean() || rep.OK != len(jobs)-1 {
+		t.Fatalf("cache after prune: %s; want clean with %d entries", rep, len(jobs)-1)
 	}
 	m, ok := LoadManifest(dir)
 	if !ok {
@@ -107,7 +91,8 @@ func TestFsckDeep(t *testing.T) {
 		t.Fatalf("demoted row = %+v, want status pending", m.Jobs[k0])
 	}
 
-	// Resume heals the drift: exactly the two affected cells re-simulate.
+	// Resume heals the drift: only the cell whose entry was lost
+	// re-simulates; the rowless entry is served and journaled.
 	again := NewEngine()
 	again.Cache, err = OpenCache(dir)
 	if err != nil {
@@ -118,8 +103,11 @@ func TestFsckDeep(t *testing.T) {
 	if n := len(Failed(again.Run(jobs))); n != 0 {
 		t.Fatalf("%d jobs failed after prune", n)
 	}
-	if got := again.Simulations(); got != 2 {
-		t.Fatalf("post-prune run simulated %d cells, want the 2 drifted ones", got)
+	if got := again.Simulations(); got != 1 {
+		t.Fatalf("post-prune run simulated %d cells, want the 1 whose entry was lost", got)
+	}
+	if rec := m.Jobs[k1]; rec == nil || rec.Status != StatusDone || !rec.Cached {
+		t.Fatalf("rowless entry's cell journaled as %+v, want done from the cache", rec)
 	}
 	rep, err = Fsck(dir, FsckOptions{Deep: true})
 	if err != nil {
@@ -127,5 +115,43 @@ func TestFsckDeep(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("cache not deep-clean after healing run: %s", rep)
+	}
+}
+
+// TestFsckDeepKeepsJournallessCells shares one cache between a campaign
+// with a journal and an engine without one, as `paperbench -cache` does:
+// the entries without journal rows are valid cells, so a deep, pruning
+// fsck must find nothing and delete nothing.
+func TestFsckDeepKeepsJournallessCells(t *testing.T) {
+	dir := t.TempDir()
+	jobs := smallGrid().Jobs()[:4]
+	for i, manifest := range []bool{true, false} {
+		eng := NewEngine()
+		cache, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Cache = cache
+		if manifest {
+			eng.Manifest = NewManifest(dir, "test")
+		}
+		if n := len(Failed(eng.Run(jobs[2*i : 2*i+2]))); n != 0 {
+			t.Fatalf("%d jobs failed", n)
+		}
+	}
+
+	rep, err := Fsck(dir, FsckOptions{Deep: true, Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || len(rep.Pruned) != 0 {
+		t.Fatalf("deep fsck of a shared cache: %s; want clean with nothing pruned", rep)
+	}
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cache.Len(); err != nil || n != len(jobs) {
+		t.Fatalf("cache holds %d entries (%v) after fsck, want %d", n, err, len(jobs))
 	}
 }

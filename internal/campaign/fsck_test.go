@@ -37,31 +37,11 @@ func TestFsck(t *testing.T) {
 		t.Fatalf("manifest misread: %s", rep)
 	}
 
-	// Damage 1: flip one byte inside the first entry's result payload.
+	// Damage 1: change one digit of the first entry's cycle count: still
+	// valid JSON, wrong data.
 	k0 := mustKey(t, jobs[0])
 	p0 := filepath.Join(dir, k0[:2], k0+".json")
-	data, err := os.ReadFile(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := strings.Index(string(data), `"cycles"`)
-	if i < 0 {
-		t.Fatalf("no cycles field in entry %s", p0)
-	}
-	// Change one digit of the cycle count: still valid JSON, wrong data.
-	for j := i; j < len(data); j++ {
-		if data[j] >= '0' && data[j] <= '9' {
-			if data[j] == '9' {
-				data[j] = '8'
-			} else {
-				data[j] = '9'
-			}
-			break
-		}
-	}
-	if err := os.WriteFile(p0, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rotCycles(t, p0)
 
 	// Damage 2: refile the second entry under the wrong key.
 	k1 := mustKey(t, jobs[1])

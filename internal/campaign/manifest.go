@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/faultinject"
 	"repro/sim"
 )
 
@@ -51,9 +50,6 @@ type JobRecord struct {
 type Manifest struct {
 	Grid string
 	Jobs map[string]*JobRecord // keyed by cache key
-
-	// Faults injects append faults for chaos tests (nil = disabled).
-	Faults *faultinject.Injector
 
 	mu      sync.Mutex
 	path    string
@@ -129,20 +125,25 @@ func (m *Manifest) Dropped() int {
 	return m.dropped
 }
 
-// Reconcile registers every job of a new run: jobs not yet present (or
-// previously failed/quarantined) become pending; jobs already done are
-// left alone. Jobs whose config cannot be canonicalized are skipped here
-// — the engine reports them as failed results.
+// Reconcile makes the manifest describe a new run: it keeps exactly the
+// run's jobs, so `campaign status` counts this run and not the grids
+// that earlier runs left in a shared cache (their entries stay in the
+// cache). A job already done stays done; every other job becomes
+// pending. Jobs whose config cannot be canonicalized are skipped here —
+// the engine reports them as failed results.
 func (m *Manifest) Reconcile(grid string, jobs []Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Grid = grid
+	prev := m.Jobs
+	m.Jobs = make(map[string]*JobRecord, len(jobs))
 	for _, j := range jobs {
 		key, err := j.Key()
 		if err != nil {
 			continue
 		}
-		if rec, ok := m.Jobs[key]; ok && rec.Status == StatusDone {
+		if rec, ok := prev[key]; ok && rec.Status == StatusDone {
+			m.Jobs[key] = rec
 			continue
 		}
 		rc := j.Config.Resolved()
@@ -197,16 +198,6 @@ func (m *Manifest) Append(r JobResult) error {
 		return fmt.Errorf("campaign: encoding manifest line: %w", err)
 	}
 	line = append(line, '\n')
-	switch m.Faults.Check(faultinject.SiteManifestAppend) {
-	case faultinject.KindError:
-		return fmt.Errorf("campaign: manifest append: %w", faultinject.ErrInjected)
-	case faultinject.KindTruncate:
-		// Simulated mid-write kill: half a line, no newline. Replay must
-		// drop it and rerun only this cell.
-		line = line[:len(line)/2]
-	default:
-		// KindNone and kinds scheduled for other sites: append proceeds.
-	}
 	if err := m.appendLocked(line); err != nil {
 		return fmt.Errorf("campaign: manifest append: %w", err)
 	}

@@ -12,9 +12,6 @@ import (
 // concurrent use by the engine's workers.
 type Reporter struct {
 	W io.Writer
-	// Every throttles output: only every Nth completion is printed (the
-	// final one always is). 0 means every completion.
-	Every int
 
 	mu          sync.Mutex
 	total       int
@@ -56,9 +53,6 @@ func (r *Reporter) JobDone(jr JobResult) {
 	case jr.Failed():
 		r.failed++
 		fmt.Fprintf(r.W, "campaign: FAILED %s: %v\n", jr.Job, jr.Err)
-	}
-	if r.Every > 1 && r.done%r.Every != 0 && r.done != r.total {
-		return
 	}
 	line := fmt.Sprintf("campaign: %d/%d done", r.done, r.total)
 	if r.cached > 0 {

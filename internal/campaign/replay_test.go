@@ -5,18 +5,17 @@ import (
 	"os"
 	"reflect"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
-// TestReplay quarantines a cell through an injected worker panic, loads
-// the dump back and replays it on a fresh engine. The dump carries no
-// trace of its own; the replay supplies the cell's whole event history.
-// The injected fault belongs to the faulted engine, not to the job, so the
-// replay runs clean and matches a fault-free run of the same job.
+// TestReplay quarantines a cell whose executor panics, loads the dump back
+// and replays it on a fresh engine whose executor for that kind is fixed
+// and simulates the job. The dump carries no trace of its own; the replay
+// supplies the cell's whole event history, and the fixed replay matches a
+// plain run of the same simulation.
 func TestReplay(t *testing.T) {
 	dir := t.TempDir()
 	job := smallGrid().Jobs()[0]
+	job.Kind = kindModel
 
 	eng := NewEngine()
 	cache, err := OpenCache(dir)
@@ -24,8 +23,7 @@ func TestReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Cache = cache
-	eng.Faults = faultinject.Plan("replay-test").
-		Schedule(faultinject.SiteWorkerExec, faultinject.KindPanic, 1)
+	eng.RegisterCell(kindModel, panickingCell)
 	r := eng.Run([]Job{job})[0]
 	if !r.Quarantined || r.DumpPath == "" {
 		t.Fatalf("want a quarantined result with a dump, got %+v", r)
@@ -50,21 +48,25 @@ func TestReplay(t *testing.T) {
 		t.Fatalf("dump key %s, want %s", dump.Key, r.Key)
 	}
 
-	rep, err := Replay(NewEngine(), dump, 0)
+	fixed := NewEngine()
+	fixed.RegisterCell(kindModel, simulateCell)
+	rep, err := Replay(fixed, dump, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Reproduced || rep.Result.Err != nil {
-		t.Fatalf("replay without the injected fault: reproduced=%v err=%v", rep.Reproduced, rep.Result.Err)
+		t.Fatalf("replay on the fixed executor: reproduced=%v err=%v", rep.Reproduced, rep.Result.Err)
 	}
 	if len(rep.Events) == 0 || rep.Dropped != 0 {
 		t.Fatalf("replay captured %d event(s), dropped %d; want a full trace", len(rep.Events), rep.Dropped)
 	}
-	want := NewEngine().RunJob(job)
+	plain := job
+	plain.Kind = KindSim
+	want := NewEngine().RunJob(plain)
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}
 	if !reflect.DeepEqual(rep.Result.Result, want.Result) {
-		t.Fatalf("replay result differs from a fault-free run:\n got %+v\nwant %+v", rep.Result.Result, want.Result)
+		t.Fatalf("replay result differs from a plain run:\n got %+v\nwant %+v", rep.Result.Result, want.Result)
 	}
 }

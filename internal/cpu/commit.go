@@ -35,12 +35,6 @@ const commitWindow = 8
 
 // commit retires up to CommitWidth completed instructions in program order.
 func (m *Machine) commit() {
-	// Injected commit stall (fault-injection harness): retirement freezes
-	// from stallFrom on so the forward-progress watchdog has a
-	// deterministic livelock to detect. stallFrom is 0 in real runs.
-	if m.stallFrom != 0 && m.now >= m.stallFrom {
-		return
-	}
 	// Give the policy a look at completed loads nearing retirement so it
 	// can pipeline commit-time work (InvisiSpec updates/validations).
 	// The scan stops at the first incomplete entry: everything before it

@@ -75,9 +75,6 @@ func (m *Machine) diagnoseLivelock(window arch.Cycle) *LivelockError {
 
 // stalledStructure names what the oldest instruction is waiting on.
 func (m *Machine) stalledStructure() string {
-	if m.stallFrom != 0 && m.now >= m.stallFrom {
-		return "commit (injected stall)"
-	}
 	if m.robCount == 0 {
 		return "front end (ROB empty, nothing to commit)"
 	}
@@ -114,9 +111,3 @@ func (m *Machine) LivelockErr() error {
 	}
 	return m.livelock
 }
-
-// InjectCommitStall freezes retirement from cycle `at` on — a
-// deterministic, seeded livelock used by the fault-injection harness to
-// prove the watchdog fires within its window. Zero (the default) never
-// stalls; real workloads pay only a register compare per commit call.
-func (m *Machine) InjectCommitStall(at arch.Cycle) { m.stallFrom = at }

@@ -274,8 +274,7 @@ type Machine struct {
 	cycleBase       arch.Cycle
 	committedBase   uint64
 
-	stallFrom arch.Cycle // injected commit stall (0 = none); see InjectCommitStall
-	livelock  *LivelockError
+	livelock *LivelockError
 
 	tracer  *trace.Ring
 	sampler *metrics.Sampler
@@ -461,8 +460,8 @@ func (m *Machine) Run(maxInstructions uint64) Stats {
 		// reads as "no stall" rather than an instant ~1.8e19-cycle stall.
 		if watchdog != 0 && m.now > m.lastCommitCycle+watchdog {
 			// Forward-progress watchdog: a commit stall this long is a
-			// model bug or an injected livelock. Diagnose and stop
-			// instead of burning to MaxCycles.
+			// model bug or a configuration that cannot make progress.
+			// Diagnose and stop instead of burning to MaxCycles.
 			m.livelock = m.diagnoseLivelock(watchdog)
 			break
 		}

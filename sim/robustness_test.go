@@ -2,67 +2,45 @@ package sim
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
-// TestWatchdogNamesInjectedLivelock seeds a permanent commit stall through
-// the fault injector and checks the forward-progress watchdog converts it
-// into a structured LivelockError — promptly (within the window, not at
-// MaxCycles) and naming the stalled structure with occupancy evidence.
-func TestWatchdogNamesInjectedLivelock(t *testing.T) {
+// TestWatchdogNamesLivelock runs a configuration that stops forward
+// progress for real: CleanupSpec pads every cleanup stall to 1,999
+// cycles, one short of the 2,000-cycle window, so after a squash the core
+// commits nothing for the pad plus the refetch behind it. The watchdog
+// must turn that into a structured LivelockError promptly (within the
+// window, not at MaxCycles), naming the stalled structure.
+func TestWatchdogNamesLivelock(t *testing.T) {
 	cfg := Config{
-		Policy:         NonSecure,
-		Instructions:   50_000,
-		NoWarmup:       true,
-		WatchdogWindow: 2_000,
-		Faults: faultinject.Plan("livelock").
-			Schedule(faultinject.SiteSimStep, faultinject.KindStall, 1_000),
+		Policy:              CleanupSpec,
+		Instructions:        50_000,
+		NoWarmup:            true,
+		ConstantTimeCleanup: 1_999,
+		WatchdogWindow:      2_000,
 	}
 	_, err := RunWorkload("astar", cfg)
 	if err == nil {
-		t.Fatal("injected commit stall did not fail the run")
+		t.Fatal("a cleanup pad one cycle short of the watchdog window did not fail the run")
 	}
 	var lerr *LivelockError
 	if !errors.As(err, &lerr) {
 		t.Fatalf("run error is not a LivelockError: %v", err)
 	}
-	if lerr.Stalled != "commit (injected stall)" {
-		t.Fatalf("watchdog blamed %q, want the injected commit stall", lerr.Stalled)
+	if !strings.HasPrefix(lerr.Stalled, "front end") {
+		t.Fatalf("watchdog blamed %q, want the front end", lerr.Stalled)
 	}
 	if uint64(lerr.Window) != 2_000 {
 		t.Fatalf("window = %d, want 2000", lerr.Window)
 	}
-	// Detection is prompt: the stall begins by cycle 1000, so the watchdog
-	// must fire around 1000+window, far from any MaxCycles bound.
 	if uint64(lerr.Cycle) > 5_000 {
-		t.Fatalf("watchdog fired at cycle %d, want within the window of the stall", lerr.Cycle)
+		t.Fatalf("watchdog fired at cycle %d, want within the window of the last commit", lerr.Cycle)
 	}
-	if lerr.ROB.Cap == 0 || lerr.ROB.Used == 0 {
-		t.Fatalf("livelock report missing ROB occupancy: %+v", lerr)
+	if lerr.ROB.Cap == 0 {
+		t.Fatalf("livelock report missing ROB capacity: %+v", lerr)
 	}
 	if !strings.Contains(err.Error(), "no commit for") {
 		t.Fatalf("error text %q missing diagnosis", err)
-	}
-}
-
-// TestFaultFreeRunsIgnoreInjector pins the zero-overhead default: a nil
-// injector and an empty schedule both leave the simulation untouched.
-func TestFaultFreeRunsIgnoreInjector(t *testing.T) {
-	cfg := Config{Policy: NonSecure, Instructions: 20_000, NoWarmup: true}
-	base, err := RunWorkload("astar", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = faultinject.Plan("empty") // no scheduled faults
-	got, err := RunWorkload("astar", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("an empty fault schedule changed the result:\n got %+v\nwant %+v", got, base)
 	}
 }

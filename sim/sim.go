@@ -22,7 +22,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/faultinject"
 	"repro/internal/invisispec"
 	"repro/internal/isa"
 	"repro/internal/memsys"
@@ -112,11 +111,6 @@ type Config struct {
 	// burning to MaxCycles (default 200k). It bounds simulated behavior,
 	// so it participates in campaign cache keys.
 	WatchdogWindow uint64
-	// Faults, when non-nil, applies this run's deterministic fault
-	// schedule (currently the simulation-step commit stall that seeds a
-	// livelock for the watchdog). A chaos-test hook like Trace/Metrics:
-	// nil in production, excluded from campaign cache keys.
-	Faults *faultinject.Injector `json:"-"`
 	// Trace, when non-nil, records the run's structured event trace
 	// (squashes, loads, cleanups, commits) into the ring. Observability
 	// hooks never affect simulation outcomes and are excluded from
@@ -352,9 +346,6 @@ func runProgram(name string, prog *Program, cfg Config, prewarm func(*memsys.Hie
 	m := cpu.New(ccfg, prog, h, pol)
 	if cfg.Trace != nil {
 		m.AttachTracer(cfg.Trace)
-	}
-	if at, ok := cfg.Faults.StallCycle(); ok {
-		m.InjectCommitStall(arch.Cycle(at))
 	}
 	if cfg.Warmup > 0 {
 		m.Run(cfg.Warmup)
