@@ -18,7 +18,20 @@ type ValuePredict struct {
 	cpu.NoHooks
 	table map[arch.Addr]uint64 // last committed value per load PC
 
+	// inflight holds the validations whose access is in flight, indexed
+	// by the access's Txn tag; a free slot has a nil e.
+	inflight []validation
+	// onValidated is validated bound once, the completion callback of
+	// every validation access.
+	onValidated func(*memsys.Txn)
+
 	Stats ValuePredStats
+}
+
+// validation is one value-predicted load whose real access is in flight.
+type validation struct {
+	m *cpu.Machine
+	e *cpu.LQEntry
 }
 
 // ValuePredStats counts prediction activity.
@@ -31,7 +44,9 @@ type ValuePredStats struct {
 
 // NewValuePredict creates the policy with an empty last-value table.
 func NewValuePredict() *ValuePredict {
-	return &ValuePredict{table: make(map[arch.Addr]uint64)}
+	v := &ValuePredict{table: make(map[arch.Addr]uint64)}
+	v.onValidated = v.validated
+	return v
 }
 
 // Name implements cpu.Policy.
@@ -61,34 +76,50 @@ func (v *ValuePredict) launchValidation(m *cpu.Machine, e *cpu.LQEntry) {
 	if !e.ValuePredicted || e.UpdateLaunched {
 		return
 	}
-	e.UpdateLaunched = true
-	v.Stats.Validations++
-	seq := e.Seq
-	// A distinct waiter tag (thread field 63) keeps validation requests
-	// from colliding with the machine's own waiter ids in the MSHR.
-	waiter := seq<<6 | 63
-	iss, ok := m.Hierarchy().Load(m.CoreID(), e.Line, m.Now(), waiter,
-		//simlint:allow hotalloc -- one validation closure per value-predicted load nearing commit; bounded by mispredicted-miss events, not cycles
-		memsys.LoadOpts{Owner: m.ThreadID()}, func(t *memsys.Txn) {
-			if !e.ValuePredicted || e.Seq != seq {
-				return // the load itself was squashed meanwhile
-			}
-			actual := m.Memory().Read64(e.Addr)
-			if actual == e.Value {
-				v.Stats.Correct++
-				e.ValuePredicted = false
-				return
-			}
-			v.Stats.Mispredicts++
-			m.RepairValueMisprediction(e, actual)
-		}, 0)
+	tag := 0
+	for tag < len(v.inflight) && v.inflight[tag].e != nil {
+		tag++
+	}
+	if tag == len(v.inflight) {
+		//simlint:allow hotalloc -- the validation table grows to the most validations in flight at once and its slots are reused
+		v.inflight = append(v.inflight, validation{})
+	}
+	iss, ok := m.Hierarchy().Load(m.CoreID(), e.Line, m.Now(), validationWaiter(e.Seq),
+		memsys.LoadOpts{Owner: m.ThreadID()}, v.onValidated, int32(tag))
 	if !ok {
-		// MSHR full: retry from CommitWait.
-		e.UpdateLaunched = false
-		v.Stats.Validations--
+		return // MSHR full: retry from CommitWait
+	}
+	v.inflight[tag] = validation{m: m, e: e}
+	e.UpdateLaunched = true
+	e.UpdateDoneAt = iss.DoneAt
+	v.Stats.Validations++
+}
+
+// validationWaiter is the MSHR waiter id of the validation access for the
+// load with sequence number seq. A distinct waiter tag (thread field 63)
+// keeps validation requests from colliding with the machine's own waiter
+// ids in the MSHR.
+func validationWaiter(seq uint64) uint64 { return seq<<6 | 63 }
+
+// validated is the completion callback of a validation access; t.Tag names
+// its slot in inflight. A load squashed while its validation was in flight
+// has left its LQ entry, or the entry holds a younger load by now, so the
+// result is ignored.
+func (v *ValuePredict) validated(t *memsys.Txn) {
+	p := v.inflight[t.Tag]
+	v.inflight[t.Tag] = validation{}
+	m, e := p.m, p.e
+	if !e.ValuePredicted || validationWaiter(e.Seq) != t.Seq {
 		return
 	}
-	e.UpdateDoneAt = iss.DoneAt
+	actual := m.Memory().Read64(e.Addr)
+	if actual == e.Value {
+		v.Stats.Correct++
+		e.ValuePredicted = false
+		return
+	}
+	v.Stats.Mispredicts++
+	m.RepairValueMisprediction(e, actual)
 }
 
 // CommitWait implements cpu.Policy: a value-predicted load may not retire
