@@ -73,6 +73,17 @@ func BenchmarkCellSetup(b *testing.B) {
 	}
 }
 
+// BenchmarkHeldLoads runs a 100k-instruction libq cell, with its warmup,
+// under delay-all: most cycles hold speculative loads in the retry list
+// until a branch resolves, so this gates what a held load costs per cycle.
+func BenchmarkHeldLoads(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunWorkload("libq", sim.Config{Policy: sim.DelayAll, Instructions: 100_000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSpectrePoC runs Figure 11's Spectre v1 proof of concept under
 // CleanupSpec for 10 rounds. Its rdcycle reads wait at the ROB head behind
 // DRAM misses, so its allocs/op catch any allocation made per waiting

@@ -23,10 +23,11 @@ import (
 )
 
 // defaultPattern selects the substrate microbenchmarks — the hot loops
-// every simulation runs through, the set-up every cell pays, and Figure
-// 11's PoC, whose timer reads wait at the ROB head — rather than the
-// ablation benchmarks, whose runtimes are experiment-shaped.
-const defaultPattern = "^(BenchmarkCacheLookup|BenchmarkCEASEREncrypt|BenchmarkPredictor|BenchmarkSimulatorThroughput|BenchmarkCellSetup|BenchmarkSpectrePoC)$"
+// every simulation runs through, the set-up every cell pays, a delay-all
+// cell whose loads wait in the retry list, and Figure 11's PoC, whose
+// timer reads wait at the ROB head — rather than the ablation benchmarks,
+// whose runtimes are experiment-shaped.
+const defaultPattern = "^(BenchmarkCacheLookup|BenchmarkCEASEREncrypt|BenchmarkPredictor|BenchmarkSimulatorThroughput|BenchmarkCellSetup|BenchmarkHeldLoads|BenchmarkSpectrePoC)$"
 
 func main() {
 	args := os.Args[1:]

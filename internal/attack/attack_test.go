@@ -94,14 +94,6 @@ func TestPrimeProbeDefeatedByCleanupSpec(t *testing.T) {
 	}
 }
 
-func TestPrimeProbeNaiveInvalidationStillLeaks(t *testing.T) {
-	// Section 2.4.1: invalidation without restoration leaves the
-	// eviction observable. This requires the transient load to have
-	// *executed* (an in-flight drop leaves nothing to restore), so warm
-	// the target into the L2 via a small L1 that the priming overflows.
-	t.Skip("executed-eviction variant covered by core.TestDisableRestoreAblation")
-}
-
 func TestL2PrimeProbeRandomizationBreaksSetPrediction(t *testing.T) {
 	// Modulo indexing: the attacker's set prediction works.
 	seen := 0

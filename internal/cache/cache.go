@@ -203,15 +203,23 @@ func (c *Cache) Probe(l arch.LineAddr) (way int, ok bool) {
 // random-replacement L1 deliberately has no hit-side replacement update,
 // which is what makes transient hits leak nothing (Section 3.2).
 func (c *Cache) Lookup(l arch.LineAddr) (way int, hit bool) {
-	c.Stats.Accesses++
 	way, hit = c.Probe(l)
 	if hit {
-		c.Stats.Hits++
-		c.touch(c.idx.SetIndex(l), way)
+		c.Rehit(c.idx.SetIndex(l), way)
 	} else {
+		c.Stats.Accesses++
 		c.Stats.Misses++
 	}
 	return way, hit
+}
+
+// Rehit records a demand hit on the line at (set, way), leaving the stats
+// and replacement state a Lookup that found it there leaves. The caller
+// knows the line is there without a probe.
+func (c *Cache) Rehit(set, way int) {
+	c.Stats.Accesses++
+	c.Stats.Hits++
+	c.touch(set, way)
 }
 
 // touch records a use for replacement. Random replacement keeps no state.

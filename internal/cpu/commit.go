@@ -30,25 +30,29 @@ func (m *Machine) processWakes() {
 	}
 }
 
-// commitWindow is how many oldest ROB entries OnLoadNearCommit scans.
+// commitWindow is how many oldest ROB entries the NearCommitter scan
+// covers.
 const commitWindow = 8
 
 // commit retires up to CommitWidth completed instructions in program order.
 func (m *Machine) commit() {
-	// Give the policy a look at completed loads nearing retirement so it
-	// can pipeline commit-time work (InvisiSpec updates/validations).
-	// The scan stops at the first incomplete entry: everything before it
-	// is unsquashable (no unresolved branch, store address, or load can
-	// precede it), so commit-time side effects are safe to start.
-	for n, slot := 0, m.robHead; n < commitWindow && n < int(m.robCount); n, slot = n+1, ringNext(slot, int32(m.cfg.ROBSize)) {
-		e := &m.rob[slot]
-		if !e.valid || e.state != stDone {
-			break
-		}
-		if e.inst.Op == isa.OpLoad {
-			lq := &m.lq[e.lqIdx]
-			if !lq.UpdateLaunched {
-				m.pol.OnLoadNearCommit(m, lq)
+	// Give a NearCommitter policy a look at completed loads nearing
+	// retirement so it can pipeline commit-time work (InvisiSpec
+	// updates/validations). The scan stops at the first incomplete entry:
+	// everything before it is unsquashable (no unresolved branch, store
+	// address, or load can precede it), so commit-time side effects are
+	// safe to start.
+	if m.nc != nil {
+		for n, slot := 0, m.robHead; n < commitWindow && n < int(m.robCount); n, slot = n+1, ringNext(slot, int32(m.cfg.ROBSize)) {
+			e := &m.rob[slot]
+			if !e.valid || e.state != stDone {
+				break
+			}
+			if e.inst.Op == isa.OpLoad {
+				lq := &m.lq[e.lqIdx]
+				if !lq.UpdateLaunched {
+					m.nc.OnLoadNearCommit(m, lq)
+				}
 			}
 		}
 	}
@@ -115,6 +119,7 @@ func (m *Machine) commit() {
 			// bookkeeping above.
 		case isa.OpFence:
 			m.fenceSeqs = removeSeq(m.fenceSeqs, e.seq)
+			m.rescan = true
 		case isa.OpHalt:
 			m.halted = true
 			m.emit(trace.KindHalt, e.seq, e.pc, 0, 0)

@@ -87,8 +87,8 @@ func (m *Machine) execute(slot int32) {
 		sq := &m.sq[e.sqIdx]
 		sq.addr = arch.Addr(e.src1Val + uint64(in.Imm))
 		sq.value = e.src2Val
-		sq.addrReady = true
-		sq.valueReady = true
+		sq.ready = true
+		m.rescan = true // a listed load may forward from it
 		m.scheduleDone(slot, m.now+1)
 		m.checkMemOrderViolation(e.sqIdx)
 	case isa.OpLoad:
@@ -97,21 +97,39 @@ func (m *Machine) execute(slot int32) {
 		lq.Addr = arch.Addr(e.src1Val + uint64(in.Imm))
 		lq.Line = lq.Addr.Line()
 		lq.HasAddr = true
-		if !m.tryIssueLoad(e.lqIdx) {
-			//simlint:allow hotalloc -- retry list is bounded by the LQ size and its capacity is recycled by retryMem's in-place filter
-			m.memRetry = append(m.memRetry, e.lqIdx)
+		stalls := m.Stats.LoadDelayStalls
+		switch m.tryIssueLoad(e.lqIdx) {
+		case loadIssued:
+			return
+		case loadHeld:
+			// Its retries are refused the same way until an event sets
+			// rescan, so a skipped scan counts its stalls too.
+			m.heldStalls += m.Stats.LoadDelayStalls - stalls
+		case loadBlocked:
+			m.rescan = true
 		}
+		//simlint:allow hotalloc -- retry list is bounded by the LQ size and its capacity is recycled by retryMem's in-place filter
+		m.memRetry = append(m.memRetry, e.lqIdx)
 	default:
 		//simlint:allow errdiscipline,hotalloc -- decode invariant: ops are validated at assembly; this panic path (and its string concat) is unreachable in a correct build
 		panic("cpu: unhandled op " + in.Op.String())
 	}
 }
 
-// retryMem re-attempts blocked loads.
+// retryMem re-attempts the loads in memRetry, in list order. A scan that
+// leaves only held loads is not repeated until an event sets rescan: a
+// repeat would hold the same loads and count the same stalls, so each
+// skipped scan counts those stalls alone.
 func (m *Machine) retryMem() {
 	if len(m.memRetry) == 0 {
 		return
 	}
+	if !m.rescan {
+		m.Stats.LoadDelayStalls += m.heldStalls
+		return
+	}
+	stalls := m.Stats.LoadDelayStalls
+	m.rescan = false
 	rest := m.memRetry[:0]
 	for _, idx := range m.memRetry {
 		lq := &m.lq[idx]
@@ -120,37 +138,34 @@ func (m *Machine) retryMem() {
 		if !lq.valid || !lq.HasAddr || lq.Issued || lq.Completed {
 			continue
 		}
-		if !m.tryIssueLoad(idx) {
-			//simlint:allow hotalloc -- in-place filter into m.memRetry[:0]; the result is never longer than the input, so this append cannot grow
-			rest = append(rest, idx)
+		switch m.tryIssueLoad(idx) {
+		case loadIssued:
+			continue
+		case loadBlocked:
+			m.rescan = true
+		case loadHeld:
+			// Refused the same way until an event sets rescan.
 		}
+		//simlint:allow hotalloc -- in-place filter into m.memRetry[:0]; the result is never longer than the input, so this append cannot grow
+		rest = append(rest, idx)
 	}
 	m.memRetry = rest
+	m.heldStalls = m.Stats.LoadDelayStalls - stalls
 }
 
-// olderStoreBlocks scans the store queue for stores older than seq that
-// match the load's address. Loads speculate past older stores with
-// *unknown* addresses (store-set-free optimistic disambiguation, as real
-// cores do); checkMemOrderViolation squashes the rare load that guessed
-// wrong. It returns (blocked, forwarded, value).
-func (m *Machine) olderStoreBlocks(seq uint64, addr arch.Addr) (bool, bool, uint64) {
-	// The youngest older matching store wins forwarding.
-	var fwdVal uint64
-	fwd := false
+// olderStoreBlocks scans the store queue for executed stores older than
+// seq to the load's 8-byte word; the youngest one forwards its value. No
+// store blocks a load: loads speculate past older stores with *unknown*
+// addresses (store-set-free optimistic disambiguation, as real cores do),
+// and checkMemOrderViolation squashes the rare load that guessed wrong.
+func (m *Machine) olderStoreBlocks(seq uint64, addr arch.Addr) (fwd bool, val uint64) {
 	for n, i := int32(0), m.sqHead; n < m.sqCount; n, i = n+1, ringNext(i, int32(m.cfg.SQSize)) {
 		sq := &m.sq[i]
-		if !sq.valid || sq.seq > seq || !sq.addrReady {
-			continue
-		}
-		if sq.addr&^7 == addr&^7 {
-			if !sq.valueReady {
-				return true, false, 0
-			}
-			fwd = true
-			fwdVal = sq.value
+		if sq.valid && sq.ready && sq.seq < seq && sq.addr&^7 == addr&^7 {
+			fwd, val = true, sq.value
 		}
 	}
-	return false, fwd, fwdVal
+	return fwd, val
 }
 
 // checkMemOrderViolation runs when a store's address resolves: any younger
@@ -177,37 +192,51 @@ func (m *Machine) checkMemOrderViolation(sqIdx int32) {
 	}
 }
 
+// issueResult is what tryIssueLoad did with a load.
+type issueResult uint8
+
+const (
+	// loadIssued: sent to the memory system, forwarded from a store, or
+	// completed with a predicted value.
+	loadIssued issueResult = iota
+	// loadHeld: refused until an event that sets Machine.rescan — an older
+	// fence is uncommitted, the policy delays a speculative load, or a
+	// GetS-Safe failed. Each retry until then is refused the same way,
+	// counting the same LoadDelayStalls, because Policy.Mode answers the
+	// same for the same load and spec.
+	loadHeld
+	// loadBlocked: refused for a reason that can pass in any cycle — the
+	// L1 MSHRs are full, or a delay-on-miss load misses the L1.
+	loadBlocked
+)
+
 // tryIssueLoad attempts to send a load with a resolved address to the
-// memory system. It returns false if the load must retry later.
-func (m *Machine) tryIssueLoad(idx int32) bool {
+// memory system.
+func (m *Machine) tryIssueLoad(idx int32) issueResult {
 	lq := &m.lq[idx]
 	// Fences: younger loads may not issue past an uncommitted fence.
 	if len(m.fenceSeqs) > 0 && m.fenceSeqs[0] < lq.Seq {
-		return false
+		return loadHeld
 	}
-	blocked, fwd, val := m.olderStoreBlocks(lq.Seq, lq.Addr)
-	if blocked {
-		return false
-	}
-	if fwd {
+	if fwd, val := m.olderStoreBlocks(lq.Seq, lq.Addr); fwd {
 		lq.Issued = true
 		lq.Forwarded = true
 		lq.Value = val
 		lq.IssuedAt = m.now
 		m.completeLoad(idx, m.now+1, memsys.LevelL1)
-		return true
+		return loadIssued
 	}
 
 	spec := m.hasOlderUnresolvedCtrl(lq.Seq)
 	mode := m.pol.Mode(m, lq, spec)
 	if mode == LoadDelayed && spec {
 		m.Stats.LoadDelayStalls++
-		return false
+		return loadHeld
 	}
 	if mode == LoadDelayOnMiss && spec {
 		if _, hit := m.hier.L1(m.cfg.CoreID).Probe(lq.Line); !hit {
 			m.Stats.LoadDelayStalls++
-			return false
+			return loadBlocked
 		}
 	}
 	if mode == LoadValuePredict && spec {
@@ -222,14 +251,14 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 			lq.IssuedMode = LoadValuePredict
 			lq.Value = vp.PredictValue(m, lq)
 			m.completeLoad(idx, m.now+1, memsys.LevelMem)
-			return true
+			return loadIssued
 		}
 	}
 	if lq.DelayedSafe && spec {
 		// A failed GetS-Safe keeps the load waiting until it is
 		// unsquashable (Section 3.5).
 		m.Stats.LoadDelayStalls++
-		return false
+		return loadHeld
 	}
 	opts := memsys.LoadOpts{
 		Spec:  spec,
@@ -252,12 +281,12 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 	}
 	iss, ok := m.hier.Load(m.cfg.CoreID, lq.Line, m.now, m.waiterID(lq.Seq), opts, m.onLoad, idx)
 	if !ok {
-		return false // MSHR full
+		return loadBlocked // MSHR full
 	}
 	if iss.Level == memsys.LevelDelayed {
 		lq.DelayedSafe = true
 		m.Stats.LoadDelayStalls++
-		return false
+		return loadHeld
 	}
 	lq.Issued = true
 	lq.IssuedAt = m.now
@@ -272,7 +301,7 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 	// disambiguation; older stores drain to memory at commit, so memory
 	// already reflects everything older that was not forwarded.
 	lq.Value = m.mem.Read64(lq.Addr)
-	return true
+	return loadIssued
 }
 
 // onLoadData is the memory-system completion callback of every load the
@@ -400,6 +429,7 @@ func (m *Machine) resolveCtrl(slot int32) {
 		// any other op reaching here is a dispatch bug and would resolve
 		// to target 0, forcing a visible squash rather than silent state.
 	}
+	oldest := m.ctrlSeqs[0] == e.seq
 	m.ctrlSeqs = removeSeq(m.ctrlSeqs, e.seq)
 
 	mispredict := actualNext != e.predTarget
@@ -408,6 +438,12 @@ func (m *Machine) resolveCtrl(slot int32) {
 		m.Stats.Mispredicts++
 		m.squash(slot, actualTaken, actualNext)
 		return
+	}
+	if oldest {
+		// Loads younger than this branch may be unsquashable now, and
+		// the ones it held may issue; no other branch's resolution
+		// changes which loads are squashable.
+		m.rescan = true
 	}
 	// Correct resolution can make younger completed loads unsquashable.
 	m.promoteVisibility()
@@ -428,13 +464,9 @@ func (m *Machine) promoteVisibility() {
 		if lq.Completed {
 			m.pol.OnLoadUnsquashable(m, lq)
 		}
-		if lq.DelayedSafe {
-			lq.DelayedSafe = false // retry as plain GetS
-			if !lq.Issued {
-				//simlint:allow hotalloc -- retry list is bounded by the LQ size and its capacity is recycled by retryMem's in-place filter
-				m.memRetry = append(m.memRetry, i)
-			}
-		}
+		// A failed GetS-Safe retries as a plain GetS; the load is still
+		// in memRetry, which it leaves only by issuing.
+		lq.DelayedSafe = false
 	}
 }
 
@@ -476,6 +508,7 @@ func (m *Machine) memOrderSquash(vSlot int32) {
 // handed to the policy, and fetch restarts at redirectPC after the redirect
 // penalty plus the policy's cleanup stall.
 func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) {
+	m.rescan = true // drops the squashed loads from memRetry
 	// Collect squashed loads in program order first (oldest to youngest).
 	squashedLoads := m.squashBuf[:0]
 	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {

@@ -159,13 +159,12 @@ type LQEntry struct {
 }
 
 type sqEntry struct {
-	valid      bool
-	slot       int32
-	seq        uint64
-	addr       arch.Addr
-	value      uint64
-	addrReady  bool
-	valueReady bool
+	valid bool
+	slot  int32
+	seq   uint64
+	addr  arch.Addr
+	value uint64
+	ready bool // executed: addr and value are known
 }
 
 // Stats counts core events.
@@ -224,6 +223,7 @@ type Machine struct {
 	hier *memsys.Hierarchy
 	bp   *branch.Predictor
 	pol  Policy
+	nc   NearCommitter // pol, if it implements NearCommitter
 
 	now    arch.Cycle
 	halted bool
@@ -259,9 +259,18 @@ type Machine struct {
 	readyQ    heapq.Heap[int32] // ROB slots ready to begin execution, oldest first
 	doneQ     heapq.Heap[int32] // ROB slots by scheduled completion cycle
 	wakeQ     heapq.Heap[int32] // ROB slots by deferred dependent-wakeup cycle
-	memRetry  []int32           // LQ indices blocked on issue conditions
+	memRetry  []int32           // LQ indices refused at issue, to retry
 	fenceSeqs []uint64          // uncommitted fences, ascending
 	ctrlSeqs  []uint64          // unresolved squashable control insts, ascending
+
+	// rescan is set by every event that can change the answer for a held
+	// load (see loadHeld): the oldest unresolved branch resolving as
+	// predicted, a squash, a fence committing, and a store executing; and
+	// by a loadBlocked refusal, which can pass in any cycle. While it is
+	// clear, every listed load is held, and retryMem counts heldStalls,
+	// the LoadDelayStalls a scan would count, instead of scanning.
+	rescan     bool
+	heldStalls uint64
 
 	// onLoad is onLoadData bound once, the completion callback of every
 	// load this core issues; the Txn's Tag names the LQ slot.
@@ -317,6 +326,7 @@ func New(cfg Config, prog *isa.Program, hier *memsys.Hierarchy, pol Policy) *Mac
 		fetchPC:  prog.Entry,
 		fetchBuf: make([]fetchSlot, 2*cfg.FetchWidth),
 	}
+	m.nc, _ = pol.(NearCommitter)
 	m.onLoad = m.onLoadData
 	m.mem.LoadProgram(prog)
 	for i := range m.rat {

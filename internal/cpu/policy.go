@@ -43,6 +43,19 @@ type ValuePredictor interface {
 	PredictValue(m *Machine, e *LQEntry) uint64
 }
 
+// NearCommitter is the optional interface of a policy with work to start
+// before a load reaches the ROB head. Commit scans its window of oldest
+// ROB entries only for a policy that implements it (InvisiSpec and value
+// prediction).
+type NearCommitter interface {
+	// OnLoadNearCommit is called each cycle for every completed load
+	// without UpdateLaunched among the eight oldest ROB entries, up to
+	// the first incomplete one. InvisiSpec launches its
+	// update/validation access here so validations pipeline across the
+	// window instead of serializing at the head.
+	OnLoadNearCommit(m *Machine, e *LQEntry)
+}
+
 // SquashCost is the front-end stall a policy charges for one squash, split
 // the way the paper's Figure 14 reports it.
 type SquashCost struct {
@@ -78,6 +91,9 @@ type Policy interface {
 	Name() string
 	// Mode picks the issue mode for a load. spec reports whether the
 	// load still has older unresolved control flow (i.e. is squashable).
+	// It must give the same answer for the same load and spec: a load
+	// the machine holds is not asked again until an event could change
+	// spec or release it another way.
 	Mode(m *Machine, e *LQEntry, spec bool) LoadMode
 	// DeferWakeupUntilVisible, when true, delays waking a load's
 	// dependents until the load's visibility point (InvisiSpec-Initial's
@@ -86,11 +102,6 @@ type Policy interface {
 	// OnLoadUnsquashable is called once when a completed load is no
 	// longer squashable (all older control flow resolved).
 	OnLoadUnsquashable(m *Machine, e *LQEntry)
-	// OnLoadNearCommit is called when a completed load enters the
-	// commit window (the oldest few ROB entries); InvisiSpec launches
-	// its update/validation access here so validations pipeline across
-	// the window instead of serializing at the head.
-	OnLoadNearCommit(m *Machine, e *LQEntry)
 	// CommitWait returns how many more cycles the load must hold the ROB
 	// head before it may retire (e.g. an unfinished validation).
 	CommitWait(m *Machine, e *LQEntry) arch.Cycle
@@ -108,9 +119,9 @@ type Policy interface {
 
 // NoHooks is the no-op default for every Policy hook but Name and Mode:
 // wakeups are not deferred, a load needs no work when it becomes
-// unsquashable, nears commit or retires, a squash costs nothing beyond
-// the pipeline refill, and squashed in-flight fills may land. A policy
-// embeds it and writes only Name, Mode and the hooks it changes.
+// unsquashable or retires, a squash costs nothing beyond the pipeline
+// refill, and squashed in-flight fills may land. A policy embeds it and
+// writes only Name, Mode and the hooks it changes.
 type NoHooks struct{}
 
 // DeferWakeupUntilVisible implements Policy.
@@ -118,9 +129,6 @@ func (NoHooks) DeferWakeupUntilVisible() bool { return false }
 
 // OnLoadUnsquashable implements Policy.
 func (NoHooks) OnLoadUnsquashable(*Machine, *LQEntry) {}
-
-// OnLoadNearCommit implements Policy.
-func (NoHooks) OnLoadNearCommit(*Machine, *LQEntry) {}
 
 // CommitWait implements Policy.
 func (NoHooks) CommitWait(*Machine, *LQEntry) arch.Cycle { return 0 }

@@ -82,9 +82,9 @@ func (p *Policy) Mode(m *cpu.Machine, e *cpu.LQEntry, spec bool) cpu.LoadMode {
 // DeferWakeupUntilVisible implements cpu.Policy: the Initial/Revised split.
 func (p *Policy) DeferWakeupUntilVisible() bool { return p.mode == Initial }
 
-// OnLoadNearCommit implements cpu.Policy: as the load enters the commit
-// window it launches its update, so back-to-back validations overlap the
-// way gem5's commit pipeline overlaps them.
+// OnLoadNearCommit implements cpu.NearCommitter: as the load enters the
+// commit window it launches its update, so back-to-back validations
+// overlap the way gem5's commit pipeline overlaps them.
 func (p *Policy) OnLoadNearCommit(m *cpu.Machine, e *cpu.LQEntry) {
 	if e.IssuedMode != cpu.LoadInvisible || e.Forwarded || !e.Issued || e.UpdateLaunched {
 		return

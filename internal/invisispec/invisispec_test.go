@@ -3,6 +3,7 @@ package invisispec
 import (
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/memsys"
@@ -50,19 +51,31 @@ func TestInvisibleWrongPathLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestCorrectPathSpecLoadUpdatesCacheAtCommit runs a pointer chase whose
+// loads after the first issue behind an unresolved guard branch, so
+// invisibly, and all commit: each one's line must reach the L1, which only
+// its commit-time update can have put there.
 func TestCorrectPathSpecLoadUpdatesCacheAtCommit(t *testing.T) {
+	const n, base = 8, 0x10000
 	pol := New(Revised)
-	m, h := runProg(t, pol, "executed")
-	// The correct-path load (issued speculatively under the resolved-late
-	// branch? it issues after the squash so it is non-speculative; use
-	// the flag load instead: it was never speculative either). Check the
-	// mechanism directly via stats: updates happened for invisible loads
-	// that became visible.
-	if pol.Stats.Updates == 0 {
-		t.Skip("no speculative correct-path loads in this scenario")
+	cfg := cpu.DefaultConfig()
+	cfg.MaxCycles = 2_000_000
+	h := memsys.New(memsys.DefaultConfig(1))
+	m := cpu.New(cfg, testprog.SpecPointerChase(n, base), h, pol)
+	m.Run(0)
+	m.DrainMemory()
+	if !m.Halted() {
+		t.Fatal("did not halt")
 	}
-	_ = m
-	_ = h
+	if pol.Stats.InvisibleLoads == 0 || pol.Stats.Updates == 0 {
+		t.Fatalf("no invisible load committed with an update: %+v", pol.Stats)
+	}
+	for i := 0; i < n; i++ {
+		line := arch.Addr(base + i*arch.LineBytes).Line()
+		if _, hit := h.L1(0).Probe(line); !hit {
+			t.Errorf("load %d: line %v not in the L1 after commit", i, line)
+		}
+	}
 }
 
 func TestUpdateTrafficCounted(t *testing.T) {

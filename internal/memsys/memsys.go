@@ -204,6 +204,12 @@ type Hierarchy struct {
 	fillSeq    []uint64 // per-core LoadID counter (order of applied fills)
 	l2Accesses uint64
 
+	// iLast is, by core, the I-cache line IFetch last fetched and the
+	// set and way it sits in. Only IFetch and PrewarmICache change an
+	// L1I, and IFetch leaves the line it fetched resident, so until
+	// either runs again a fetch of that line hits at that way.
+	iLast []iLine
+
 	// pending holds in-flight transactions keyed by (DoneAt, issue
 	// order). A merged waiter shares its primary's DoneAt but was issued
 	// after it, so the tie-break completes the primary first and the
@@ -214,6 +220,13 @@ type Hierarchy struct {
 
 	Traffic Traffic
 	Stats   Stats
+}
+
+// iLine is one core's last fetched I-cache line (see Hierarchy.iLast).
+type iLine struct {
+	line     arch.LineAddr
+	set, way int
+	ok       bool
 }
 
 // New builds the hierarchy.
@@ -247,6 +260,7 @@ func New(cfg Config) *Hierarchy {
 	}
 	h.dir = coherence.NewDirectory(cfg.NumCores)
 	h.mem = dram.New(cfg.DRAM)
+	h.iLast = make([]iLine, len(h.l1i))
 	h.epoch = make([]uint8, cfg.NumCores)
 	h.fillSeq = make([]uint64, cfg.NumCores)
 	return h
@@ -277,7 +291,9 @@ func (h *Hierarchy) DRAM() *dram.DRAM { return h.mem }
 // randomized.
 func (h *Hierarchy) L2Indexer() *ceaser.Indexer { return h.l2index }
 
-// L1I returns core's instruction cache, or nil when disabled.
+// L1I returns core's instruction cache, or nil when disabled. Callers
+// may read it but not change it: IFetch remembers the line it last
+// fetched (see Hierarchy.iLast).
 func (h *Hierarchy) L1I(core int) *cache.Cache {
 	if core >= len(h.l1i) {
 		return nil
@@ -297,18 +313,26 @@ func (h *Hierarchy) IFetch(core int, pc arch.Addr, now arch.Cycle) (ready arch.C
 	}
 	line := arch.PCLine(pc)
 	ic := h.l1i[core]
-	if _, hit := ic.Lookup(line); hit {
+	last := &h.iLast[core]
+	if last.ok && last.line == line {
+		ic.Rehit(last.set, last.way)
 		return now
 	}
-	h.Traffic.add(KindRegular, 1)
-	lat := h.L2RT()
-	if _, hit := h.l2.Probe(line); !hit {
+	ready = now
+	way, hit := ic.Lookup(line)
+	if !hit {
 		h.Traffic.add(KindRegular, 1)
-		lat += h.mem.AccessLatency(line, false)
-		h.installL2(line, false, core, now)
+		lat := h.L2RT()
+		if _, hit := h.l2.Probe(line); !hit {
+			h.Traffic.add(KindRegular, 1)
+			lat += h.mem.AccessLatency(line, false)
+			h.installL2(line, false, core, now)
+		}
+		_, way = ic.Install(line, arch.Shared, 0, now)
+		ready += lat
 	}
-	ic.Install(line, arch.Shared, 0, now)
-	return now + lat
+	*last = iLine{line: line, set: ic.SetFor(line), way: way, ok: true}
+	return ready
 }
 
 // PrewarmICache fills the I-cache (and L2) with a program's code lines, the
@@ -317,6 +341,7 @@ func (h *Hierarchy) PrewarmICache(core, codeLen int) {
 	if len(h.l1i) == 0 {
 		return
 	}
+	h.iLast[core].ok = false
 	for pc := 0; pc < codeLen; pc += arch.LineBytes / arch.InstBytes {
 		line := arch.PCLine(arch.Addr(pc))
 		h.installL2(line, false, core, 0)

@@ -566,6 +566,55 @@ func TestIFetchHitAndMiss(t *testing.T) {
 	}
 }
 
+// TestIFetchRemembersLine checks IFetch, which re-records a repeat of its
+// last line without a lookup, against a twin I-cache driven by Lookup and
+// Install alone. The fetches repeat lines, overflow one set and return to
+// an evicted line, and a prewarm large enough to evict the remembered line
+// runs midway; hits, stats and every set's LRU victim must match.
+func TestIFetchRemembersLine(t *testing.T) {
+	cfg := DefaultConfig(1)
+	h := New(cfg)
+	ic, twin := h.L1I(0), cache.New(cfg.L1I)
+	perLine := arch.Addr(arch.LineBytes / arch.InstBytes)
+	stride := arch.Addr(ic.Sets()) * perLine // next line in the same set
+	fetch := func(pc arch.Addr) {
+		t.Helper()
+		_, want := twin.Lookup(arch.PCLine(pc))
+		if !want {
+			twin.Install(arch.PCLine(pc), arch.Shared, 0, 0)
+		}
+		if hit := h.IFetch(0, pc, 1) == 1; hit != want {
+			t.Fatalf("pc %d: hit %v, twin %v", pc, hit, want)
+		}
+	}
+	for i := arch.Addr(0); i < 6; i++ {
+		fetch(i * stride)
+		fetch(i*stride + 1)
+		fetch(0)
+		fetch(1)
+	}
+	codeLen := 6 * int(stride)
+	h.PrewarmICache(0, codeLen)
+	for pc := 0; pc < codeLen; pc += int(perLine) {
+		if l := arch.PCLine(arch.Addr(pc)); twin.State(l) == arch.Invalid {
+			twin.Install(l, arch.Shared, 0, 0)
+		}
+	}
+	fetch(0)
+	fetch(2)
+	if ic.Stats != twin.Stats {
+		t.Fatalf("stats %+v, twin %+v", ic.Stats, twin.Stats)
+	}
+	for set := 0; set < ic.Sets(); set++ {
+		l := arch.PCLine(arch.Addr(set) * perLine)
+		_, w := ic.Victim(l, 0)
+		_, tw := twin.Victim(l, 0)
+		if w != tw {
+			t.Fatalf("set %d: victim way %d, twin %d", set, w, tw)
+		}
+	}
+}
+
 func TestIFetchDisabled(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.L1I.SizeBytes = 0

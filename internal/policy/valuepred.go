@@ -66,8 +66,8 @@ func (v *ValuePredict) PredictValue(m *cpu.Machine, e *cpu.LQEntry) uint64 {
 	return v.table[e.PC]
 }
 
-// OnLoadNearCommit implements cpu.Policy: launch the real (validation)
-// access for a value-predicted load as it nears retirement.
+// OnLoadNearCommit implements cpu.NearCommitter: launch the real
+// (validation) access for a value-predicted load as it nears retirement.
 func (v *ValuePredict) OnLoadNearCommit(m *cpu.Machine, e *cpu.LQEntry) {
 	v.launchValidation(m, e)
 }

@@ -16,15 +16,23 @@ const digestWindow = 5_000
 // at this window every variant differs from its twin.
 const variantWindow = 50_000
 
-// otherPolicies are the policies pinned on lbm and libq alone, the
-// profiles with the most held and invisible loads.
+// otherPolicies are the policies pinned on lbm and libq, the profiles
+// with the most held and invisible loads.
 var otherPolicies = []Policy{DelayAll, DelayOnMiss, ValuePredict, InvisiSpecInitial, InvisiSpecRevised}
+
+// heldPolicies are also pinned on heldProfiles, whose stores, fences and
+// branches are the events that release a held load.
+var (
+	heldPolicies = []Policy{DelayAll, DelayOnMiss}
+	heldProfiles = []string{"astar", "gobmk", "mcf", "soplex"}
+)
 
 // outcomeDigests pins the first 16 hex digits of the sha256 of each cell's
 // Result JSON. A cell is "workload/policy" plus an optional "+variant" and
 // an optional "@50k" window: every profile under NonSecure (modulo-indexed
 // L2) and under CleanupSpec (CEASER L2) at digestWindow, lbm and libq under
-// otherPolicies at digestWindow, and lbm and mcf under CleanupSpec at
+// otherPolicies and heldProfiles under heldPolicies at digestWindow, and
+// lbm and mcf under CleanupSpec at
 // variantWindow, plain and with CEASER remap running over the prewarmed L2
 // (+remap64) or a way-partitioned L1 (+l1part4). The table changes only
 // when simulated behaviour is meant to.
@@ -77,6 +85,14 @@ var outcomeDigests = map[string]string{
 	"libq/value-predict":          "455baf284afd1cef",
 	"libq/invisispec-initial":     "93961dcfb1c9da22",
 	"libq/invisispec-revised":     "161b9ec8b7ed6ae2",
+	"astar/delay-all":             "be3f001b33c1ca4f",
+	"astar/delay-on-miss":         "5924f8a1663b5af3",
+	"gobmk/delay-all":             "53d4c25574857d0b",
+	"gobmk/delay-on-miss":         "f1498d96590e651d",
+	"mcf/delay-all":               "170e82728f3fc6a9",
+	"mcf/delay-on-miss":           "30f2331a5d2d337b",
+	"soplex/delay-all":            "542839f5403ce937",
+	"soplex/delay-on-miss":        "d2a764ac627863ab",
 	"lbm/cleanupspec@50k":         "e87738021bbf7b5e",
 	"lbm/cleanupspec+remap64@50k": "7a86c6ce396a3c53",
 	"lbm/cleanupspec+l1part4@50k": "6e72b5727f11b474",
@@ -116,6 +132,11 @@ func TestOutcomeDigests(t *testing.T) {
 	}
 	for _, wl := range []string{"lbm", "libq"} {
 		for _, pol := range otherPolicies {
+			run(wl+"/"+string(pol), Config{Policy: pol, Instructions: digestWindow}, wl)
+		}
+	}
+	for _, wl := range heldProfiles {
+		for _, pol := range heldPolicies {
 			run(wl+"/"+string(pol), Config{Policy: pol, Instructions: digestWindow}, wl)
 		}
 	}
