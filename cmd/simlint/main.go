@@ -1,27 +1,20 @@
 // Command simlint runs the simulator-specific static-analysis suite over
-// this module: determinism (flow-sensitive map iteration order),
-// metricscomplete (every Stats counter bound to the registry), cachekey
-// (every sim.Config field keyed or excluded+zeroed), errdiscipline (no
-// panic in internal/ outside must* helpers), lockorder (no lock-order
-// cycles, interprocedural via call-graph summaries), detertaint
-// (wall-clock/math-rand/map-order taint tracked through calls, fields,
-// and closures into key/ID/stats sinks), undocomplete (speculative
-// mutations in cache/memsys/coherence paired with restore writes
-// reachable from the cleanup path), enumexhaustive (switches over iota
-// enums cover every constant or declare a default), hotalloc (no
-// unjustified allocation — make/new/composite literals, growing appends,
-// interface boxing, closures, fmt calls — reachable from the per-cycle
-// hot roots; see -hotreport), cyclemath (uint64 cycle subtraction
-// dominated by a provable a>=b guard, no signed<->unsigned cycle
-// conversions, latency and cycle fields typed uint64), and
-// staledirective (suppressions that no longer suppress anything).
+// this module: determinism (flow-sensitive map iteration order), lockorder
+// (no lock-order cycles, interprocedural via call-graph summaries),
+// detertaint (wall-clock/math-rand/map-order taint tracked through calls,
+// fields, and closures into key/ID/stats sinks), undocomplete
+// (speculative mutations in cache/memsys/coherence paired with restore
+// writes reachable from the cleanup path), enumexhaustive (switches over
+// iota enums cover every constant or declare a default), cyclemath
+// (uint64 cycle subtraction dominated by a provable a>=b guard, no
+// signed<->unsigned cycle conversions, latency and cycle fields typed
+// uint64), and staledirective (suppressions that no longer suppress
+// anything).
 //
 // Usage:
 //
 //	simlint [-enable a,b] [-disable a,b] [packages]
 //	simlint -list
-//	simlint -hotreport [> HOTPATH_BUDGET.json]
-//	simlint -hotbudget HOTPATH_BUDGET.json
 //
 // Findings print one per line as file:line:col: analyzer: message.
 // Packages are directory patterns relative to the current directory
@@ -29,15 +22,6 @@
 // whole module; a pattern that matches no package is a usage error. Exit
 // status is 1 when findings are reported, 2 on a load or usage error, 0
 // when clean.
-//
-// -hotreport prints the hot-path allocation budget report: every
-// function reachable from the hot roots that still carries allocation
-// sites (suppressed or not), with per-kind counts. The report is
-// deterministic. -hotbudget compares the current report against a
-// committed budget and exits 1 on any growth — new allocating
-// functions, per-kind increases, total growth, or a changed root set;
-// shrinkage is re-recorded, never failed, so the budget ratchets
-// monotonically downward.
 //
 // Suppressions require a justification:
 //
@@ -64,8 +48,6 @@ func run() int {
 	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := flag.String("disable", "", "comma-separated analyzers to skip")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	hotreport := flag.Bool("hotreport", false, "emit the hot-path allocation budget report as JSON and exit")
-	hotbudget := flag.String("hotbudget", "", "compare the hot-path report against this committed budget `file`; exit 1 on growth")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-enable a,b] [-disable a,b] [packages]\n")
 		flag.PrintDefaults()
@@ -101,12 +83,7 @@ func run() int {
 		return 2
 	}
 
-	runner := analysis.NewRunner(mod)
-	if *hotreport || *hotbudget != "" {
-		return runHotReport(runner, *hotreport, *hotbudget)
-	}
-
-	findings := runner.Run(analyzers, match)
+	findings := analysis.NewRunner(mod).Run(analyzers, match)
 	for _, f := range findings {
 		if r, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
 			f.Pos.Filename = r
@@ -116,45 +93,6 @@ func run() int {
 	if len(findings) > 0 {
 		return 1
 	}
-	return 0
-}
-
-// runHotReport serves -hotreport/-hotbudget: it builds the hot-path
-// allocation budget report (deterministic), optionally prints it, and
-// optionally enforces it against a committed budget file. Re-record a
-// legitimately changed budget with `simlint -hotreport > HOTPATH_BUDGET.json`.
-func runHotReport(runner *analysis.Runner, print bool, budgetFile string) int {
-	rep := runner.HotReport()
-	if print {
-		blob, err := rep.MarshalIndent()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-		os.Stdout.Write(blob)
-	}
-	if budgetFile == "" {
-		return 0
-	}
-	data, err := os.ReadFile(budgetFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 2
-	}
-	budget, err := analysis.ParseHotReport(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 2
-	}
-	violations := analysis.CompareHotBudget(budget, rep)
-	for _, v := range violations {
-		fmt.Println(v)
-	}
-	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "simlint: hot-path allocation budget exceeded (%d violation(s)); fix the allocation or justify it with //simlint:allow hotalloc, then re-record with simlint -hotreport > %s\n", len(violations), budgetFile)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "simlint: hot-path budget ok (%d sites across %d functions)\n", rep.Total, len(rep.Functions))
 	return 0
 }
 

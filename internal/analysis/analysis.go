@@ -1,7 +1,8 @@
 // Package analysis is simlint's engine: a stdlib-only static-analysis
 // driver (go/parser + go/ast + go/types with a recursive source importer —
 // no x/tools dependency) plus the simulator-specific analyzers that keep
-// the repository's headline guarantees machine-checked:
+// the repository's headline guarantees machine-checked. A rule stays only
+// while the bug it catches escapes the runtime tests:
 //
 //   - determinism: no map-order-dependent iteration in simulation or
 //     export paths — the invariant behind bit-identical parallel vs
@@ -12,25 +13,12 @@
 //     iterators are tracked as taint through calls, fields and closures,
 //     and reported where they reach a cache key, a seed, or a Stats
 //     field; direct math/rand calls are always reported.
-//   - metricscomplete: every exported numeric Stats field reaches the
-//     metrics registry in its package's AttachMetrics, so new counters
-//     cannot silently drop out of the sampler and Perfetto exports.
-//   - cachekey: every sim.Config field either participates in the
-//     campaign cache key or is explicitly excluded (json:"-") AND zeroed
-//     in campaign.Key — the bug class that silently forks or aliases
-//     content-addressed cache entries.
-//   - errdiscipline: no panic in internal/ simulation packages outside
-//     must* helpers — failures must flow to the campaign engine as errors.
 //   - lockorder: the lock-acquisition graph across the concurrent layers
 //     (the campaign engine, manifest and reporter, …) is acyclic — the
 //     deadlock that -race and the tests rarely trip.
 //   - enumexhaustive: every switch over an iota-declared enum covers all
 //     of its constants or carries an explicit default — the class of bug
 //     that silently drops a coherence-protocol transition.
-//   - hotalloc: no allocation site (make/new/literals/append/interface
-//     boxing/closures/fmt) is reachable from the declared per-cycle hot
-//     roots without a justified suppression; simlint -hotreport emits the
-//     deterministic allocation budget CI ratchets via HOTPATH_BUDGET.json.
 //   - cyclemath: uint64 cycle subtraction a-b is dominated by a provable
 //     a>=b guard, cycle values never cross signed conversions, and
 //     latency/cycle-named fields and parameters are uint64 — the classic
@@ -41,22 +29,16 @@
 //   - staledirective: a //simlint suppression that suppresses nothing is
 //     itself a finding.
 //
-// The engine's only output is findings (position, analyzer, message) and
-// hotalloc's budget report; it never rewrites source. Findings are
-// suppressed only by an explicit source directive with a justification:
+// The engine's only output is findings (position, analyzer, message); it
+// never rewrites source. Findings are suppressed only by an explicit
+// source directive with a justification:
 //
 //	//simlint:ordered -- <why iteration order is irrelevant here>
 //	//simlint:allow <analyzer>[,<analyzer>] -- <why this is safe>
 //
 // placed on the offending line or the line directly above it. A directive
 // without a justification is itself a finding, and so is a directive that
-// no longer suppresses anything. A third verb declares facts instead of
-// suppressing:
-//
-//	//simlint:hot -- <why this function runs every cycle>
-//
-// marks the function declared on the next line as a hotalloc root in
-// addition to the committed hotroots.go list.
+// no longer suppresses anything.
 package analysis
 
 import (
@@ -90,14 +72,10 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDeterminism,
-		AnalyzerMetricsComplete,
-		AnalyzerCacheKey,
-		AnalyzerErrDiscipline,
 		AnalyzerLockOrder,
 		AnalyzerDeterTaint,
 		AnalyzerUndoComplete,
 		AnalyzerEnumExhaustive,
-		AnalyzerHotAlloc,
 		AnalyzerCycleMath,
 		AnalyzerStaleDirective,
 	}
@@ -241,8 +219,6 @@ type Runner struct {
 	taints     *taintFacts
 	undoOnce   sync.Once
 	undo       *undoFacts
-	hotOnce    sync.Once
-	hot        *hotFacts // hot-path allocation model (hotalloc.go)
 
 	// lockAcc accumulates cross-package lock-graph edges during the
 	// parallel phase; AnalyzerLockOrder.Finish reads it.
@@ -295,7 +271,7 @@ func (r *Runner) scanDirectives(f *ast.File) {
 				continue
 			}
 			d.verb = fields[0]
-			if d.verb != "ordered" && d.verb != "allow" && d.verb != "hot" {
+			if d.verb != "ordered" && d.verb != "allow" {
 				r.findings = append(r.findings, Finding{Analyzer: "directive", Pos: pos,
 					Message: fmt.Sprintf("unknown //simlint directive %q", d.verb)})
 				continue
@@ -312,14 +288,6 @@ func (r *Runner) scanDirectives(f *ast.File) {
 				if len(fields) != 1 {
 					r.findings = append(r.findings, Finding{Analyzer: "directive", Pos: pos,
 						Message: "//simlint:ordered takes no arguments (write //simlint:ordered -- <justification>)"})
-					continue
-				}
-			case "hot":
-				// Declares the function below a hot-path root for the
-				// hotalloc analyzer; it suppresses nothing.
-				if len(fields) != 1 {
-					r.findings = append(r.findings, Finding{Analyzer: "directive", Pos: pos,
-						Message: "//simlint:hot takes no arguments (write //simlint:hot -- <why this runs every cycle>)"})
 					continue
 				}
 			case "allow":

@@ -144,10 +144,10 @@ func TestDirectiveSuppresses(t *testing.T) {
 		want     bool
 	}{
 		{&directive{verb: "ordered"}, "determinism", true},
-		{&directive{verb: "ordered"}, "errdiscipline", false},
-		{&directive{verb: "allow", analyzers: []string{"errdiscipline"}}, "errdiscipline", true},
-		{&directive{verb: "allow", analyzers: []string{"errdiscipline"}}, "determinism", false},
-		{&directive{verb: "allow", analyzers: []string{"cachekey", "cyclemath"}}, "cyclemath", true},
+		{&directive{verb: "ordered"}, "enumexhaustive", false},
+		{&directive{verb: "allow", analyzers: []string{"enumexhaustive"}}, "enumexhaustive", true},
+		{&directive{verb: "allow", analyzers: []string{"enumexhaustive"}}, "determinism", false},
+		{&directive{verb: "allow", analyzers: []string{"undocomplete", "cyclemath"}}, "cyclemath", true},
 	}
 	for _, c := range cases {
 		if got := c.d.suppresses(c.analyzer); got != c.want {

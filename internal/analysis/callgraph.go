@@ -2,73 +2,40 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
-// This file is the interprocedural substrate the v3 analyzers share: a
+// This file is the interprocedural substrate the analyzers share: a
 // module-wide call graph with one node per declared function and one per
 // function literal, and a deterministic bottom-up fixpoint driver for
 // computing per-function summaries over it.
 //
-// Edge kinds:
+// A node's out edges lead to:
 //
-//   - call: a static call to a declared function or method. A call into
-//     generic code (an instantiated method, or f[T](x)) links to the
-//     generic declaration. Calls through an interface method fan out to
-//     every module type whose method set implements the interface (a
-//     sound over-approximation for code that never leaves the module).
-//   - spawn: the call (or literal) is launched on a new goroutine by a
-//     `go` statement.
-//   - closure: a function literal defined in the body. The literal's node
-//     carries its own body; the closure edge records where it was built,
-//     so summaries can flow from literal to enclosing function (a literal
-//     that locks is assumed callable wherever it escapes).
+//   - every callee of a static call to a declared function or method. A
+//     call into generic code (an instantiated method, or f[T](x)) links to
+//     the generic declaration. Calls through an interface method fan out
+//     to every module type whose method set implements the interface (a
+//     sound over-approximation for code that never leaves the module). A
+//     call launched by a `go` statement is an edge like any other.
+//   - every function literal defined in the body. The literal's node
+//     carries its own body, so summaries flow from literal to enclosing
+//     function (a literal that locks is assumed callable wherever it
+//     escapes).
 //
-// Determinism: nodes are ordered by source position and edges by call-site
-// position, so every fixpoint over the graph visits in one fixed order and
-// analyzer output is byte-identical across runs and worker counts.
-
-// edgeKind classifies a call-graph edge.
-type edgeKind uint8
-
-const (
-	edgeCall edgeKind = iota
-	edgeSpawn
-	edgeClosure
-)
+// Determinism: nodes and edges are in source order, so every fixpoint
+// over the graph visits in one fixed order and analyzer output is
+// byte-identical across runs and worker counts.
 
 // cgNode is one function in the call graph: a declared function/method
-// (Fn != nil) or a function literal (Lit != nil).
+// (fn != nil) or a function literal (lit != nil).
 type cgNode struct {
-	index int
-	pkg   *Package
-	fn    *types.Func   // nil for literals
-	decl  *ast.FuncDecl // nil for literals
-	lit   *ast.FuncLit  // nil for declared functions
-	body  *ast.BlockStmt
-	out   []*cgEdge // edges to callees, sorted by site position
-}
-
-// name renders a short human-readable identity for messages and tests.
-func (n *cgNode) name() string {
-	if n.fn != nil {
-		if recv := n.fn.Type().(*types.Signature).Recv(); recv != nil {
-			if named := derefNamed(recv.Type()); named != nil {
-				return named.Obj().Name() + "." + n.fn.Name()
-			}
-		}
-		return n.fn.Name()
-	}
-	return "func literal"
-}
-
-// cgEdge is one caller→callee relation observed at a call or go site.
-type cgEdge struct {
-	callee *cgNode
-	site   token.Pos
-	kind   edgeKind
+	pkg  *Package
+	fn   *types.Func   // nil for literals
+	decl *ast.FuncDecl // nil for literals
+	lit  *ast.FuncLit  // nil for declared functions
+	body *ast.BlockStmt
+	out  []*cgNode // callees and literals, in source order
 }
 
 // callGraph is the module-wide graph plus its lookup indexes.
@@ -81,7 +48,7 @@ type callGraph struct {
 	implementers map[*types.Func][]*types.Func
 }
 
-// callees returns the (deduplicated, deterministic) callee nodes a call
+// calleesOf returns the (deduplicated, deterministic) callee nodes a call
 // expression can reach: the static callee, or every module implementer
 // for an interface method.
 func (g *callGraph) calleesOf(pkg *Package, call *ast.CallExpr) []*cgNode {
@@ -123,12 +90,12 @@ func buildCallGraph(mod *Module) *callGraph {
 				if !ok {
 					continue
 				}
-				n := &cgNode{index: len(g.nodes), pkg: pkg, fn: fn, decl: fd, body: fd.Body}
+				n := &cgNode{pkg: pkg, fn: fn, decl: fd, body: fd.Body}
 				g.nodes = append(g.nodes, n)
 				g.byFn[fn] = n
 				ast.Inspect(fd.Body, func(m ast.Node) bool {
 					if fl, ok := m.(*ast.FuncLit); ok {
-						ln := &cgNode{index: len(g.nodes), pkg: pkg, lit: fl, body: fl.Body}
+						ln := &cgNode{pkg: pkg, lit: fl, body: fl.Body}
 						g.nodes = append(g.nodes, ln)
 						g.byLit[fl] = ln
 					}
@@ -209,61 +176,19 @@ func appendUniqueFunc(fns []*types.Func, fn *types.Func) []*types.Func {
 	return append(fns, fn)
 }
 
-// addEdges records every call, spawn, and closure edge out of n's body.
+// addEdges records every call and closure edge out of n's body.
 func (g *callGraph) addEdges(n *cgNode) {
-	var walk func(node ast.Node, inGo bool)
-	link := func(callee *cgNode, site token.Pos, kind edgeKind) {
-		n.out = append(n.out, &cgEdge{callee: callee, site: site, kind: kind})
-	}
-	walk = func(node ast.Node, inGo bool) {
-		ast.Inspect(node, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				if ln := g.byLit[m]; ln != nil {
-					kind := edgeClosure
-					if inGo {
-						kind = edgeSpawn
-					}
-					link(ln, m.Pos(), kind)
-				}
-				return false // the literal's body belongs to its own node
-			case *ast.GoStmt:
-				// The spawned call: its callee gets a spawn edge; argument
-				// expressions evaluate on the spawner and are walked
-				// normally.
-				switch fun := ast.Unparen(m.Call.Fun).(type) {
-				case *ast.FuncLit:
-					if ln := g.byLit[fun]; ln != nil {
-						link(ln, m.Pos(), edgeSpawn)
-					}
-				default:
-					for _, callee := range g.calleesOf(n.pkg, m.Call) {
-						link(callee, m.Pos(), edgeSpawn)
-					}
-				}
-				for _, arg := range m.Call.Args {
-					walk(arg, false)
-				}
-				if _, isLit := ast.Unparen(m.Call.Fun).(*ast.FuncLit); !isLit {
-					walk(m.Call.Fun, false)
-				}
-				return false
-			case *ast.CallExpr:
-				for _, callee := range g.calleesOf(n.pkg, m) {
-					link(callee, m.Pos(), edgeCall)
-				}
-				return true
+	ast.Inspect(n.body, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			if ln := g.byLit[m]; ln != nil {
+				n.out = append(n.out, ln)
 			}
-			return true
-		})
-	}
-	walk(n.body, false)
-	sort.Slice(n.out, func(i, j int) bool {
-		a, b := n.out[i], n.out[j]
-		if a.site != b.site {
-			return a.site < b.site
+			return false // the literal's body belongs to its own node
+		case *ast.CallExpr:
+			n.out = append(n.out, g.calleesOf(n.pkg, m)...)
 		}
-		return a.callee.index < b.callee.index
+		return true
 	})
 }
 
@@ -282,9 +207,9 @@ func (g *callGraph) fixpoint(update func(n *cgNode) bool) {
 	}
 }
 
-// reachable returns the set of nodes reachable from roots over call,
-// spawn, and closure edges (closure edges count: a literal built inside a
-// reachable function runs on its behalf).
+// reachable returns the set of nodes reachable from roots over call and
+// closure edges (closure edges count: a literal built inside a reachable
+// function runs on its behalf).
 func (g *callGraph) reachable(roots []*cgNode) map[*cgNode]bool {
 	seen := make(map[*cgNode]bool)
 	var stack []*cgNode
@@ -297,10 +222,10 @@ func (g *callGraph) reachable(roots []*cgNode) map[*cgNode]bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range n.out {
-			if !seen[e.callee] {
-				seen[e.callee] = true
-				stack = append(stack, e.callee)
+		for _, callee := range n.out {
+			if !seen[callee] {
+				seen[callee] = true
+				stack = append(stack, callee)
 			}
 		}
 	}

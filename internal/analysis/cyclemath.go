@@ -675,6 +675,10 @@ func (w *cmWalker) checkConv(call *ast.CallExpr) {
 	}
 }
 
+// shortQualifier renders package-qualified type names with the bare
+// package name, keeping messages readable.
+func shortQualifier(p *types.Package) string { return p.Name() }
+
 func cmIsUint64(t types.Type) bool {
 	if t == nil {
 		return false

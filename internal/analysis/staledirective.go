@@ -44,9 +44,6 @@ func finishStaleDirectives(p *FinishPass) {
 
 	for _, k := range keys {
 		d := r.directives[k.file][k.line]
-		if d.verb == "hot" {
-			continue // declares a hotalloc root; it never suppresses, so it cannot go stale
-		}
 		if d.hits.Load() > 0 {
 			continue
 		}

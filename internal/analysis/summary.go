@@ -62,15 +62,15 @@ func (r *Runner) lockModel(mod *Module) *lockFacts {
 			}
 		}
 
-		// Transitive closure over call, spawn, and closure edges. Spawn
-		// edges are included deliberately: a goroutine the function
-		// launches can acquire the class while the caller still holds
-		// its own locks, so the summary over-approximates. Self-edges
-		// (recursion) are harmless unions.
+		// Transitive closure over call and closure edges. Calls launched
+		// by a go statement are included deliberately: a goroutine the
+		// function launches can acquire the class while the caller still
+		// holds its own locks, so the summary over-approximates.
+		// Self-edges (recursion) are harmless unions.
 		g.fixpoint(func(n *cgNode) bool {
 			changed := false
-			for _, e := range n.out {
-				sub := facts.acquires[e.callee]
+			for _, callee := range n.out {
+				sub := facts.acquires[callee]
 				if len(sub) == 0 {
 					continue
 				}

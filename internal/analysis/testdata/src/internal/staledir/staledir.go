@@ -15,9 +15,17 @@ func Fine(m map[string]int) []string {
 	return keys
 }
 
-//simlint:allow errdiscipline -- obsolete: nothing here panics anymore // want `stale //simlint:allow directive`
+//simlint:allow enumexhaustive -- obsolete: nothing here switches over an enum anymore // want `stale //simlint:allow directive`
 func quiet() int {
 	return 1
+}
+
+// unjustified carries a directive without a justification, which is
+// itself reported (and therefore never suppresses).
+//
+//simlint:allow cyclemath // want `//simlint:allow without a justification`
+func unjustified() int {
+	return 3
 }
 
 //simlint:allow timedet -- obsolete: the analyzer it names was retired // want `suppresses only analyzers that no longer exist \(timedet\)`
@@ -25,7 +33,9 @@ func retired() int {
 	return 2
 }
 
-// used keeps quiet and retired referenced.
+// used keeps quiet, unjustified and retired referenced.
 var _ = quiet
+
+var _ = unjustified
 
 var _ = retired

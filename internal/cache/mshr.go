@@ -96,7 +96,7 @@ type MSHRStats struct {
 // NewMSHR creates an MSHR with capacity entries.
 func NewMSHR(name string, capacity int) *MSHR {
 	if capacity <= 0 {
-		//simlint:allow errdiscipline -- construction-time capacity validation; a bad config is a programmer error caught before any simulation runs
+		// A bad capacity is a programmer error, caught at construction.
 		panic(fmt.Sprintf("mshr %s: capacity %d", name, capacity))
 	}
 	return &MSHR{name: name, cap: capacity, entries: make(map[arch.LineAddr]*MSHREntry, capacity)}
@@ -133,7 +133,6 @@ func (m *MSHR) Allocate(line arch.LineAddr, waiter uint64) (e *MSHREntry, merged
 		}
 		e = m.free
 		if e == nil {
-			//simlint:allow hotalloc -- grows the entry pool only while every pooled entry is in flight; bounded by MSHR capacity
 			e = &MSHREntry{}
 		} else {
 			//simlint:allow undocomplete -- entry free list: host memory reuse, not modelled cache state; a squash has nothing to restore
@@ -143,7 +142,6 @@ func (m *MSHR) Allocate(line arch.LineAddr, waiter uint64) (e *MSHREntry, merged
 		m.entries[line] = e
 		m.Stats.Allocs++
 	}
-	//simlint:allow hotalloc -- one waiter id per load on the miss; the list is bounded by the LQ size and its capacity is recycled with the entry
 	e.Waiters = append(e.Waiters, waiter)
 	return e, merged, true
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,6 +32,20 @@ func mustKey(t *testing.T, j Job) string {
 	return keyOf(t, j.Workload, j.Config)
 }
 
+// observationOnly names the sim.Config fields that never change a run's
+// outcome, with a setter that attaches each one. Setting them must leave
+// the cache key unchanged.
+var observationOnly = map[string]func(*sim.Config){
+	"Trace":       func(c *sim.Config) { c.Trace = sim.NewTraceRing(16) },
+	"Metrics":     func(c *sim.Config) { c.Metrics = &sim.Metrics{} },
+	"SampleEvery": func(c *sim.Config) { c.SampleEvery = 1000 },
+}
+
+// TestKeyDeterminismAndSensitivity walks sim.Config by reflection, so a
+// field is covered the moment it is declared. Every field but the
+// observation-only ones must change the key when set away from its
+// resolved default: a field the key cannot see (unexported, or tagged
+// json:"-") would alias distinct configurations onto one cache entry.
 func TestKeyDeterminismAndSensitivity(t *testing.T) {
 	base := testCfg(sim.CleanupSpec, 1)
 	k := keyOf(t, "astar", base)
@@ -40,24 +55,45 @@ func TestKeyDeterminismAndSensitivity(t *testing.T) {
 	if len(k) != 32 {
 		t.Fatalf("key %q: want 32 hex chars", k)
 	}
-
-	on := true
-	variants := map[string]sim.Config{
-		"policy":       testCfg(sim.NonSecure, 1),
-		"seed":         testCfg(sim.CleanupSpec, 2),
-		"instructions": {Policy: sim.CleanupSpec, Instructions: 7_000, Seed: 1},
-		"l1rand":       {Policy: sim.CleanupSpec, Instructions: 6_000, Seed: 1, L1RandomRepl: &on},
-		"nowarmup":     {Policy: sim.CleanupSpec, Instructions: 6_000, Seed: 1, NoWarmup: true},
-		"maxcycles":    {Policy: sim.CleanupSpec, Instructions: 6_000, Seed: 1, MaxCycles: 1_000_000},
-		"watchdog":     {Policy: sim.CleanupSpec, Instructions: 6_000, Seed: 1, WatchdogWindow: 100_000},
-	}
-	for name, cfg := range variants {
-		if keyOf(t, "astar", cfg) == k {
-			t.Errorf("%s variant collided with the base key", name)
-		}
-	}
 	if keyOf(t, "gcc", base) == k {
 		t.Error("workload not part of the key")
+	}
+
+	resolved := reflect.ValueOf(base.Resolved())
+	typ := resolved.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			t.Errorf("sim.Config.%s is unexported: encoding/json skips it, so it cannot reach the key", f.Name)
+			continue
+		}
+		if set, ok := observationOnly[f.Name]; ok {
+			cfg := base
+			set(&cfg)
+			if keyOf(t, "astar", cfg) != k {
+				t.Errorf("observation-only sim.Config.%s changed the key", f.Name)
+			}
+			continue
+		}
+		values, err := otherValues(resolved.Field(i))
+		if err != nil {
+			t.Errorf("sim.Config.%s: %v", f.Name, err)
+			continue
+		}
+		changed := false
+		for _, v := range values {
+			cfg := base
+			reflect.ValueOf(&cfg).Elem().Field(i).Set(v)
+			changed = changed || keyOf(t, "astar", cfg) != k
+		}
+		if !changed {
+			t.Errorf("setting sim.Config.%s away from its default leaves the key unchanged", f.Name)
+		}
+	}
+	for name := range observationOnly {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("observation-only field %s is not in sim.Config", name)
+		}
 	}
 
 	// Defaults-resolution equivalence: an explicitly spelled-out default
@@ -67,21 +103,38 @@ func TestKeyDeterminismAndSensitivity(t *testing.T) {
 	if keyOf(t, "astar", explicit) != k {
 		t.Error("explicit defaults must share the implicit-defaults key")
 	}
+}
 
-	// The observability hooks are observation-only and must not affect
-	// identity: same key with a trace ring, a metrics collector or a
-	// sampling interval attached.
-	traced := base
-	traced.Trace = sim.NewTraceRing(16)
-	if keyOf(t, "astar", traced) != k {
-		t.Error("trace ring changed the key")
+// otherValues returns values of v's type that differ from v: one for a
+// scalar, and for a *bool whichever of &true and &false v is not.
+func otherValues(v reflect.Value) ([]reflect.Value, error) {
+	other := reflect.New(v.Type()).Elem()
+	switch v.Kind() {
+	case reflect.Bool:
+		other.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		other.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		other.SetUint(v.Uint() + 1)
+	case reflect.String:
+		other.SetString(v.String() + "x")
+	case reflect.Pointer:
+		if v.Type().Elem().Kind() != reflect.Bool {
+			return nil, fmt.Errorf("the test cannot set a field of type %s", v.Type())
+		}
+		var out []reflect.Value
+		for _, b := range []bool{true, false} {
+			if v.IsNil() || v.Elem().Bool() != b {
+				p := reflect.New(v.Type().Elem())
+				p.Elem().SetBool(b)
+				out = append(out, p)
+			}
+		}
+		return out, nil
+	default:
+		return nil, fmt.Errorf("the test cannot set a field of type %s", v.Type())
 	}
-	instrumented := base
-	instrumented.Metrics = &sim.Metrics{}
-	instrumented.SampleEvery = 1000
-	if keyOf(t, "astar", instrumented) != k {
-		t.Error("metrics collector / sampling interval changed the key")
-	}
+	return []reflect.Value{other}, nil
 }
 
 func TestCacheRoundTrip(t *testing.T) {

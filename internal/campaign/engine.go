@@ -173,7 +173,6 @@ func (e *PanicError) Error() string { return "worker panic: " + e.Value }
 // the default kind is one sim.RunWorkload invocation.
 func (e *Engine) runAttempt(job Job, cfg sim.Config) (val memoVal, err error) {
 	defer func() {
-		//simlint:allow errdiscipline -- panic isolation boundary: a worker panic becomes a quarantined JobResult with a diagnostic dump, the pool survives
 		if r := recover(); r != nil {
 			err = &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 		}

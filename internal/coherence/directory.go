@@ -1,10 +1,11 @@
 // Package coherence implements a directory-based MESI protocol for the
-// private L1 caches sharing an inclusive L2, plus the paper's GetS-Safe
-// transaction (Section 3.5): a read request that succeeds only if it does
-// not force a remote M/E -> S downgrade. CleanupSpec issues GetS-Safe for
-// speculative loads and falls back to a delayed ordinary GetS once the load
-// is unsquashable, so a transient load can never cause an observable
-// coherence downgrade in a remote cache.
+// private L1 caches sharing an inclusive L2. The paper's GetS-Safe
+// transaction (Section 3.5), a read that succeeds only if it does not force
+// a remote M/E -> S downgrade, is RemoteOwner checked before GetS:
+// memsys delays a speculative load whose line a remote core owns and
+// retries it as an ordinary GetS once the load is unsquashable, so a
+// transient load can never cause an observable coherence downgrade in a
+// remote cache.
 //
 // The directory tracks, per line, the owning core (M/E) or the sharer set
 // (S). The actual per-core tag arrays live in internal/cache; callers apply
@@ -17,6 +18,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 )
@@ -46,14 +48,16 @@ func (s Source) String() string {
 }
 
 // Grant describes the outcome of a directory transaction: the state granted
-// to the requester and the remote actions the caller must apply.
+// to the requester and the remote actions the caller must apply. The
+// remote cores are bit masks (bit c is core c), as the directory holds its
+// sharers; callers visit the set bits in ascending core order.
 type Grant struct {
 	// State is the MESI state granted to the requesting core.
 	State arch.CohState
-	// Downgrades lists remote cores whose copy must go M/E -> S.
-	Downgrades []int
-	// Invalidates lists remote cores whose copy must be invalidated.
-	Invalidates []int
+	// Downgrades masks the remote cores whose copy must go M/E -> S.
+	Downgrades uint64
+	// Invalidates masks the remote cores whose copy must be invalidated.
+	Invalidates uint64
 	// Source is where the data is supplied from.
 	Source Source
 	// RemoteOwned reports that the line was in a remote M/E before this
@@ -69,14 +73,12 @@ type entry struct {
 
 // Stats counts directory transactions.
 type Stats struct {
-	GetS         uint64
-	GetSSafe     uint64
-	GetSSafeFail uint64
-	GetX         uint64
-	Downgrades   uint64
-	Invalidates  uint64
-	Writebacks   uint64
-	Flushes      uint64
+	GetS        uint64
+	GetX        uint64
+	Downgrades  uint64
+	Invalidates uint64
+	Writebacks  uint64
+	Flushes     uint64
 }
 
 // Directory is the MESI directory. Entries are stored by value, so
@@ -91,7 +93,7 @@ type Directory struct {
 // NewDirectory creates a directory for cores cores (max 64).
 func NewDirectory(cores int) *Directory {
 	if cores <= 0 || cores > 64 {
-		//simlint:allow errdiscipline -- construction-time core-count validation; a bad config is a programmer error caught before any simulation runs
+		// A bad core count is a programmer error, caught at construction.
 		panic(fmt.Sprintf("coherence: bad core count %d", cores))
 	}
 	return &Directory{cores: cores, entries: make(map[arch.LineAddr]entry)}
@@ -108,7 +110,7 @@ func (d *Directory) get(l arch.LineAddr) entry {
 
 func (d *Directory) checkCore(core int) {
 	if core < 0 || core >= d.cores {
-		//simlint:allow errdiscipline,hotalloc -- protocol invariant: an out-of-range core id means the simulator state is already corrupt; the Sprintf runs only on that terminal panic path
+		// An out-of-range core id means the simulator state is corrupt.
 		panic(fmt.Sprintf("coherence: core %d out of range [0,%d)", core, d.cores))
 	}
 }
@@ -162,9 +164,8 @@ func (d *Directory) getS(core int, l arch.LineAddr) Grant {
 	case e.owner >= 0:
 		// Remote owner: downgrade to S, both become sharers.
 		g := Grant{
-			State: arch.Shared,
-			//simlint:allow hotalloc -- one-element downgrade list per remote-owned GetS; bounded by the (rare) cross-core sharing event, not per cycle
-			Downgrades:  []int{e.owner},
+			State:       arch.Shared,
+			Downgrades:  1 << uint(e.owner),
 			Source:      SrcRemote,
 			RemoteOwned: true,
 		}
@@ -189,19 +190,6 @@ func (d *Directory) getS(core int, l arch.LineAddr) Grant {
 	}
 }
 
-// GetSSafe is the paper's safe read: identical to GetS unless it would
-// downgrade a remote M/E owner, in which case it fails with no state change
-// and the caller must retry with GetS once the load is unsquashable.
-func (d *Directory) GetSSafe(core int, l arch.LineAddr) (Grant, bool) {
-	d.checkCore(core)
-	d.Stats.GetSSafe++
-	if d.RemoteOwner(core, l) >= 0 {
-		d.Stats.GetSSafeFail++
-		return Grant{RemoteOwned: true}, false
-	}
-	return d.getS(core, l), true
-}
-
 // GetX is a write (RFO) request: all other copies are invalidated and the
 // requester gets M.
 func (d *Directory) GetX(core int, l arch.LineAddr) Grant {
@@ -213,8 +201,7 @@ func (d *Directory) GetX(core int, l arch.LineAddr) Grant {
 	case e.owner == core:
 		g.Source = SrcShared
 	case e.owner >= 0:
-		//simlint:allow hotalloc -- invalidation fan-out per GetX is bounded by the core count; GetX events are store misses, not per cycle
-		g.Invalidates = append(g.Invalidates, e.owner)
+		g.Invalidates = 1 << uint(e.owner)
 		g.Source = SrcRemote
 		g.RemoteOwned = true
 		if e.dirty {
@@ -222,14 +209,9 @@ func (d *Directory) GetX(core int, l arch.LineAddr) Grant {
 		}
 	default:
 		g.Source = SrcShared
-		for c := 0; c < d.cores; c++ {
-			if c != core && e.sharers&(1<<uint(c)) != 0 {
-				//simlint:allow hotalloc -- invalidation fan-out per GetX is bounded by the core count; GetX events are store misses, not per cycle
-				g.Invalidates = append(g.Invalidates, c)
-			}
-		}
+		g.Invalidates = e.sharers &^ (1 << uint(core))
 	}
-	d.Stats.Invalidates += uint64(len(g.Invalidates))
+	d.Stats.Invalidates += uint64(bits.OnesCount64(g.Invalidates))
 	d.entries[l] = entry{owner: core, dirty: true}
 	return g
 }
@@ -258,30 +240,23 @@ func (d *Directory) Evict(core int, l arch.LineAddr, dirty bool) {
 }
 
 // Flush implements clflush's coherence action: every copy of l anywhere is
-// invalidated. It returns the cores that held a copy. CleanupSpec delays
-// the *execution* of a transient clflush until commit (Section 3.5,
+// invalidated. It returns the mask of cores that held a copy. CleanupSpec
+// delays the *execution* of a transient clflush until commit (Section 3.5,
 // Table 2); the delay lives in the CPU model — by the time Flush is called
 // the instruction is non-speculative.
-func (d *Directory) Flush(l arch.LineAddr) []int {
+func (d *Directory) Flush(l arch.LineAddr) uint64 {
 	e, ok := d.entries[l]
 	if !ok {
-		return nil
+		return 0
 	}
-	var holders []int
+	holders := e.sharers
 	if e.owner >= 0 {
-		//simlint:allow hotalloc -- holder list is bounded by the core count and built once per clflush, which executes only at commit
-		holders = append(holders, e.owner)
+		holders |= 1 << uint(e.owner)
 		if e.dirty {
 			d.Stats.Writebacks++
 		}
 	}
-	for c := 0; c < d.cores; c++ {
-		if e.sharers&(1<<uint(c)) != 0 {
-			//simlint:allow hotalloc -- holder list is bounded by the core count and built once per clflush, which executes only at commit
-			holders = append(holders, c)
-		}
-	}
-	d.Stats.Invalidates += uint64(len(holders))
+	d.Stats.Invalidates += uint64(bits.OnesCount64(holders))
 	d.Stats.Flushes++
 	delete(d.entries, l)
 	return holders

@@ -28,8 +28,8 @@ func TestSecondReaderDowngradesOwner(t *testing.T) {
 	if g.State != arch.Shared || !g.RemoteOwned || g.Source != SrcRemote {
 		t.Fatalf("grant %+v", g)
 	}
-	if len(g.Downgrades) != 1 || g.Downgrades[0] != 0 {
-		t.Fatalf("downgrades %v", g.Downgrades)
+	if g.Downgrades != 1<<0 {
+		t.Fatalf("downgrades %b", g.Downgrades)
 	}
 	if d.State(0, line) != arch.Shared || d.State(1, line) != arch.Shared {
 		t.Fatal("both cores must be S after downgrade")
@@ -44,54 +44,8 @@ func TestThirdReaderJustShares(t *testing.T) {
 	d.GetS(0, line)
 	d.GetS(1, line)
 	g := d.GetS(2, line)
-	if g.State != arch.Shared || g.RemoteOwned || len(g.Downgrades) != 0 {
+	if g.State != arch.Shared || g.RemoteOwned || g.Downgrades != 0 {
 		t.Fatalf("grant %+v", g)
-	}
-}
-
-func TestGetSSafeFailsOnRemoteOwner(t *testing.T) {
-	d := NewDirectory(4)
-	d.GetX(0, line) // core 0 takes M
-	g, ok := d.GetSSafe(1, line)
-	if ok {
-		t.Fatal("GetS-Safe must fail against a remote M owner")
-	}
-	if !g.RemoteOwned {
-		t.Fatal("failure must report remote ownership")
-	}
-	// Crucially: no state change happened.
-	if d.State(0, line) != arch.Modified {
-		t.Fatal("GetS-Safe failure must not downgrade the owner")
-	}
-	if d.State(1, line) != arch.Invalid {
-		t.Fatal("GetS-Safe failure must not grant the requester anything")
-	}
-	if d.Stats.GetSSafeFail != 1 {
-		t.Fatalf("stats %+v", d.Stats)
-	}
-	// Retry as plain GetS on the correct path succeeds.
-	g2 := d.GetS(1, line)
-	if g2.State != arch.Shared || len(g2.Downgrades) != 1 {
-		t.Fatalf("retry grant %+v", g2)
-	}
-}
-
-func TestGetSSafeSucceedsWhenNotRemoteOwned(t *testing.T) {
-	d := NewDirectory(4)
-	// Unowned line.
-	if _, ok := d.GetSSafe(1, line); !ok {
-		t.Fatal("GetS-Safe must succeed on an unowned line")
-	}
-	// Shared line.
-	d.GetS(2, line)
-	if _, ok := d.GetSSafe(3, line); !ok {
-		t.Fatal("GetS-Safe must succeed on a shared line")
-	}
-	// Locally owned line.
-	d2 := NewDirectory(2)
-	d2.GetX(0, line)
-	if g, ok := d2.GetSSafe(0, line); !ok || g.State != arch.Modified {
-		t.Fatalf("GetS-Safe on own M line: (%+v, %v)", g, ok)
 	}
 }
 
@@ -104,8 +58,8 @@ func TestGetXInvalidatesEveryone(t *testing.T) {
 	if g.State != arch.Modified {
 		t.Fatalf("grant %+v", g)
 	}
-	if len(g.Invalidates) != 3 {
-		t.Fatalf("invalidates %v", g.Invalidates)
+	if g.Invalidates != 0b0111 {
+		t.Fatalf("invalidates %b", g.Invalidates)
 	}
 	for c := 0; c < 3; c++ {
 		if d.State(c, line) != arch.Invalid {
@@ -124,7 +78,7 @@ func TestGetXOnRemoteModified(t *testing.T) {
 	d := NewDirectory(2)
 	d.GetX(0, line)
 	g := d.GetX(1, line)
-	if len(g.Invalidates) != 1 || g.Invalidates[0] != 0 || !g.RemoteOwned {
+	if g.Invalidates != 1<<0 || !g.RemoteOwned {
 		t.Fatalf("grant %+v", g)
 	}
 	if d.Stats.Writebacks != 1 {
@@ -159,20 +113,20 @@ func TestFlushInvalidatesAllHolders(t *testing.T) {
 	d.GetS(0, line)
 	d.GetS(1, line)
 	holders := d.Flush(line)
-	if len(holders) != 2 {
-		t.Fatalf("holders %v", holders)
+	if holders != 0b0011 {
+		t.Fatalf("holders %b", holders)
 	}
 	if d.Lines() != 0 {
 		t.Fatal("flushed line must be untracked")
 	}
-	if d.Flush(line) != nil {
-		t.Fatal("double flush must return nil")
+	if d.Flush(line) != 0 {
+		t.Fatal("double flush must hold no core")
 	}
 	// Flush of an M line counts the writeback.
 	d.GetX(2, line)
 	holders = d.Flush(line)
-	if len(holders) != 1 || holders[0] != 2 {
-		t.Fatalf("holders %v", holders)
+	if holders != 1<<2 {
+		t.Fatalf("holders %b", holders)
 	}
 	if d.Stats.Writebacks != 1 {
 		t.Fatalf("stats %+v", d.Stats)
@@ -227,8 +181,8 @@ func TestProtocolInvariantsUnderRandomOps(t *testing.T) {
 			case 4:
 				if r.Bool(0.2) {
 					d.Flush(l)
-				} else {
-					d.GetSSafe(core, l)
+				} else if d.RemoteOwner(core, l) < 0 {
+					d.GetS(core, l) // the GetS-Safe memsys issues
 				}
 			}
 			if err := d.Check(); err != nil {
@@ -240,20 +194,5 @@ func TestProtocolInvariantsUnderRandomOps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: GetS-Safe never mutates directory state when it fails.
-func TestGetSSafeFailureIsPure(t *testing.T) {
-	d := NewDirectory(2)
-	d.GetX(0, line)
-	before := d.State(0, line)
-	for i := 0; i < 10; i++ {
-		if _, ok := d.GetSSafe(1, line); ok {
-			t.Fatal("should keep failing")
-		}
-	}
-	if d.State(0, line) != before {
-		t.Fatal("failed GetS-Safe mutated state")
 	}
 }

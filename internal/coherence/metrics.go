@@ -7,8 +7,6 @@ import "repro/internal/metrics"
 func (d *Directory) AttachMetrics(reg *metrics.Registry) {
 	s := &d.Stats
 	reg.BindCounter("coh.gets", &s.GetS)
-	reg.BindCounter("coh.gets_safe", &s.GetSSafe)
-	reg.BindCounter("coh.gets_safe_fail", &s.GetSSafeFail)
 	reg.BindCounter("coh.getx", &s.GetX)
 	reg.BindCounter("coh.downgrades", &s.Downgrades)
 	reg.BindCounter("coh.invalidates", &s.Invalidates)

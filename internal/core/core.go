@@ -159,7 +159,6 @@ func (p *CleanupSpec) OnSquash(m *cpu.Machine, squashed []cpu.SquashedLoad) cpu.
 		case sl.Inflight:
 			p.Stats.DroppedInflight++
 		case sl.Completed && (sl.SEFE.L1Fill || sl.SEFE.L2Fill):
-			//simlint:allow hotalloc -- cleanup worklist, bounded by the LQ size and built once per squash event, not per cycle
 			ops = append(ops, sl)
 		}
 	}
@@ -173,10 +172,8 @@ func (p *CleanupSpec) OnSquash(m *cpu.Machine, squashed []cpu.SquashedLoad) cpu.
 	}
 
 	// (2) Undo the executed transient changes.
-	//simlint:allow hotalloc -- one exact-capacity batch per squash with executed transient loads; per-squash, bounded by the LQ size
 	batch := make([]CleanupOp, 0, len(ops))
 	for _, sl := range ops {
-		//simlint:allow hotalloc -- capacity was reserved on the line above; this append never grows
 		batch = append(batch, CleanupOp{Line: sl.Line, SEFE: sl.SEFE, FillOrder: sl.FillOrder})
 	}
 	nInval, restoreFinish := p.cleanupBatch(h, coreID, m.OwnerID(), batch, m.LineReferencedByLiveLoad, m.Now())
@@ -220,17 +217,14 @@ func (p *CleanupSpec) CleanupBatch(h *memsys.Hierarchy, coreID int, ops []Cleanu
 }
 
 func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops []CleanupOp, live func(arch.LineAddr) bool, now arch.Cycle) (nInval int, restoreFinish arch.Cycle) {
-	//simlint:allow hotalloc -- sort.Slice boxes the slice and closure once per cleanup batch; per-squash cost on a worklist bounded by the LQ size
 	sort.Slice(ops, func(i, j int) bool { return ops[i].FillOrder > ops[j].FillOrder })
 
-	//simlint:allow hotalloc -- per-squash scratch map sized to the cleanup batch; squashes are events, not cycles
 	installedByBatch := make(map[arch.LineAddr]bool, len(ops))
 	for _, op := range ops {
 		if op.SEFE.L1Fill {
 			installedByBatch[op.Line] = true
 		}
 	}
-	//simlint:allow hotalloc -- per-squash scratch map; holds at most one entry per restored victim in the batch
 	batchRestored := make(map[arch.LineAddr]bool)
 
 	// nRestores is a pipelining offset in cycles (one new restore starts

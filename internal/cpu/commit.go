@@ -147,7 +147,7 @@ func (m *Machine) commit() {
 
 func (m *Machine) freeLQHead(idx int32) {
 	if idx != m.lqHead {
-		//simlint:allow errdiscipline,hotalloc -- pipeline invariant: an out-of-order queue free means corrupt ROB state; the Sprintf runs only on that terminal panic path
+		// An out-of-order queue free means corrupt ROB state.
 		panic(fmt.Sprintf("cpu: committing load at LQ %d but head is %d", idx, m.lqHead))
 	}
 	m.lq[idx].valid = false
@@ -157,7 +157,7 @@ func (m *Machine) freeLQHead(idx int32) {
 
 func (m *Machine) freeSQHead(idx int32) {
 	if idx != m.sqHead {
-		//simlint:allow errdiscipline,hotalloc -- pipeline invariant: an out-of-order queue free means corrupt ROB state; the Sprintf runs only on that terminal panic path
+		// An out-of-order queue free means corrupt ROB state.
 		panic(fmt.Sprintf("cpu: committing store at SQ %d but head is %d", idx, m.sqHead))
 	}
 	m.sq[idx].valid = false

@@ -108,10 +108,9 @@ func (m *Machine) execute(slot int32) {
 		case loadBlocked:
 			m.rescan = true
 		}
-		//simlint:allow hotalloc -- retry list is bounded by the LQ size and its capacity is recycled by retryMem's in-place filter
 		m.memRetry = append(m.memRetry, e.lqIdx)
 	default:
-		//simlint:allow errdiscipline,hotalloc -- decode invariant: ops are validated at assembly; this panic path (and its string concat) is unreachable in a correct build
+		// Ops are validated at assembly: unreachable in a correct build.
 		panic("cpu: unhandled op " + in.Op.String())
 	}
 }
@@ -146,7 +145,6 @@ func (m *Machine) retryMem() {
 		case loadHeld:
 			// Refused the same way until an event sets rescan.
 		}
-		//simlint:allow hotalloc -- in-place filter into m.memRetry[:0]; the result is never longer than the input, so this append cannot grow
 		rest = append(rest, idx)
 	}
 	m.memRetry = rest
@@ -523,7 +521,6 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 			SEFE: lq.SEFE, FillOrder: lq.FillOrder,
 			Inflight: lq.Issued && !lq.Completed && !lq.Forwarded,
 		}
-		//simlint:allow hotalloc -- per-squash worklist bounded by the LQ size; its capacity is kept in m.squashBuf and reused by later squashes
 		squashedLoads = append(squashedLoads, sl)
 		if lq.Issued && !lq.Forwarded && m.hists.loadToSquash != nil {
 			//simlint:allow cyclemath -- IssuedAt was recorded from m.now when the load issued; the squash observes a later cycle

@@ -169,7 +169,8 @@ type sqEntry struct {
 
 // Stats counts core events.
 type Stats struct {
-	//simlint:allow metricscomplete -- Cycles is only materialized when Run returns; the live value is published as the cpu.cycles CounterFunc
+	// Cycles is materialized only when Run returns; the registry publishes
+	// the live value as the cpu.cycles CounterFunc.
 	Cycles    uint64
 	Committed uint64
 	Fetched   uint64
@@ -306,7 +307,7 @@ type machineHists struct {
 // New creates a machine. The memory image is initialized from the program.
 func New(cfg Config, prog *isa.Program, hier *memsys.Hierarchy, pol Policy) *Machine {
 	if cfg.ROBSize <= 0 || cfg.LQSize <= 0 || cfg.SQSize <= 0 {
-		//simlint:allow errdiscipline -- construction-time queue-size validation; a bad config is a programmer error caught before any simulation runs
+		// Bad queue sizes are a programmer error, caught at construction.
 		panic("cpu: bad queue sizes")
 	}
 	if pol == nil {
@@ -542,7 +543,6 @@ func truncSeqsAbove(seqs []uint64, bound uint64) []uint64 {
 	out := seqs[:0]
 	for _, s := range seqs {
 		if s <= bound {
-			//simlint:allow hotalloc -- in-place filter into seqs[:0]; the result is never longer than the input, so this append cannot grow
 			out = append(out, s)
 		}
 	}
@@ -698,12 +698,10 @@ func (m *Machine) dispatch() {
 			m.sq[idx] = sqEntry{valid: true, slot: slot, seq: seq}
 			e.sqIdx = idx
 		case isa.OpFence:
-			//simlint:allow hotalloc -- bounded by in-flight fences (at most ROB size); capacity is recycled by the in-place removeSeq/truncSeqsAbove filters
 			m.fenceSeqs = append(m.fenceSeqs, seq)
 		case isa.OpBranch, isa.OpRet:
 			e.isCtrl = true
 			m.robPred[slot] = fs.pred
-			//simlint:allow hotalloc -- bounded by in-flight branches (at most ROB size); capacity is recycled by the in-place removeSeq/truncSeqsAbove filters
 			m.ctrlSeqs = append(m.ctrlSeqs, seq)
 		default:
 			// Other ops occupy only their ROB slot: no LQ/SQ/fence
@@ -742,7 +740,6 @@ func (m *Machine) bindSource(slot int32, which uint8, r isa.Reg) {
 		e.src2Ready = false
 	}
 	e.pendSrcs++
-	//simlint:allow hotalloc -- bounded by each producer's dependents; the backing array is recycled via consumers[:0] when the ROB entry is reused
 	pe.consumers = append(pe.consumers, consumer{slot: slot, seq: e.seq, src: which})
 }
 

@@ -343,12 +343,12 @@ func (r *Runner) Figure9() Report {
 func (r *Runner) Figure11() Report {
 	ns, err := sim.RunSpectre(sim.NonSecure, r.Opts.SpectreIterations)
 	if err != nil {
-		//simlint:allow errdiscipline -- Figure 11 runs outside the campaign cell protocol and Report has no error channel; a failed Spectre PoC invalidates the whole figure
+		// Figure 11 runs outside the campaign cell protocol and Report has
+		// no error channel: a failed Spectre PoC invalidates the figure.
 		panic(err)
 	}
 	cs, err := sim.RunSpectre(sim.CleanupSpec, r.Opts.SpectreIterations)
 	if err != nil {
-		//simlint:allow errdiscipline -- Figure 11 runs outside the campaign cell protocol and Report has no error channel; a failed Spectre PoC invalidates the whole figure
 		panic(err)
 	}
 	t := stats.NewTable("Figure 11: Spectre V1 probe latency by array2 index (cycles)",

@@ -57,7 +57,6 @@ func (h *Heap[V]) Peek() (Item[V], bool) {
 
 // Push queues v under the key (at, seq).
 func (h *Heap[V]) Push(at arch.Cycle, seq uint64, v V) {
-	//simlint:allow hotalloc -- queue storage: capacity grows to the queue's high-water mark (bounded by the ROB, LQ and MSHR sizes) and is reused across cycles
 	q := append(h.items, Item[V]{})
 	i := len(q) - 1
 	for ; i > 0 && (q[i-1].At < at || q[i-1].At == at && q[i-1].Seq < seq); i-- {

@@ -37,7 +37,7 @@ func (b *Builder) PC() arch.Addr { return arch.Addr(len(b.code)) }
 // Label binds name to the current PC.
 func (b *Builder) Label(name string) {
 	if _, dup := b.labels[name]; dup {
-		//simlint:allow errdiscipline -- program-builder API contract: label misuse is a programmer error in test-program construction
+		// Label misuse is a programmer error in test-program construction.
 		panic(fmt.Sprintf("isa: duplicate label %q", name))
 	}
 	b.labels[name] = b.PC()
@@ -131,7 +131,8 @@ func (b *Builder) Build() *Program {
 	for _, f := range b.fixups {
 		target, ok := b.labels[f.label]
 		if !ok {
-			//simlint:allow errdiscipline -- program-builder API contract: label misuse is a programmer error in test-program construction
+			// Label misuse is a programmer error in test-program
+			// construction.
 			panic(fmt.Sprintf("isa: undefined label %q", f.label))
 		}
 		b.code[f.at].Target = target

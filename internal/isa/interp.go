@@ -90,7 +90,7 @@ func (it *Interp) Step() bool {
 		it.Executed++
 		return false
 	default:
-		//simlint:allow errdiscipline -- oracle invariant: the reference interpreter must execute every op the assembler emits
+		// The reference interpreter executes every op the assembler emits.
 		panic(fmt.Sprintf("isa: interpreter cannot execute %v", in.Op))
 	}
 	it.Executed++

@@ -52,7 +52,6 @@ func (o Op) String() string {
 	if int(o) < len(names) {
 		return names[o]
 	}
-	//simlint:allow hotalloc -- fallback for out-of-range ops only; every assembled op takes the table branch above
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
@@ -119,7 +118,7 @@ func (c Cond) Eval(a, b uint64) bool {
 	case CondGE:
 		return int64(a) >= int64(b)
 	}
-	//simlint:allow errdiscipline,hotalloc -- exhaustive switch over a closed enum; the panic path and its Sprintf are unreachable for assembled programs
+	// Unreachable for assembled programs: the switch covers the enum.
 	panic(fmt.Sprintf("isa: bad cond %d", c))
 }
 
@@ -161,7 +160,7 @@ func (in Inst) EvalALU(a, b uint64) uint64 {
 	case AluMix:
 		return hash64(a + b)
 	}
-	//simlint:allow errdiscipline,hotalloc -- exhaustive switch over a closed enum; the panic path and its Sprintf are unreachable for assembled programs
+	// Unreachable for assembled programs: the switch covers the enum.
 	panic(fmt.Sprintf("isa: bad alu %d", in.Alu))
 }
 
@@ -228,7 +227,6 @@ func (m *Memory) page(a arch.Addr, create bool) (*[pageWords]uint64, uint64) {
 		if !create {
 			return nil, 0
 		}
-		//simlint:allow hotalloc -- one page on first touch of a new address range; amortized over every subsequent access to the page
 		pg = new([pageWords]uint64)
 		m.pages[pn] = pg
 	}

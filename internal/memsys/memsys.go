@@ -13,6 +13,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -232,7 +233,7 @@ type iLine struct {
 // New builds the hierarchy.
 func New(cfg Config) *Hierarchy {
 	if cfg.NumCores <= 0 {
-		//simlint:allow errdiscipline -- construction-time core-count validation; a bad config is a programmer error caught before any simulation runs
+		// A bad core count is a programmer error, caught at construction.
 		panic("memsys: NumCores must be positive")
 	}
 	h := &Hierarchy{cfg: cfg}
@@ -403,7 +404,6 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 
 	t := h.freeTxn
 	if t == nil {
-		//simlint:allow hotalloc -- grows the transaction pool only while every pooled Txn is in flight; bounded by the loads in flight
 		t = &Txn{}
 	} else {
 		//simlint:allow undocomplete -- transaction free list: host memory reuse, not modelled cache state; a squash has nothing to restore
@@ -557,13 +557,13 @@ func (h *Hierarchy) dummyMissLatency(line arch.LineAddr) arch.Cycle {
 }
 
 // applyRemoteActions applies directory-prescribed downgrades and
-// invalidations for line to remote L1s.
+// invalidations for line to remote L1s, in ascending core order.
 func (h *Hierarchy) applyRemoteActions(line arch.LineAddr, g coherence.Grant) {
-	for _, c := range g.Downgrades {
-		h.l1[c].SetState(line, arch.Shared)
+	for m := g.Downgrades; m != 0; m &= m - 1 {
+		h.l1[bits.TrailingZeros64(m)].SetState(line, arch.Shared)
 	}
-	for _, c := range g.Invalidates {
-		h.l1[c].Invalidate(line)
+	for m := g.Invalidates; m != 0; m &= m - 1 {
+		h.l1[bits.TrailingZeros64(m)].Invalidate(line)
 	}
 }
 
@@ -926,7 +926,6 @@ func (h *Hierarchy) L2RemapStep() (moved int) {
 	for w := 0; w < h.l2.Ways(); w++ {
 		ln := h.l2.LineAt(s, w)
 		if ln.Valid() && ix.CurIndex(ln.Tag) == s && ix.NextIndex(ln.Tag) != s {
-			//simlint:allow hotalloc -- remap worklist bounded by L2 associativity, built once per periodic CEASER remap step, not per cycle
 			movers = append(movers, mover{ln.Tag, ln.Dirty})
 		}
 	}

@@ -200,7 +200,8 @@ func NewRegistry() *Registry {
 
 func (r *Registry) add(e entry) {
 	if _, dup := r.byName[e.name]; dup {
-		//simlint:allow errdiscipline -- registration-time invariant: duplicate metric names are programmer errors at AttachMetrics time, before any cell runs
+		// Duplicate names are programmer errors, made at AttachMetrics time
+		// before any cell runs.
 		panic("metrics: duplicate registration of " + e.name)
 	}
 	r.byName[e.name] = len(r.entries)

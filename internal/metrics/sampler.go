@@ -62,17 +62,14 @@ func (s *Sampler) Flush(finalCycle uint64) {
 
 func (s *Sampler) take(cycle uint64) {
 	sm := Sample{
-		Cycle: cycle,
-		//simlint:allow hotalloc -- one snapshot map per sampling interval (thousands of cycles), not per cycle; samples own their maps
+		Cycle:    cycle,
 		Counters: make(map[string]uint64),
 	}
 	s.reg.counterSnapshot(sm.Counters)
 	if s.reg.hasKind(KindGauge) {
-		//simlint:allow hotalloc -- one snapshot map per sampling interval (thousands of cycles), not per cycle; samples own their maps
 		sm.Gauges = make(map[string]float64)
 		s.reg.gaugeSnapshot(sm.Gauges)
 	}
-	//simlint:allow hotalloc -- the recorded series grows once per sampling interval and is the run's output, not per-cycle scratch
 	s.samples = append(s.samples, sm)
 }
 

@@ -15,6 +15,7 @@ package multicore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -256,11 +257,11 @@ func (s *Sim) store(core int, line arch.LineAddr) {
 }
 
 func (s *Sim) applyRemote(line arch.LineAddr, g coherence.Grant) {
-	for _, c := range g.Downgrades {
-		s.l1[c].SetState(line, arch.Shared)
+	for m := g.Downgrades; m != 0; m &= m - 1 {
+		s.l1[bits.TrailingZeros64(m)].SetState(line, arch.Shared)
 	}
-	for _, c := range g.Invalidates {
-		s.l1[c].Invalidate(line)
+	for m := g.Invalidates; m != 0; m &= m - 1 {
+		s.l1[bits.TrailingZeros64(m)].Invalidate(line)
 	}
 }
 

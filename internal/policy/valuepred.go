@@ -81,7 +81,6 @@ func (v *ValuePredict) launchValidation(m *cpu.Machine, e *cpu.LQEntry) {
 		tag++
 	}
 	if tag == len(v.inflight) {
-		//simlint:allow hotalloc -- the validation table grows to the most validations in flight at once and its slots are reused
 		v.inflight = append(v.inflight, validation{})
 	}
 	iss, ok := m.Hierarchy().Load(m.CoreID(), e.Line, m.Now(), validationWaiter(e.Seq),

@@ -75,7 +75,7 @@ type Ring struct {
 // NewRing creates a ring holding the last capacity events.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
-		//simlint:allow errdiscipline -- construction-time capacity validation; a bad config is a programmer error caught before any simulation runs
+		// A bad capacity is a programmer error, caught at construction.
 		panic("trace: capacity must be positive")
 	}
 	return &Ring{buf: make([]Event, 0, capacity)}
@@ -85,7 +85,6 @@ func NewRing(capacity int) *Ring {
 func (r *Ring) Emit(e Event) {
 	r.total++
 	if len(r.buf) < cap(r.buf) {
-		//simlint:allow hotalloc -- guarded by len < cap of the preallocated ring storage, so this append never grows; steady state overwrites in place
 		r.buf = append(r.buf, e)
 		return
 	}

@@ -3,6 +3,13 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/invisispec"
+	"repro/internal/memsys"
+	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // TestMetricsAggregatesMatchResult is the headline observability contract:
@@ -142,5 +149,95 @@ func TestSampleShorterThanInterval(t *testing.T) {
 	if samples[0].Cycle != res.Cycles || samples[0].Counters["cpu.committed"] != res.Instructions {
 		t.Fatalf("flush sample %+v does not match result (%d cycles, %d instructions)",
 			samples[0], res.Cycles, res.Instructions)
+	}
+}
+
+// unbound names the exported Stats fields the registry leaves out on
+// purpose, as "<package>.<type>.<field>", with the reason.
+var unbound = map[string]string{
+	"cpu.Stats.Cycles": "materialized only when Run returns; the registry publishes the live value as the cpu.cycles CounterFunc",
+}
+
+// TestRegistryBindsEveryStatsField builds real machines under the two
+// policies that export counters, gives every exported field of each
+// metrics owner's Stats (and the hierarchy's Traffic) a distinct value,
+// and requires each value in the registry snapshot. A counter added to a
+// Stats struct but never bound would drop out of every counter dump,
+// sample series and Perfetto export; it fails here instead.
+func TestRegistryBindsEveryStatsField(t *testing.T) {
+	prof, _ := workload.ProfileByName("astar")
+	named := make(map[string]bool)
+	for _, pol := range []Policy{CleanupSpec, InvisiSpecInitial} {
+		p, hcfg, err := BuildPolicy(Config{Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := memsys.New(hcfg)
+		m := cpu.New(cpu.DefaultConfig(), prof.Build(), h, p)
+		reg := metrics.NewRegistry()
+		attachMetrics(reg, m, h, p)
+
+		type carrier struct {
+			owner string
+			stats any
+		}
+		carriers := []carrier{
+			{"cpu", &m.Stats}, {"mem", &h.Stats}, {"traffic", &h.Traffic},
+			{"l1d", &h.L1(0).Stats}, {"l1d.mshr", &h.L1MSHR(0).Stats},
+			{"l2", &h.L2().Stats}, {"l2.mshr", &h.L2MSHR().Stats},
+			{"coh", &h.Directory().Stats}, {"dram", &h.DRAM().Stats},
+		}
+		switch p := p.(type) {
+		case *core.CleanupSpec:
+			carriers = append(carriers, carrier{"cleanup", &p.Stats})
+		case *invisispec.Policy:
+			carriers = append(carriers, carrier{"inv", &p.Stats})
+		default:
+			t.Fatalf("%s: policy %T exports no counters", pol, p)
+		}
+
+		type field struct {
+			name  string
+			value uint64
+		}
+		var want []field
+		value := uint64(1_000_003)
+		for _, c := range carriers {
+			v := reflect.ValueOf(c.stats).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				name := v.Type().String() + "." + f.Name
+				named[name] = true
+				if !f.IsExported() || unbound[name] != "" {
+					continue
+				}
+				if f.Type.Kind() != reflect.Uint64 {
+					t.Errorf("%s is a %s; the test sets only uint64 counters", name, f.Type)
+					continue
+				}
+				v.Field(i).SetUint(value)
+				want = append(want, field{c.owner + " " + name, value})
+				value += 1_000_003
+			}
+		}
+
+		snap := reg.Snapshot()
+		seen := make(map[uint64]bool)
+		for _, c := range snap.Counters {
+			seen[c] = true
+		}
+		for _, g := range snap.Gauges {
+			seen[uint64(g)] = true
+		}
+		for _, f := range want {
+			if !seen[f.value] {
+				t.Errorf("%s: %s is set to %d, but no registry metric reads it; bind it in its AttachMetrics", pol, f.name, f.value)
+			}
+		}
+	}
+	for name := range unbound {
+		if !named[name] {
+			t.Errorf("unbound lists %s, which no metrics owner declares", name)
+		}
 	}
 }

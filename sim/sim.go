@@ -364,11 +364,7 @@ func runProgram(name string, prog *Program, cfg Config, prewarm func(*memsys.Hie
 	var smp *metrics.Sampler
 	if cfg.Metrics != nil {
 		reg = metrics.NewRegistry()
-		m.AttachMetrics(reg)
-		h.AttachMetrics(reg)
-		if pa, ok := pol.(interface{ AttachMetrics(*metrics.Registry) }); ok {
-			pa.AttachMetrics(reg)
-		}
+		attachMetrics(reg, m, h, pol)
 		smp = metrics.NewSampler(reg, cfg.SampleEvery)
 		if smp != nil {
 			m.AttachSampler(smp)
@@ -385,6 +381,16 @@ func runProgram(name string, prog *Program, cfg Config, prewarm func(*memsys.Hie
 	}
 	smp.Flush(st.Cycles)
 	return makeResult(name, cfg, st, h, reg), nil
+}
+
+// attachMetrics registers the counters of the core, of the hierarchy with
+// its caches, MSHRs, directory and DRAM, and of the policy into reg.
+func attachMetrics(reg *metrics.Registry, m *cpu.Machine, h *memsys.Hierarchy, pol cpu.Policy) {
+	m.AttachMetrics(reg)
+	h.AttachMetrics(reg)
+	if pa, ok := pol.(interface{ AttachMetrics(*metrics.Registry) }); ok {
+		pa.AttachMetrics(reg)
+	}
 }
 
 func makeResult(name string, cfg Config, st cpu.Stats, h *memsys.Hierarchy, reg *metrics.Registry) Result {
