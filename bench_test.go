@@ -40,7 +40,7 @@ func BenchmarkCEASEREncrypt(b *testing.B) {
 }
 
 func BenchmarkPredictor(b *testing.B) {
-	p := branch.New(branch.Config{})
+	p := branch.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ps := p.Predict(arch.Addr(i & 255))

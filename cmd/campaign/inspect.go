@@ -25,7 +25,7 @@ func cmdInspect(args []string) error {
 	t := stats.NewTable(fmt.Sprintf("%d cached cell(s) at %s", len(entries), *cacheDir),
 		"Cell", "IPC", "Squash/KI", "L1 miss", "Traffic")
 	for _, e := range entries {
-		t.AddRow(cellName(e.Workload, e.Policy, e.Variant, e.Seed),
+		t.AddRow(cellName(e.Workload, e.Policy, e.Seed),
 			fmt.Sprintf("%.3f", e.Result.IPC),
 			fmt.Sprintf("%.2f", e.Result.SquashPKI),
 			fmt.Sprintf("%.2f%%", e.Result.L1MissRate*100),
@@ -33,10 +33,10 @@ func cmdInspect(args []string) error {
 	}
 	fmt.Println(t.String())
 
-	// Per-policy IPC profile across workloads (seed 1, base variant).
+	// Per-policy IPC profile across workloads (seed 1).
 	byPolicy := make(map[string]map[string]float64)
 	for _, e := range entries {
-		if e.Variant != "" || e.Seed != 1 {
+		if e.Seed != 1 {
 			continue
 		}
 		if byPolicy[string(e.Policy)] == nil {
@@ -61,12 +61,9 @@ func cmdInspect(args []string) error {
 }
 
 // cellName labels a cell the way progress lines do: workload/policy, then
-// the variant and any seed above 1.
-func cellName(workload string, pol sim.Policy, variant string, seed uint64) string {
+// any seed above 1.
+func cellName(workload string, pol sim.Policy, seed uint64) string {
 	cell := workload + "/" + string(pol)
-	if variant != "" {
-		cell += "/" + variant
-	}
 	if seed > 1 {
 		cell += fmt.Sprintf("/seed%d", seed)
 	}

@@ -284,7 +284,7 @@ func cmdStatus(args []string) error {
 			if rec.IPC > 0 {
 				ipc = fmt.Sprintf("%.3f", rec.IPC)
 			}
-			t.AddRow(cellName(rec.Workload, rec.Policy, rec.Variant, rec.Seed), rec.Status, source, fmt.Sprintf("%dms", rec.MS), ipc)
+			t.AddRow(cellName(rec.Workload, rec.Policy, rec.Seed), rec.Status, source, fmt.Sprintf("%dms", rec.MS), ipc)
 		}
 		fmt.Print(t.String())
 	}

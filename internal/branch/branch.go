@@ -1,7 +1,7 @@
 // Package branch implements the paper's front-end prediction structures
 // (Table 4): a tournament direction predictor (local + gshare global + a
-// choice table), a 4096-entry branch target buffer for indirect targets,
-// and a 16-entry return address stack.
+// choice table) and a 16-entry return address stack. Direct targets come
+// from decode, so no branch target buffer is modeled.
 //
 // The predictor updates global history speculatively at prediction time and
 // exposes per-branch checkpoints so the CPU can restore history and RAS
@@ -12,51 +12,16 @@ import (
 	"repro/internal/arch"
 )
 
-// Config sizes the prediction structures. Zero values are replaced by the
-// paper's configuration.
-type Config struct {
-	LocalEntries  int // local history table + local counter table
-	LocalHistBits int
-	GlobalEntries int // gshare counter table (power of two)
-	ChoiceEntries int
-	BTBEntries    int
-	RASEntries    int
-}
+// The paper's Table 4 sizes.
+const (
+	localEntries  = 2048 // local history table
+	localHistBits = 11   // local counter table: 1<<localHistBits entries
+	globalEntries = 4096 // gshare counter table (power of two)
+	choiceEntries = 4096 // choice table (power of two)
+	rasEntries    = 16
 
-// DefaultConfig returns the configuration from the paper's Table 4.
-func DefaultConfig() Config {
-	return Config{
-		LocalEntries:  2048,
-		LocalHistBits: 11,
-		GlobalEntries: 4096,
-		ChoiceEntries: 4096,
-		BTBEntries:    4096,
-		RASEntries:    16,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.LocalEntries == 0 {
-		c.LocalEntries = d.LocalEntries
-	}
-	if c.LocalHistBits == 0 {
-		c.LocalHistBits = d.LocalHistBits
-	}
-	if c.GlobalEntries == 0 {
-		c.GlobalEntries = d.GlobalEntries
-	}
-	if c.ChoiceEntries == 0 {
-		c.ChoiceEntries = d.ChoiceEntries
-	}
-	if c.BTBEntries == 0 {
-		c.BTBEntries = d.BTBEntries
-	}
-	if c.RASEntries == 0 {
-		c.RASEntries = d.RASEntries
-	}
-	return c
-}
+	localMask = 1<<localHistBits - 1
+)
 
 // PredState captures everything about one prediction that the update path
 // and the squash-recovery path need: the indices used (computed from the
@@ -82,60 +47,20 @@ type Snapshot struct {
 	RAStop arch.Addr
 }
 
-// Stats counts predictor activity.
-type Stats struct {
-	Lookups    uint64
-	Updates    uint64
-	BTBHits    uint64
-	BTBMisses  uint64
-	RASPushes  uint64
-	RASPops    uint64
-	RASWraps   uint64
-	Mispredict uint64 // maintained by Update(wasTaken != predicted)
-}
-
-type btbEntry struct {
-	valid  bool
-	tag    arch.Addr
-	target arch.Addr
-}
-
-// Predictor is the tournament predictor + BTB + RAS.
+// Predictor is the tournament predictor + RAS.
 type Predictor struct {
-	cfg Config
-
-	localHist  []uint64 // per-PC history registers
-	localCtr   []uint8  // 2-bit counters indexed by local history
-	globalCtr  []uint8  // 2-bit counters indexed by GHR ^ PC
-	choiceCtr  []uint8  // 2-bit counters: >=2 means trust global
-	ghr        uint64
-	ghrMask    uint64
-	localMask  uint64
-	btb        []btbEntry
-	ras        []arch.Addr
-	rasSP      int
-	globalMask int
-	choiceMask int
-
-	Stats Stats
+	localHist [localEntries]uint64      // per-PC history registers
+	localCtr  [1 << localHistBits]uint8 // 2-bit counters indexed by local history
+	globalCtr [globalEntries]uint8      // 2-bit counters indexed by GHR ^ PC
+	choiceCtr [choiceEntries]uint8      // 2-bit counters: >=2 means trust global
+	ghr       uint64
+	ras       [rasEntries]arch.Addr
+	rasSP     int
 }
 
 // New builds a predictor.
-func New(cfg Config) *Predictor {
-	cfg = cfg.withDefaults()
-	p := &Predictor{
-		cfg:        cfg,
-		localHist:  make([]uint64, cfg.LocalEntries),
-		localCtr:   make([]uint8, 1<<cfg.LocalHistBits),
-		globalCtr:  make([]uint8, cfg.GlobalEntries),
-		choiceCtr:  make([]uint8, cfg.ChoiceEntries),
-		btb:        make([]btbEntry, cfg.BTBEntries),
-		ras:        make([]arch.Addr, cfg.RASEntries),
-		ghrMask:    uint64(cfg.GlobalEntries - 1),
-		localMask:  uint64(1<<cfg.LocalHistBits - 1),
-		globalMask: cfg.GlobalEntries - 1,
-		choiceMask: cfg.ChoiceEntries - 1,
-	}
+func New() *Predictor {
+	p := &Predictor{}
 	// Direction counters start weakly not-taken (gem5's saturating
 	// counters likewise start at zero); the choice table starts weakly
 	// toward the *local* component so a well-trained per-PC direction
@@ -167,11 +92,7 @@ func bump(ctr *uint8, t bool) {
 
 // Checkpoint captures the speculative front-end state.
 func (p *Predictor) Checkpoint() Snapshot {
-	top := arch.Addr(0)
-	if p.cfg.RASEntries > 0 {
-		top = p.ras[p.rasSP]
-	}
-	return Snapshot{GHR: p.ghr, RASsp: p.rasSP, RAStop: top}
+	return Snapshot{GHR: p.ghr, RASsp: p.rasSP, RAStop: p.ras[p.rasSP]}
 }
 
 // Restore rewinds the speculative front-end state to a checkpoint taken at
@@ -180,9 +101,7 @@ func (p *Predictor) Checkpoint() Snapshot {
 func (p *Predictor) Restore(s Snapshot) {
 	p.ghr = s.GHR
 	p.rasSP = s.RASsp
-	if p.cfg.RASEntries > 0 {
-		p.ras[p.rasSP] = s.RAStop
-	}
+	p.ras[p.rasSP] = s.RAStop
 }
 
 // ShiftGHR appends an actual branch outcome to the global history (used
@@ -197,11 +116,10 @@ func (p *Predictor) ShiftGHR(t bool) {
 // Predict produces a direction prediction for the conditional branch at pc
 // and speculatively updates the global history with it.
 func (p *Predictor) Predict(pc arch.Addr) PredState {
-	p.Stats.Lookups++
-	li := int(uint64(pc) % uint64(p.cfg.LocalEntries))
-	lh := p.localHist[li] & p.localMask
-	gi := int((p.ghr ^ uint64(pc)) & uint64(p.globalMask))
-	ci := int(p.ghr & uint64(p.choiceMask))
+	li := int(uint64(pc) % localEntries)
+	lh := p.localHist[li] & localMask
+	gi := int((p.ghr ^ uint64(pc)) & (globalEntries - 1))
+	ci := int(p.ghr & (choiceEntries - 1))
 	ps := PredState{
 		PC:         pc,
 		GHRBefore:  p.ghr,
@@ -225,10 +143,6 @@ func (p *Predictor) Predict(pc arch.Addr) PredState {
 // Update trains the tables with the actual outcome of a previously
 // predicted branch. It is called at branch resolution.
 func (p *Predictor) Update(ps PredState, actual bool) {
-	p.Stats.Updates++
-	if ps.Taken != actual {
-		p.Stats.Mispredict++
-	}
 	// Choice table: train toward whichever component was right, when they
 	// disagree.
 	if ps.LocalPred != ps.GlobalPred {
@@ -241,41 +155,19 @@ func (p *Predictor) Update(ps PredState, actual bool) {
 	if actual {
 		h |= 1
 	}
-	p.localHist[ps.LocalIdx] = h & p.localMask
-}
-
-// BTBLookup returns the predicted target for an indirect control transfer.
-func (p *Predictor) BTBLookup(pc arch.Addr) (arch.Addr, bool) {
-	e := &p.btb[uint64(pc)%uint64(p.cfg.BTBEntries)]
-	if e.valid && e.tag == pc {
-		p.Stats.BTBHits++
-		return e.target, true
-	}
-	p.Stats.BTBMisses++
-	return 0, false
-}
-
-// BTBUpdate records the resolved target of an indirect transfer.
-func (p *Predictor) BTBUpdate(pc, target arch.Addr) {
-	e := &p.btb[uint64(pc)%uint64(p.cfg.BTBEntries)]
-	*e = btbEntry{valid: true, tag: pc, target: target}
+	p.localHist[ps.LocalIdx] = h & localMask
 }
 
 // Push records a call's return address on the RAS (speculative, at fetch).
 func (p *Predictor) Push(ret arch.Addr) {
-	p.Stats.RASPushes++
-	p.rasSP = (p.rasSP + 1) % p.cfg.RASEntries
-	if p.ras[p.rasSP] != 0 {
-		p.Stats.RASWraps++
-	}
+	p.rasSP = (p.rasSP + 1) % rasEntries
 	p.ras[p.rasSP] = ret
 }
 
 // Pop predicts a return target from the RAS (speculative, at fetch).
 func (p *Predictor) Pop() arch.Addr {
-	p.Stats.RASPops++
 	t := p.ras[p.rasSP]
 	p.ras[p.rasSP] = 0
-	p.rasSP = (p.rasSP - 1 + p.cfg.RASEntries) % p.cfg.RASEntries
+	p.rasSP = (p.rasSP - 1 + rasEntries) % rasEntries
 	return t
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLearnsAlwaysTaken(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	pc := arch.Addr(100)
 	wrong := 0
 	for i := 0; i < 200; i++ {
@@ -34,7 +34,7 @@ func TestLearnsAlwaysTaken(t *testing.T) {
 
 func TestLearnsAlternatingViaHistory(t *testing.T) {
 	// A strict T/N/T/N pattern is perfectly predictable with history.
-	p := New(Config{})
+	p := New()
 	pc := arch.Addr(7)
 	wrong := 0
 	for i := 0; i < 2000; i++ {
@@ -51,7 +51,7 @@ func TestLearnsAlternatingViaHistory(t *testing.T) {
 }
 
 func TestRandomBranchNearFiftyPercent(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	r := xrand.New(5)
 	pc := arch.Addr(9)
 	wrong := 0
@@ -71,7 +71,7 @@ func TestRandomBranchNearFiftyPercent(t *testing.T) {
 }
 
 func TestCheckpointRestore(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	p.Predict(arch.Addr(1)) // advance GHR
 	snap := p.Checkpoint()
 	ghr := p.ghr
@@ -89,7 +89,7 @@ func TestCheckpointRestore(t *testing.T) {
 }
 
 func TestRASCallReturnPairs(t *testing.T) {
-	p := New(Config{RASEntries: 4})
+	p := New()
 	p.Push(10)
 	p.Push(20)
 	if got := p.Pop(); got != 20 {
@@ -101,7 +101,7 @@ func TestRASCallReturnPairs(t *testing.T) {
 }
 
 func TestRASRestoreAfterWrongPathPop(t *testing.T) {
-	p := New(Config{RASEntries: 4})
+	p := New()
 	p.Push(10)
 	snap := p.Checkpoint()
 	// Wrong path pops the entry.
@@ -114,28 +114,8 @@ func TestRASRestoreAfterWrongPathPop(t *testing.T) {
 	}
 }
 
-func TestBTB(t *testing.T) {
-	p := New(Config{})
-	if _, ok := p.BTBLookup(42); ok {
-		t.Fatal("cold BTB must miss")
-	}
-	p.BTBUpdate(42, 1000)
-	if tgt, ok := p.BTBLookup(42); !ok || tgt != 1000 {
-		t.Fatalf("BTB lookup (%d,%v)", tgt, ok)
-	}
-	// Aliasing entry with a different tag must miss.
-	alias := arch.Addr(42 + 4096)
-	if _, ok := p.BTBLookup(alias); ok {
-		t.Fatal("aliased tag must miss")
-	}
-	p.BTBUpdate(alias, 2000)
-	if _, ok := p.BTBLookup(42); ok {
-		t.Fatal("evicted BTB entry must miss")
-	}
-}
-
 func TestGHRShiftAfterRestore(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	snap := p.Checkpoint()
 	p.Restore(snap)
 	p.ShiftGHR(true)
@@ -145,14 +125,5 @@ func TestGHRShiftAfterRestore(t *testing.T) {
 	p.ShiftGHR(false)
 	if p.ghr&1 != 0 {
 		t.Fatal("ShiftGHR(false) must clear low bit")
-	}
-}
-
-func TestMispredictCounting(t *testing.T) {
-	p := New(Config{})
-	ps := p.Predict(arch.Addr(3))
-	p.Update(ps, !ps.Taken)
-	if p.Stats.Mispredict != 1 {
-		t.Fatalf("stats %+v", p.Stats)
 	}
 }

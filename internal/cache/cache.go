@@ -21,24 +21,17 @@ import (
 // indexing; internal/ceaser provides the randomized (encrypted-address)
 // indexer used for the L2 in CleanupSpec configurations.
 type Indexer interface {
-	// Name identifies the indexing scheme in stats output.
-	Name() string
 	// SetIndex returns the set for line l; it must be < Sets().
 	SetIndex(l arch.LineAddr) int
 	// Sets returns the number of sets the indexer was built for.
 	Sets() int
-	// ExtraLatency is added to every access (the paper charges 2 cycles
-	// for CEASER's address encryption).
-	ExtraLatency() arch.Cycle
 }
 
-// ModIndexer is conventional modulo set indexing with zero extra latency.
+// ModIndexer is conventional modulo set indexing.
 type ModIndexer struct{ NumSets int }
 
-func (m ModIndexer) Name() string                 { return "mod" }
 func (m ModIndexer) SetIndex(l arch.LineAddr) int { return int(uint64(l) % uint64(m.NumSets)) }
 func (m ModIndexer) Sets() int                    { return m.NumSets }
-func (m ModIndexer) ExtraLatency() arch.Cycle     { return 0 }
 
 // ReplKind selects the replacement policy.
 type ReplKind int
@@ -168,9 +161,6 @@ func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// Indexer returns the active set indexer.
-func (c *Cache) Indexer() Indexer { return c.idx }
 
 // SetFor returns the set index line l maps to.
 func (c *Cache) SetFor(l arch.LineAddr) int { return c.idx.SetIndex(l) }
@@ -410,13 +400,6 @@ func (c *Cache) SpecInfo(l arch.LineAddr) (spec bool, by int) {
 	}
 	ln := c.line(c.idx.SetIndex(l), way)
 	return ln.SpecInstalled, ln.InstalledBy
-}
-
-// FlushAll invalidates every line (used between experiment phases).
-func (c *Cache) FlushAll() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
 }
 
 // ResetStats zeroes the counters without touching contents.

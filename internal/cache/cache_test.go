@@ -231,10 +231,6 @@ func TestStatsAndMissRate(t *testing.T) {
 	if _, ok := c.Probe(arch.LineAddr(0)); !ok {
 		t.Fatal("ResetStats must not flush contents")
 	}
-	c.FlushAll()
-	if _, ok := c.Probe(arch.LineAddr(0)); ok {
-		t.Fatal("FlushAll must flush contents")
-	}
 }
 
 func TestSnapshotTags(t *testing.T) {
@@ -391,7 +387,7 @@ func TestPrewarmMatchesInstallLoop(t *testing.T) {
 	for _, ceaserIdx := range []bool{false, true} {
 		for _, n := range []int{0, 1, 100, pwCapacity, pwCapacity + 1, 8 * pwCapacity} {
 			fast, ref := prewarmTwins(ceaserIdx)
-			what := fmt.Sprintf("%s n=%d", fast.Indexer().Name(), n)
+			what := fmt.Sprintf("ceaser=%v n=%d", ceaserIdx, n)
 			fast.Prewarm(first, n, arch.Shared)
 			for i := 0; i < n; i++ {
 				ref.Install(first+arch.LineAddr(i), arch.Shared, 0, 0)

@@ -191,26 +191,6 @@ func (m *MSHR) SquashWaiter(line arch.LineAddr, waiter uint64) bool {
 	return false
 }
 
-// SquashEpoch squashes every live entry whose epoch differs from keep —
-// the coarse whole-MSHR variant of Section 3.3's cleanup request. The CPU
-// model uses the precise per-waiter form (correct-path loads sharing an
-// entry with squashed ones must keep their fill); this exists for scenarios
-// that squash an entire context. It returns the number squashed.
-func (m *MSHR) SquashEpoch(keep uint8) int {
-	n := 0
-	//simlint:ordered -- every mismatched-epoch entry is squashed independently; no cross-entry state or output depends on visit order
-	for line, e := range m.entries {
-		if e.SEFE.EpochID != keep {
-			e.Squashed = true
-			m.zombies++
-			delete(m.entries, line)
-			n++
-		}
-	}
-	m.Stats.Squashes += uint64(n)
-	return n
-}
-
 // Entries returns the live entries (order unspecified); tests only.
 func (m *MSHR) Entries() []*MSHREntry {
 	out := make([]*MSHREntry, 0, len(m.entries))

@@ -99,28 +99,6 @@ func TestMSHRReleaseWrongPointerIsSafe(t *testing.T) {
 	}
 }
 
-func TestMSHRSquashEpoch(t *testing.T) {
-	m := NewMSHR("l1", 8)
-	a, _, _ := m.Allocate(arch.LineAddr(1), 1)
-	a.SEFE.EpochID = 3
-	b, _, _ := m.Allocate(arch.LineAddr(2), 2)
-	b.SEFE.EpochID = 4
-	n := m.SquashEpoch(4)
-	if n != 1 {
-		t.Fatalf("squashed %d, want 1", n)
-	}
-	if !a.Squashed || b.Squashed {
-		t.Fatal("wrong entries squashed")
-	}
-	if m.Zombies() != 1 {
-		t.Fatalf("zombies %d", m.Zombies())
-	}
-	// Idempotent (a is out of the index now).
-	if m.SquashEpoch(4) != 0 {
-		t.Fatal("re-squash must be a no-op")
-	}
-}
-
 func TestMSHRCapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

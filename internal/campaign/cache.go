@@ -38,7 +38,6 @@ type Entry struct {
 	Schema   int        `json:"schema"`
 	Workload string     `json:"workload"`
 	Policy   sim.Policy `json:"policy"`
-	Variant  string     `json:"variant,omitempty"`
 	Seed     uint64     `json:"seed"`
 	// Kind is the cell kind ("" = plain simulation); Aux is a custom
 	// kind's opaque result payload. Both are covered by the checksum.
@@ -164,7 +163,6 @@ func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
 		Schema:   SchemaVersion,
 		Workload: job.Workload,
 		Policy:   rc.Policy,
-		Variant:  job.Variant,
 		Seed:     rc.Seed,
 		Kind:     job.Kind,
 		Aux:      aux,
@@ -204,8 +202,8 @@ func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
 	return nil
 }
 
-// Entries returns every cached entry, sorted by (workload, policy,
-// variant, seed) for deterministic export output. Entries of other schema
+// Entries returns every cached entry, sorted by (workload, policy, seed)
+// for deterministic export output. Entries of other schema
 // versions are skipped, but a damaged entry file — what Fsck reports as
 // corrupt — fails the call, so an export is never silently short a cell.
 func (c *Cache) Entries() ([]Entry, error) {
@@ -226,9 +224,6 @@ func (c *Cache) Entries() ([]Entry, error) {
 		}
 		if a.Policy != b.Policy {
 			return a.Policy < b.Policy
-		}
-		if a.Variant != b.Variant {
-			return a.Variant < b.Variant
 		}
 		return a.Seed < b.Seed
 	})

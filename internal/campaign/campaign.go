@@ -52,7 +52,11 @@ import (
 // Version 4: cache entries carry a content checksum (Entry.Sum), the
 // manifest became an append-only journal (manifest.jsonl), and sim.Config
 // gained the keyed WatchdogWindow parameter.
-const SchemaVersion = 4
+//
+// Version 5: Result.Metrics's MSHR, directory and policy counters no
+// longer include the warmup, and the always-zero dram.row_hits and
+// dram.row_misses are gone.
+const SchemaVersion = 5
 
 // CellKind names a job's execution kind. The zero value ("") is a plain
 // workload simulation, executed by sim.RunWorkload; any other kind is
@@ -67,13 +71,9 @@ const KindSim CellKind = ""
 
 // Job is one campaign cell: by default a workload run under a fully
 // specified configuration, or — when Kind is set — a registered custom
-// cell whose kind-specific parameters travel in Cell. Variant is a
-// human-readable label for the config override the job came from (empty
-// for the grid's base config); it is reporting metadata only and does not
-// contribute to the job's identity.
+// cell whose kind-specific parameters travel in Cell.
 type Job struct {
 	Workload string     `json:"workload"`
-	Variant  string     `json:"variant,omitempty"`
 	Config   sim.Config `json:"config"`
 	// Kind selects the cell's executor ("" = workload simulation). It is
 	// part of the cell's content-addressed identity.
@@ -92,9 +92,6 @@ func (j Job) String() string {
 	s := j.Workload + "/" + string(j.Config.Resolved().Policy)
 	if j.Kind != KindSim {
 		s = string(j.Kind) + ":" + s
-	}
-	if j.Variant != "" {
-		s += "/" + j.Variant
 	}
 	if j.Config.Seed > 1 {
 		s += fmt.Sprintf("/seed%d", j.Config.Seed)

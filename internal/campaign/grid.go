@@ -9,50 +9,27 @@ import (
 	"repro/sim"
 )
 
-// Variant is one named config override in a grid (the Table 1 ablations,
-// a CEASER remap rate sweep, ...). Mod mutates the job's base config; the
-// job's cache identity comes from the resulting resolved config, so two
-// variants that happen to produce the same effective config share cache
-// slots and two different ones never do. An empty-name Variant with a nil
-// Mod is the base configuration.
-type Variant struct {
-	Name string
-	Mod  func(*sim.Config)
-}
-
 // Grid is the declarative campaign: every combination of workload ×
-// policy × variant × seed becomes one job.
+// policy × seed becomes one job.
 type Grid struct {
 	Name         string
 	Workloads    []string
 	Policies     []sim.Policy
 	Seeds        []uint64
-	Variants     []Variant
 	Instructions uint64
 }
 
-// Jobs expands the grid in deterministic (workload, policy, variant,
-// seed) order.
+// Jobs expands the grid in deterministic (workload, policy, seed) order.
 func (g Grid) Jobs() []Job {
 	seeds := g.Seeds
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
 	}
-	variants := g.Variants
-	if len(variants) == 0 {
-		variants = []Variant{{}}
-	}
 	var jobs []Job
 	for _, wl := range g.Workloads {
 		for _, p := range g.Policies {
-			for _, v := range variants {
-				for _, seed := range seeds {
-					cfg := sim.Config{Policy: p, Instructions: g.Instructions, Seed: seed}
-					if v.Mod != nil {
-						v.Mod(&cfg)
-					}
-					jobs = append(jobs, Job{Workload: wl, Variant: v.Name, Config: cfg})
-				}
+			for _, seed := range seeds {
+				jobs = append(jobs, Job{Workload: wl, Config: sim.Config{Policy: p, Instructions: g.Instructions, Seed: seed}})
 			}
 		}
 	}
@@ -162,8 +139,8 @@ func ParsePolicies(s string) ([]sim.Policy, error) {
 	return out, nil
 }
 
-// baselineCycles maps (workload, variant, seed) → non-secure cycles, used
-// to normalize every secure policy against its exact baseline cell.
+// baselineCycles maps (workload, seed) → non-secure cycles, used to
+// normalize every secure policy against its exact baseline cell.
 func baselineCycles(results []JobResult) map[string]float64 {
 	base := make(map[string]float64)
 	for _, r := range results {
@@ -172,7 +149,7 @@ func baselineCycles(results []JobResult) map[string]float64 {
 		}
 		rc := r.Job.Config.Resolved()
 		if rc.Policy == sim.NonSecure {
-			k := fmt.Sprintf("%s/%s/%d", r.Job.Workload, r.Job.Variant, rc.Seed)
+			k := fmt.Sprintf("%s/%d", r.Job.Workload, rc.Seed)
 			base[k] = float64(r.Result.Cycles)
 		}
 	}

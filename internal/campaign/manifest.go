@@ -27,7 +27,6 @@ const (
 type JobRecord struct {
 	Workload string     `json:"workload"`
 	Policy   sim.Policy `json:"policy"`
-	Variant  string     `json:"variant,omitempty"`
 	Seed     uint64     `json:"seed"`
 	Status   string     `json:"status"`
 	Cached   bool       `json:"cached,omitempty"`
@@ -150,7 +149,6 @@ func (m *Manifest) Reconcile(grid string, jobs []Job) {
 		m.Jobs[key] = &JobRecord{
 			Workload: j.Workload,
 			Policy:   rc.Policy,
-			Variant:  j.Variant,
 			Seed:     rc.Seed,
 			Status:   StatusPending,
 		}
@@ -164,7 +162,6 @@ func (m *Manifest) recordLocked(r JobResult) *JobRecord {
 	rec := &JobRecord{
 		Workload: r.Job.Workload,
 		Policy:   rc.Policy,
-		Variant:  r.Job.Variant,
 		Seed:     rc.Seed,
 		Status:   StatusDone,
 		Cached:   r.Cached,
@@ -316,8 +313,7 @@ func (m *Manifest) Counts() (pending, done, failed, quarantined int) {
 	return
 }
 
-// lessRecord is the canonical row order: (workload, policy, variant,
-// seed).
+// lessRecord is the canonical row order: (workload, policy, seed).
 func lessRecord(a, b *JobRecord) bool {
 	if a.Workload != b.Workload {
 		return a.Workload < b.Workload
@@ -325,13 +321,10 @@ func lessRecord(a, b *JobRecord) bool {
 	if a.Policy != b.Policy {
 		return a.Policy < b.Policy
 	}
-	if a.Variant != b.Variant {
-		return a.Variant < b.Variant
-	}
 	return a.Seed < b.Seed
 }
 
-// sortRecords orders rows by (workload, policy, variant, seed) for stable
+// sortRecords orders rows by (workload, policy, seed) for stable
 // output.
 func sortRecords(out []*JobRecord) {
 	sort.Slice(out, func(i, j int) bool { return lessRecord(out[i], out[j]) })

@@ -10,42 +10,33 @@ import (
 )
 
 // SummaryTable aggregates a run's results into the campaign's headline
-// table: one row per (policy, variant), reporting the mean IPC across all
-// cells and — when the grid includes the non-secure baseline — the
-// geomean slowdown vs baseline, averaged (arithmetic mean) across seeds.
-// Normalization pairs each cell with the baseline cell of the same
-// (workload, variant, seed), mirroring how the paper's Table 6 and
-// Figure 12 averages are built. Failed jobs are skipped.
+// table: one row per policy, reporting the mean IPC across all cells and —
+// when the grid includes the non-secure baseline — the geomean slowdown vs
+// baseline, averaged (arithmetic mean) across seeds. Normalization pairs
+// each cell with the baseline cell of the same (workload, seed), mirroring
+// how the paper's Table 6 and Figure 12 averages are built. Failed jobs
+// are skipped.
 func SummaryTable(results []JobResult) *stats.Table {
 	t := stats.NewTable("Campaign summary (geomean slowdown vs non-secure, mean across seeds)",
-		"Policy", "Variant", "Cells", "Mean IPC", "Slowdown")
+		"Policy", "Cells", "Mean IPC", "Slowdown")
 	base := baselineCycles(results)
 
-	type pv struct {
-		policy  sim.Policy
-		variant string
-	}
-	cells := make(map[pv][]JobResult)
+	cells := make(map[sim.Policy][]JobResult)
 	for _, r := range results {
 		if r.Failed() {
 			continue
 		}
-		rc := r.Job.Config.Resolved()
-		cells[pv{rc.Policy, r.Job.Variant}] = append(cells[pv{rc.Policy, r.Job.Variant}], r)
+		p := r.Job.Config.Resolved().Policy
+		cells[p] = append(cells[p], r)
 	}
-	keys := make([]pv, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
+	policies := make([]sim.Policy, 0, len(cells))
+	for p := range cells {
+		policies = append(policies, p)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].policy != keys[j].policy {
-			return keys[i].policy < keys[j].policy
-		}
-		return keys[i].variant < keys[j].variant
-	})
+	sort.Slice(policies, func(i, j int) bool { return policies[i] < policies[j] })
 
-	for _, k := range keys {
-		rs := cells[k]
+	for _, pol := range policies {
+		rs := cells[pol]
 		var ipcs []float64
 		// Per-seed geomean of normalized time over workloads, then mean
 		// across seeds.
@@ -53,7 +44,7 @@ func SummaryTable(results []JobResult) *stats.Table {
 		for _, r := range rs {
 			ipcs = append(ipcs, r.Result.IPC)
 			rc := r.Job.Config.Resolved()
-			bk := fmt.Sprintf("%s/%s/%d", r.Job.Workload, r.Job.Variant, rc.Seed)
+			bk := fmt.Sprintf("%s/%d", r.Job.Workload, rc.Seed)
 			if b, ok := base[bk]; ok && b > 0 && rc.Policy != sim.NonSecure {
 				bySeed[rc.Seed] = append(bySeed[rc.Seed], float64(r.Result.Cycles)/b)
 			}
@@ -82,11 +73,7 @@ func SummaryTable(results []JobResult) *stats.Table {
 				slowdown += fmt.Sprintf(" [%d clamped]", clamped)
 			}
 		}
-		variant := k.variant
-		if variant == "" {
-			variant = "-"
-		}
-		t.AddRow(string(k.policy), variant,
+		t.AddRow(string(pol),
 			fmt.Sprintf("%d", len(rs)),
 			fmt.Sprintf("%.3f", stats.Mean(ipcs)),
 			slowdown)
@@ -94,16 +81,18 @@ func SummaryTable(results []JobResult) *stats.Table {
 	return t
 }
 
-// resultCSVHeader is the per-job export schema.
+// resultCSVHeader is the per-job export schema. The variant column is
+// always empty; it is kept so the export's columns stay those of earlier
+// exports.
 var resultCSVHeader = []string{
 	"workload", "policy", "variant", "seed", "cycles", "instructions", "ipc",
 	"mispredict_rate", "l1_miss_rate", "squash_pki", "loads_per_squash",
 	"wait_per_squash", "cleanup_per_squash", "traffic_total",
 }
 
-func resultCSVRow(wl string, p sim.Policy, variant string, seed uint64, res sim.Result) []string {
+func resultCSVRow(wl string, p sim.Policy, seed uint64, res sim.Result) []string {
 	return []string{
-		wl, string(p), variant, fmt.Sprintf("%d", seed),
+		wl, string(p), "", fmt.Sprintf("%d", seed),
 		fmt.Sprintf("%d", res.Cycles),
 		fmt.Sprintf("%d", res.Instructions),
 		fmt.Sprintf("%.4f", res.IPC),
@@ -125,7 +114,7 @@ func ResultsCSV(w io.Writer, results []JobResult) error {
 			continue
 		}
 		rc := r.Job.Config.Resolved()
-		t.AddRow(resultCSVRow(r.Job.Workload, rc.Policy, r.Job.Variant, rc.Seed, r.Result)...)
+		t.AddRow(resultCSVRow(r.Job.Workload, rc.Policy, rc.Seed, r.Result)...)
 	}
 	_, err := io.WriteString(w, t.CSV())
 	return err
@@ -136,7 +125,7 @@ func ResultsCSV(w io.Writer, results []JobResult) error {
 func EntriesCSV(w io.Writer, entries []Entry) error {
 	t := stats.NewTable("", resultCSVHeader...)
 	for _, e := range entries {
-		t.AddRow(resultCSVRow(e.Workload, e.Policy, e.Variant, e.Seed, e.Result)...)
+		t.AddRow(resultCSVRow(e.Workload, e.Policy, e.Seed, e.Result)...)
 	}
 	_, err := io.WriteString(w, t.CSV())
 	return err

@@ -40,31 +40,18 @@ type Indexer struct {
 	sptr      int
 	remapping bool
 
-	// Remaps counts completed key changes (instant Rekey calls and
-	// finished gradual remap epochs).
+	// Remaps counts finished gradual remap epochs.
 	Remaps uint64
 }
 
 // New builds an indexer for the given number of sets, keyed from seed.
 func New(sets int, seed uint64) *Indexer {
 	ix := &Indexer{sets: uint64(sets)}
-	ix.rekeyFrom(seed)
-	return ix
-}
-
-func (ix *Indexer) rekeyFrom(seed uint64) {
 	r := xrand.New(seed ^ 0xCEA5E4)
 	for i := range ix.keys {
 		ix.keys[i] = r.Uint64()
 	}
-}
-
-// Rekey installs a fresh key (a CEASER remap epoch). Lines already resident
-// are left where they are; the simulator models the security property of
-// remapping, not its gradual relocation machinery.
-func (ix *Indexer) Rekey(seed uint64) {
-	ix.rekeyFrom(seed)
-	ix.Remaps++
+	return ix
 }
 
 // round is the Feistel round function: a keyed 64-bit mix truncated to a
@@ -105,8 +92,6 @@ func (ix *Indexer) SetIndex(l arch.LineAddr) int {
 // Sets implements cache.Indexer.
 func (ix *Indexer) Sets() int { return int(ix.sets) }
 
-// Name implements cache.Indexer.
-func (ix *Indexer) Name() string { return "ceaser" }
-
-// ExtraLatency implements cache.Indexer.
+// ExtraLatency is the encryption latency the memory system adds to every
+// L2 access.
 func (ix *Indexer) ExtraLatency() arch.Cycle { return EncryptLatency }

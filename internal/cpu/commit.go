@@ -43,7 +43,7 @@ func (m *Machine) commit() {
 	// address, or load can precede it), so commit-time side effects are
 	// safe to start.
 	if m.nc != nil {
-		for n, slot := 0, m.robHead; n < commitWindow && n < int(m.robCount); n, slot = n+1, ringNext(slot, int32(m.cfg.ROBSize)) {
+		for n, slot := 0, m.robHead; n < commitWindow && n < int(m.robCount); n, slot = n+1, ringNext(slot, ROBSize) {
 			e := &m.rob[slot]
 			if !e.valid || e.state != stDone {
 				break
@@ -56,7 +56,7 @@ func (m *Machine) commit() {
 			}
 		}
 	}
-	for n := 0; n < m.cfg.CommitWidth && m.robCount > 0; n++ {
+	for n := 0; n < CommitWidth && m.robCount > 0; n++ {
 		slot := m.robHead
 		e := &m.rob[slot]
 		if e.state != stDone {
@@ -135,7 +135,7 @@ func (m *Machine) commit() {
 
 		m.emit(trace.KindCommit, e.seq, e.pc, 0, 0)
 		e.valid = false
-		m.robHead = ringNext(m.robHead, int32(m.cfg.ROBSize))
+		m.robHead = ringNext(m.robHead, ROBSize)
 		m.robCount--
 		m.Stats.Committed++
 		m.lastCommitCycle = m.now
@@ -151,7 +151,7 @@ func (m *Machine) freeLQHead(idx int32) {
 		panic(fmt.Sprintf("cpu: committing load at LQ %d but head is %d", idx, m.lqHead))
 	}
 	m.lq[idx].valid = false
-	m.lqHead = ringNext(m.lqHead, int32(m.cfg.LQSize))
+	m.lqHead = ringNext(m.lqHead, LQSize)
 	m.lqCount--
 }
 
@@ -161,7 +161,7 @@ func (m *Machine) freeSQHead(idx int32) {
 		panic(fmt.Sprintf("cpu: committing store at SQ %d but head is %d", idx, m.sqHead))
 	}
 	m.sq[idx].valid = false
-	m.sqHead = ringNext(m.sqHead, int32(m.cfg.SQSize))
+	m.sqHead = ringNext(m.sqHead, SQSize)
 	m.sqCount--
 }
 

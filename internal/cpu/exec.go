@@ -36,7 +36,7 @@ func (m *Machine) issue() {
 			issued++
 		}
 	}
-	for issued < m.cfg.IssueWidth && m.readyQ.Len() > 0 {
+	for issued < IssueWidth && m.readyQ.Len() > 0 {
 		it := m.readyQ.Pop()
 		if !m.live(it.Val, it.Seq) {
 			continue
@@ -157,7 +157,7 @@ func (m *Machine) retryMem() {
 // addresses (store-set-free optimistic disambiguation, as real cores do),
 // and checkMemOrderViolation squashes the rare load that guessed wrong.
 func (m *Machine) olderStoreBlocks(seq uint64, addr arch.Addr) (fwd bool, val uint64) {
-	for n, i := int32(0), m.sqHead; n < m.sqCount; n, i = n+1, ringNext(i, int32(m.cfg.SQSize)) {
+	for n, i := int32(0), m.sqHead; n < m.sqCount; n, i = n+1, ringNext(i, SQSize) {
 		sq := &m.sq[i]
 		if sq.valid && sq.ready && sq.seq < seq && sq.addr&^7 == addr&^7 {
 			fwd, val = true, sq.value
@@ -173,7 +173,7 @@ func (m *Machine) checkMemOrderViolation(sqIdx int32) {
 	sq := &m.sq[sqIdx]
 	violator := int32(-1)
 	var vseq uint64
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || !lq.Issued || !lq.HasAddr || lq.Seq < sq.seq {
 			continue
@@ -450,7 +450,7 @@ func (m *Machine) resolveCtrl(slot int32) {
 // promoteVisibility notifies the policy about completed loads that just
 // became unsquashable.
 func (m *Machine) promoteVisibility() {
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || lq.Visible {
 			continue
@@ -496,7 +496,7 @@ func (m *Machine) memOrderSquash(vSlot int32) {
 	v := &m.rob[vSlot]
 	m.Stats.Squashes++
 	m.Stats.MemOrderSquashes++
-	stop := ringPrev(vSlot, int32(m.cfg.ROBSize))
+	stop := ringPrev(vSlot, ROBSize)
 	m.emit(trace.KindMemOrderSquash, v.seq, v.pc, 0, 0)
 	m.doSquash(v.seq, stop, v.pc)
 }
@@ -509,7 +509,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 	m.rescan = true // drops the squashed loads from memRetry
 	// Collect squashed loads in program order first (oldest to youngest).
 	squashedLoads := m.squashBuf[:0]
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || lq.Seq < cutoff {
 			continue
@@ -549,7 +549,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 	// Walk the ROB tail back to the stop slot, undoing renames youngest
 	// first so oldRat restoration is exact.
 	for m.robCount > 0 {
-		last := ringPrev(m.robTail, int32(m.cfg.ROBSize))
+		last := ringPrev(m.robTail, ROBSize)
 		if last == stopSlot {
 			break
 		}
@@ -625,7 +625,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 	// baseline pays anyway (Section 2.4: cleanup overhead is partly
 	// hidden by the pipeline drain); the cleanup operations themselves
 	// serialize after both.
-	hold := m.cfg.RedirectPenalty
+	hold := RedirectPenalty
 	if cost.InflightWait > hold {
 		hold = cost.InflightWait
 	}
@@ -660,7 +660,7 @@ func (m *Machine) RepairValueMisprediction(e *LQEntry, actual uint64) {
 // the LQ holds only correct-path loads.
 func (m *Machine) OlderInflightWait() arch.Cycle {
 	var max arch.Cycle
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || !lq.Issued || lq.Completed {
 			continue
@@ -679,7 +679,7 @@ func (m *Machine) OlderInflightWait() arch.Cycle {
 // that correct-path execution also justifies (Section 3.4, "Squashing Loads
 // Re-ordered with Correct-Path Loads").
 func (m *Machine) LineReferencedByLiveLoad(line arch.LineAddr) bool {
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, int32(m.cfg.LQSize)) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, LQSize) {
 		lq := &m.lq[i]
 		if lq.valid && lq.HasAddr && lq.Line == line {
 			return true

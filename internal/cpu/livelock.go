@@ -58,9 +58,9 @@ func (m *Machine) diagnoseLivelock(window arch.Cycle) *LivelockError {
 		LastCommit: m.lastCommitCycle,
 		PC:         m.fetchPC,
 		Committed:  m.Stats.Committed,
-		ROB:        Occupancy{Used: int(m.robCount), Cap: m.cfg.ROBSize},
-		LQ:         Occupancy{Used: int(m.lqCount), Cap: m.cfg.LQSize},
-		SQ:         Occupancy{Used: int(m.sqCount), Cap: m.cfg.SQSize},
+		ROB:        Occupancy{Used: int(m.robCount), Cap: ROBSize},
+		LQ:         Occupancy{Used: int(m.lqCount), Cap: LQSize},
+		SQ:         Occupancy{Used: int(m.sqCount), Cap: SQSize},
 		MemPending: m.hier.PendingLen(),
 	}
 	if mshr := m.hier.L1MSHR(m.cfg.CoreID); mshr != nil {

@@ -83,7 +83,7 @@ func TestWatchdogNamesLoadWhoseFillNeverArrives(t *testing.T) {
 		t.Errorf("stalled structure = %q, want %q", le.Stalled, want)
 	}
 	// Occupancy snapshots carry the configured capacities.
-	if le.ROB.Cap != m.cfg.ROBSize || le.LQ.Cap != m.cfg.LQSize || le.SQ.Cap != m.cfg.SQSize {
+	if le.ROB.Cap != ROBSize || le.LQ.Cap != LQSize || le.SQ.Cap != SQSize {
 		t.Errorf("capacities rob=%s lq=%s sq=%s", le.ROB, le.LQ, le.SQ)
 	}
 	// The loop keeps fetching behind the stuck load, so the ROB backs up

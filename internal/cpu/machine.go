@@ -1,6 +1,6 @@
 // Package cpu implements the cycle-stepped out-of-order core of the paper's
 // Table 4: 192-entry ROB, 32-entry load and store queues, a tournament
-// branch predictor with BTB and RAS, 4-wide fetch/issue/commit, and — the
+// branch predictor with a RAS, 4-wide fetch/issue/commit, and — the
 // part that matters for CleanupSpec — full wrong-path execution: fetch
 // follows the predicted path, speculative loads really access and modify
 // the cache hierarchy, and a mispredicted branch squashes the wrong path
@@ -24,22 +24,25 @@ type Level = memsys.Level
 // SEFEInfo re-exports the cache SEFE for policy implementations.
 type SEFEInfo = cache.SEFE
 
-// Config configures the core.
-type Config struct {
-	ROBSize     int
-	LQSize      int
-	SQSize      int
-	FetchWidth  int
-	IssueWidth  int
-	CommitWidth int
+// The paper's Table 4 core.
+const (
+	ROBSize     = 192
+	LQSize      = 32
+	SQSize      = 32
+	FetchWidth  = 4
+	IssueWidth  = 4
+	CommitWidth = 4
 	// RedirectPenalty is the front-end refill delay after any squash —
 	// the fetch-to-execute depth of the pipeline — paid by secure and
 	// non-secure configurations alike. A policy's inflight-wait stall
 	// overlaps with it (the paper's Section 2.4: cleanup overhead is
 	// partly hidden by the pipeline drain incurred in any case).
-	RedirectPenalty arch.Cycle
-	Branch          branch.Config
-	CoreID          int
+	RedirectPenalty arch.Cycle = 16
+)
+
+// Config configures the core.
+type Config struct {
+	CoreID int
 	// ThreadID is the hardware thread within the core (SMT); it selects
 	// the L1 way partition and the speculative-install identity. Two
 	// Machines with the same CoreID, different ThreadIDs, and a shared
@@ -55,19 +58,10 @@ type Config struct {
 	WatchdogWindow arch.Cycle
 }
 
-// DefaultConfig returns the paper's Table 4 core.
+// DefaultConfig returns core 0 with the forward-progress watchdog at 200k
+// cycles.
 func DefaultConfig() Config {
-	return Config{
-		ROBSize:         192,
-		LQSize:          32,
-		SQSize:          32,
-		FetchWidth:      4,
-		IssueWidth:      4,
-		CommitWidth:     4,
-		RedirectPenalty: 16,
-		Branch:          branch.DefaultConfig(),
-		WatchdogWindow:  200_000,
-	}
+	return Config{WatchdogWindow: 200_000}
 }
 
 // robState is an instruction's execution state.
@@ -306,10 +300,6 @@ type machineHists struct {
 
 // New creates a machine. The memory image is initialized from the program.
 func New(cfg Config, prog *isa.Program, hier *memsys.Hierarchy, pol Policy) *Machine {
-	if cfg.ROBSize <= 0 || cfg.LQSize <= 0 || cfg.SQSize <= 0 {
-		// Bad queue sizes are a programmer error, caught at construction.
-		panic("cpu: bad queue sizes")
-	}
 	if pol == nil {
 		pol = NonSecure{}
 	}
@@ -318,14 +308,14 @@ func New(cfg Config, prog *isa.Program, hier *memsys.Hierarchy, pol Policy) *Mac
 		prog:     prog,
 		mem:      isa.NewMemory(),
 		hier:     hier,
-		bp:       branch.New(cfg.Branch),
+		bp:       branch.New(),
 		pol:      pol,
-		rob:      make([]ROBEntry, cfg.ROBSize),
-		robPred:  make([]robPred, cfg.ROBSize),
-		lq:       make([]LQEntry, cfg.LQSize),
-		sq:       make([]sqEntry, cfg.SQSize),
+		rob:      make([]ROBEntry, ROBSize),
+		robPred:  make([]robPred, ROBSize),
+		lq:       make([]LQEntry, LQSize),
+		sq:       make([]sqEntry, SQSize),
 		fetchPC:  prog.Entry,
-		fetchBuf: make([]fetchSlot, 2*cfg.FetchWidth),
+		fetchBuf: make([]fetchSlot, 2*FetchWidth),
 	}
 	m.nc, _ = pol.(NearCommitter)
 	m.onLoad = m.onLoadData
@@ -384,6 +374,10 @@ func (m *Machine) Halted() bool { return m.halted }
 // AttachTracer starts recording structured events into r (nil detaches).
 // Tracing costs one nil-check per event site when detached.
 func (m *Machine) AttachTracer(r *trace.Ring) { m.tracer = r }
+
+// Tracer returns the attached trace ring, or nil, so a policy can record
+// its own events (CleanupSpec's invalidations and restores).
+func (m *Machine) Tracer() *trace.Ring { return m.tracer }
 
 // AttachMetrics registers the core's counters and histograms into reg.
 // Every Stats field is bound by pointer — the hot path keeps its plain
@@ -624,23 +618,23 @@ func (m *Machine) fetch() {
 
 // dispatch renames and inserts fetched instructions into the ROB/LQ/SQ.
 func (m *Machine) dispatch() {
-	for n := 0; n < m.cfg.FetchWidth && m.fetchLen > 0; n++ {
-		if m.robCount >= int32(m.cfg.ROBSize) {
+	for n := 0; n < FetchWidth && m.fetchLen > 0; n++ {
+		if m.robCount >= ROBSize {
 			return
 		}
 		fs := &m.fetchBuf[m.fetchHead]
 		op := fs.inst.Op
-		if op == isa.OpLoad && m.lqCount >= int32(m.cfg.LQSize) {
+		if op == isa.OpLoad && m.lqCount >= LQSize {
 			return
 		}
-		if op == isa.OpStore && m.sqCount >= int32(m.cfg.SQSize) {
+		if op == isa.OpStore && m.sqCount >= SQSize {
 			return
 		}
 		m.fetchHead = ringNext(m.fetchHead, int32(len(m.fetchBuf)))
 		m.fetchLen--
 
 		slot := m.robTail
-		m.robTail = ringNext(m.robTail, int32(m.cfg.ROBSize))
+		m.robTail = ringNext(m.robTail, ROBSize)
 		m.robCount++
 		seq := m.nextSeq()
 		e := &m.rob[slot]
@@ -682,7 +676,7 @@ func (m *Machine) dispatch() {
 		switch op {
 		case isa.OpLoad:
 			idx := m.lqTail
-			m.lqTail = ringNext(m.lqTail, int32(m.cfg.LQSize))
+			m.lqTail = ringNext(m.lqTail, LQSize)
 			m.lqCount++
 			lq := &m.lq[idx]
 			*lq = LQEntry{}
@@ -693,7 +687,7 @@ func (m *Machine) dispatch() {
 			e.lqIdx = idx
 		case isa.OpStore:
 			idx := m.sqTail
-			m.sqTail = ringNext(m.sqTail, int32(m.cfg.SQSize))
+			m.sqTail = ringNext(m.sqTail, SQSize)
 			m.sqCount++
 			m.sq[idx] = sqEntry{valid: true, slot: slot, seq: seq}
 			e.sqIdx = idx

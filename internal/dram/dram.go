@@ -3,127 +3,54 @@
 // row-buffer policy at the memory controller so that row-buffer hit/miss
 // timing cannot be used as a covert channel (DRAMA, Section 2.1).
 //
-// The model therefore supports both policies: ClosePage (constant latency,
-// the secure default used in all paper experiments) and OpenPage (row-buffer
-// hits are faster), the latter existing so tests and an ablation bench can
-// demonstrate the timing channel the close-page policy removes.
+// The model is close-page only: every access precharges its row, so every
+// access costs the same round trip and no row-buffer state is kept.
 package dram
 
 import (
 	"repro/internal/arch"
 )
 
-// RowPolicy selects the row-buffer management policy.
-type RowPolicy int
-
-const (
-	// ClosePage precharges after every access: constant latency, no
-	// row-buffer timing channel. This is the paper's configuration.
-	ClosePage RowPolicy = iota
-	// OpenPage leaves the row open: same-row accesses are faster. Used
-	// only to demonstrate the channel that ClosePage closes.
-	OpenPage
-)
-
-func (p RowPolicy) String() string {
-	if p == ClosePage {
-		return "close-page"
-	}
-	return "open-page"
-}
-
 // Config describes the memory model.
 type Config struct {
 	// RTCycles is the round-trip latency after an L2 miss, in core
 	// cycles (paper: 50 ns at 2 GHz = 100 cycles).
 	RTCycles arch.Cycle
-	// Policy is the row-buffer policy.
-	Policy RowPolicy
-	// RowBytes is the row-buffer size (open-page mode only).
-	RowBytes int
-	// RowHitSaving is the latency saved by a row-buffer hit
-	// (open-page mode only).
-	RowHitSaving arch.Cycle
-	// Banks is the number of banks, each with one row buffer
-	// (open-page mode only).
-	Banks int
 }
 
 // DefaultConfig returns the paper's memory configuration.
 func DefaultConfig() Config {
-	return Config{
-		RTCycles:     100, // 50ns at 2GHz
-		Policy:       ClosePage,
-		RowBytes:     8192,
-		RowHitSaving: 40,
-		Banks:        16,
-	}
+	return Config{RTCycles: 100} // 50ns at 2GHz
 }
 
 // Stats counts memory events.
 type Stats struct {
 	Reads      uint64
 	Writes     uint64
-	RowHits    uint64
-	RowMisses  uint64
 	TotalDelay arch.Cycle
 }
 
 // DRAM is the main-memory model.
 type DRAM struct {
-	cfg     Config
-	openRow []int64 // per-bank open row, -1 = closed
+	cfg Config
 
 	Stats Stats
 }
 
 // New builds a DRAM model.
-func New(cfg Config) *DRAM {
-	banks := cfg.Banks
-	if banks <= 0 {
-		banks = 1
-	}
-	open := make([]int64, banks)
-	for i := range open {
-		open[i] = -1
-	}
-	return &DRAM{cfg: cfg, openRow: open}
-}
+func New(cfg Config) *DRAM { return &DRAM{cfg: cfg} }
 
-// Config returns the active configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
-func (d *DRAM) bankRow(l arch.LineAddr) (bank int, row int64) {
-	byteAddr := uint64(l.Addr())
-	row = int64(byteAddr / uint64(d.cfg.RowBytes))
-	bank = int(row) % len(d.openRow)
-	return bank, row
-}
-
-// AccessLatency returns the latency of a read or write of line l and
-// updates row-buffer state. Under ClosePage the latency is constant.
+// AccessLatency returns the latency of a read or write of line l: the
+// constant close-page round trip.
 func (d *DRAM) AccessLatency(l arch.LineAddr, write bool) arch.Cycle {
 	if write {
 		d.Stats.Writes++
 	} else {
 		d.Stats.Reads++
 	}
-	lat := d.cfg.RTCycles
-	if d.cfg.Policy == OpenPage {
-		bank, row := d.bankRow(l)
-		if d.openRow[bank] == row {
-			d.Stats.RowHits++
-			if lat > d.cfg.RowHitSaving {
-				lat -= d.cfg.RowHitSaving
-			}
-		} else {
-			d.Stats.RowMisses++
-			d.openRow[bank] = row
-		}
-	}
-	d.Stats.TotalDelay += lat
-	return lat
+	d.Stats.TotalDelay += d.cfg.RTCycles
+	return d.cfg.RTCycles
 }
 
-// ResetStats zeroes counters (row-buffer state is kept).
+// ResetStats zeroes counters.
 func (d *DRAM) ResetStats() { d.Stats = Stats{} }

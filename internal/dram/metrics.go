@@ -8,7 +8,5 @@ func (d *DRAM) AttachMetrics(reg *metrics.Registry) {
 	s := &d.Stats
 	reg.BindCounter("dram.reads", &s.Reads)
 	reg.BindCounter("dram.writes", &s.Writes)
-	reg.BindCounter("dram.row_hits", &s.RowHits)
-	reg.BindCounter("dram.row_misses", &s.RowMisses)
 	reg.CounterFunc("dram.total_delay_cycles", func() uint64 { return uint64(s.TotalDelay) })
 }

@@ -15,7 +15,10 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/campaign"
+	"repro/internal/cpu"
+	"repro/internal/memsys"
 	"repro/internal/multicore"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -506,9 +509,13 @@ func (r *Runner) Figure15() Report {
 func (r *Runner) Storage() Report {
 	t := stats.NewTable("Section 6.6: SEFE storage overhead per core",
 		"Component", "Entries", "Bits/entry", "Bytes")
-	t.AddRow("LQ SEFE", "32", "56", fmt.Sprintf("%d", 32*56/8))
-	t.AddRow("L1-MSHR SEFE", "64", "56", fmt.Sprintf("%d", 64*56/8))
-	t.AddRow("L2-MSHR SEFE", "64", "16", fmt.Sprintf("%d", 64*16/8))
+	row := func(name string, entries, bits int) {
+		t.AddRow(name, fmt.Sprintf("%d", entries), fmt.Sprintf("%d", bits), fmt.Sprintf("%d", entries*bits/8))
+	}
+	h := memsys.DefaultConfig(1)
+	row("LQ SEFE", cpu.LQSize, cache.StorageBitsLQ)
+	row("L1-MSHR SEFE", h.L1MSHRs, cache.StorageBitsLQ)
+	row("L2-MSHR SEFE", h.L2MSHRs, cache.StorageBitsL2)
 	t.AddRow("Total", "", "", fmt.Sprintf("%d", sim.StorageOverheadBytes()))
 	return Report{
 		ID: "storage", Title: "Storage overhead",

@@ -78,7 +78,7 @@ func TestInterpRunBudget(t *testing.T) {
 
 func TestRandomProgramsHalt(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		p := RandomProgram(seed, GenConfig{Calls: true, Loops: true})
+		p := RandomProgram(seed, GenConfig{})
 		it := NewInterp(p)
 		if it.Run(1_000_000) >= 1_000_000 {
 			t.Fatalf("seed %d: random program did not halt", seed)
@@ -90,8 +90,8 @@ func TestRandomProgramsHalt(t *testing.T) {
 }
 
 func TestRandomProgramDeterministic(t *testing.T) {
-	a := RandomProgram(7, GenConfig{Calls: true, Loops: true})
-	b := RandomProgram(7, GenConfig{Calls: true, Loops: true})
+	a := RandomProgram(7, GenConfig{})
+	b := RandomProgram(7, GenConfig{})
 	if len(a.Code) != len(b.Code) {
 		t.Fatal("non-deterministic generator")
 	}
@@ -101,7 +101,7 @@ func TestRandomProgramDeterministic(t *testing.T) {
 		}
 	}
 	// And different seeds differ.
-	c := RandomProgram(8, GenConfig{Calls: true, Loops: true})
+	c := RandomProgram(8, GenConfig{})
 	if len(a.Code) == len(c.Code) {
 		same := true
 		for i := range a.Code {
@@ -117,7 +117,7 @@ func TestRandomProgramDeterministic(t *testing.T) {
 }
 
 func TestRandomProgramTouchesMemoryWindow(t *testing.T) {
-	p := RandomProgram(3, GenConfig{Calls: true, Loops: true})
+	p := RandomProgram(3, GenConfig{})
 	it := NewInterp(p)
 	it.Run(0)
 	// At least one store should have landed in the window for the

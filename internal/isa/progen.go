@@ -17,10 +17,6 @@ type GenConfig struct {
 	// words; a small window (default 64) makes store-to-load forwarding,
 	// disambiguation blocks, and memory-order squashes frequent.
 	MemWindowWords int
-	// Calls enables call/ret subroutines (default true via RandomProgram).
-	Calls bool
-	// Loops enables bounded loops (default true via RandomProgram).
-	Loops bool
 }
 
 // RandomProgram generates a *halting* random program that exercises ALU
@@ -101,7 +97,7 @@ func RandomProgram(seed uint64, cfg GenConfig) *Program {
 			emitOp(0)
 		}
 		switch {
-		case cfg.Loops && rng.Bool(0.4):
+		case rng.Bool(0.4):
 			// Bounded loop: 2-5 iterations of a small body.
 			iters := 2 + rng.Intn(4)
 			lbl := fmt.Sprintf("seg%d_loop", seg)
@@ -122,7 +118,7 @@ func RandomProgram(seed uint64, cfg GenConfig) *Program {
 				emitOp(1)
 			}
 			b.Label(lbl)
-		case cfg.Calls && rng.Bool(0.6):
+		case rng.Bool(0.6):
 			fn := fmt.Sprintf("fn%d", len(subroutines))
 			subroutines = append(subroutines, rng.Uint64())
 			b.Call(fn)

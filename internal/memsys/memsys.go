@@ -92,19 +92,22 @@ func (t *Traffic) add(k Kind, n uint64) {
 	}
 }
 
+// The paper's Table 4 instruction cache and round trips.
+const (
+	l1iBytes            = 32 << 10 // per-core L1 instruction cache, 4-way LRU
+	l1iWays             = 4
+	l1RT     arch.Cycle = 1
+	l2RT     arch.Cycle = 8 // before CEASER's EncryptLatency
+)
+
 // Config describes the hierarchy.
 type Config struct {
 	NumCores int
 	L1       cache.Config
-	// L1I is the instruction cache (Table 4: 32KB 4-way, 1-cycle RT).
-	// A zero SizeBytes disables instruction-fetch modeling.
-	L1I     cache.Config
-	L2      cache.Config
-	L1RT    arch.Cycle
-	L2RT    arch.Cycle // base, before the indexer's ExtraLatency
-	L1MSHRs int
-	L2MSHRs int
-	DRAM    dram.Config
+	L2       cache.Config
+	L1MSHRs  int
+	L2MSHRs  int
+	DRAM     dram.Config
 	// RandomizeL2 selects CEASER indexing for the L2 (Section 3.2).
 	RandomizeL2 bool
 	// ProtectSpecWindow services cross-core hits on speculatively
@@ -124,14 +127,9 @@ func DefaultConfig(n int) Config {
 		L1: cache.Config{
 			Name: "L1D", SizeBytes: 64 << 10, Ways: 8, Repl: cache.ReplLRU,
 		},
-		L1I: cache.Config{
-			Name: "L1I", SizeBytes: 32 << 10, Ways: 4, Repl: cache.ReplLRU,
-		},
 		L2: cache.Config{
 			Name: "L2", SizeBytes: (2 << 20) * n, Ways: 16, Repl: cache.ReplLRU,
 		},
-		L1RT:    1,
-		L2RT:    8, // +2 cycles encryption when randomized -> 10 RT
 		L1MSHRs: 64,
 		L2MSHRs: 64,
 		DRAM:    dram.DefaultConfig(),
@@ -252,16 +250,14 @@ func New(cfg Config) *Hierarchy {
 		l1cfg.Seed = cfg.Seed ^ uint64(3+c)
 		h.l1 = append(h.l1, cache.New(l1cfg))
 		h.l1mshr = append(h.l1mshr, cache.NewMSHR(l1cfg.Name, cfg.L1MSHRs))
-		if cfg.L1I.SizeBytes > 0 {
-			icfg := cfg.L1I
-			icfg.Name = fmt.Sprintf("L1I%d", c)
-			icfg.Seed = cfg.Seed ^ uint64(300+c)
-			h.l1i = append(h.l1i, cache.New(icfg))
-		}
+		h.l1i = append(h.l1i, cache.New(cache.Config{
+			Name: fmt.Sprintf("L1I%d", c), SizeBytes: l1iBytes, Ways: l1iWays,
+			Repl: cache.ReplLRU, Seed: cfg.Seed ^ uint64(300+c),
+		}))
 	}
 	h.dir = coherence.NewDirectory(cfg.NumCores)
 	h.mem = dram.New(cfg.DRAM)
-	h.iLast = make([]iLine, len(h.l1i))
+	h.iLast = make([]iLine, cfg.NumCores)
 	h.epoch = make([]uint8, cfg.NumCores)
 	h.fillSeq = make([]uint64, cfg.NumCores)
 	return h
@@ -292,15 +288,10 @@ func (h *Hierarchy) DRAM() *dram.DRAM { return h.mem }
 // randomized.
 func (h *Hierarchy) L2Indexer() *ceaser.Indexer { return h.l2index }
 
-// L1I returns core's instruction cache, or nil when disabled. Callers
-// may read it but not change it: IFetch remembers the line it last
-// fetched (see Hierarchy.iLast).
-func (h *Hierarchy) L1I(core int) *cache.Cache {
-	if core >= len(h.l1i) {
-		return nil
-	}
-	return h.l1i[core]
-}
+// L1I returns core's instruction cache. Callers may read it but not
+// change it: IFetch remembers the line it last fetched (see
+// Hierarchy.iLast).
+func (h *Hierarchy) L1I(core int) *cache.Cache { return h.l1i[core] }
 
 // IFetch models an instruction fetch of the line holding pc: an I-cache
 // hit costs nothing extra (the 1-cycle RT is part of the front-end
@@ -309,9 +300,6 @@ func (h *Hierarchy) L1I(core int) *cache.Cache {
 // the cache-channel threat model (footnote 1: transient changes to it can
 // be delayed or buffered), so fills are unconditional and untracked.
 func (h *Hierarchy) IFetch(core int, pc arch.Addr, now arch.Cycle) (ready arch.Cycle) {
-	if len(h.l1i) == 0 {
-		return now
-	}
 	line := arch.PCLine(pc)
 	ic := h.l1i[core]
 	last := &h.iLast[core]
@@ -339,9 +327,6 @@ func (h *Hierarchy) IFetch(core int, pc arch.Addr, now arch.Cycle) (ready arch.C
 // PrewarmICache fills the I-cache (and L2) with a program's code lines, the
 // instruction-side counterpart of PrewarmL2.
 func (h *Hierarchy) PrewarmICache(core, codeLen int) {
-	if len(h.l1i) == 0 {
-		return
-	}
 	h.iLast[core].ok = false
 	for pc := 0; pc < codeLen; pc += arch.LineBytes / arch.InstBytes {
 		line := arch.PCLine(arch.Addr(pc))
@@ -364,13 +349,10 @@ func (h *Hierarchy) BumpEpoch(core int) uint8 {
 
 // L2RT returns the effective L2 round-trip latency (base + encryption).
 func (h *Hierarchy) L2RT() arch.Cycle {
-	lat := h.cfg.L2RT
 	if h.l2index != nil {
-		lat += h.l2index.ExtraLatency()
-	} else if h.cfg.L2.Indexer != nil {
-		lat += h.cfg.L2.Indexer.ExtraLatency()
+		return l2RT + h.l2index.ExtraLatency()
 	}
-	return lat
+	return l2RT
 }
 
 // LoadOpts modifies how a load is issued.
@@ -433,13 +415,13 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 				h.Stats.DummyMisses++
 				h.Traffic.add(opts.Kind, 1) // dummy backing-store request
 				t.Level = LevelL1
-				t.DoneAt = now + h.cfg.L1RT + h.dummyMissLatency(line)
+				t.DoneAt = now + l1RT + h.dummyMissLatency(line)
 				return h.push(t), true
 			}
 		}
 		h.Stats.LoadL1Hits++
 		t.Level = LevelL1
-		t.DoneAt = now + h.cfg.L1RT
+		t.DoneAt = now + l1RT
 		return h.push(t), true
 	}
 
@@ -485,7 +467,7 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 				lat += h.cfg.DRAM.RTCycles
 			}
 		}
-		t.DoneAt = now + h.cfg.L1RT + lat
+		t.DoneAt = now + l1RT + lat
 	} else {
 		// L2 miss: needs an L2 MSHR entry and a memory access.
 		l2e, l2merged, l2ok := h.l2mshr.Allocate(line, seq)
@@ -504,7 +486,7 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 		h.Traffic.add(opts.Kind, 1) // L2 -> memory request
 		memLat := h.mem.AccessLatency(line, false)
 		t.Level = LevelMem
-		t.DoneAt = now + h.cfg.L1RT + h.L2RT() + memLat
+		t.DoneAt = now + l1RT + h.L2RT() + memLat
 		entry.SEFE.L2Fill = true
 	}
 	entry.ReadyAt = t.DoneAt
@@ -519,21 +501,21 @@ func (h *Hierarchy) loadInvisible(t *Txn, now arch.Cycle) Issue {
 	if _, hit := h.l1[t.Core].Probe(t.Line); hit {
 		h.Stats.LoadL1Hits++
 		t.Level = LevelL1
-		t.DoneAt = now + h.cfg.L1RT
+		t.DoneAt = now + l1RT
 		return h.push(t)
 	}
 	h.Traffic.add(t.Kind, 1)
 	if _, hit := h.l2.Probe(t.Line); hit {
 		h.Stats.LoadL2Hits++
 		t.Level = LevelL2
-		t.DoneAt = now + h.cfg.L1RT + h.L2RT()
+		t.DoneAt = now + l1RT + h.L2RT()
 		return h.push(t)
 	}
 	h.Stats.LoadMems++
 	h.Traffic.add(t.Kind, 1)
 	memLat := h.mem.AccessLatency(t.Line, false)
 	t.Level = LevelMem
-	t.DoneAt = now + h.cfg.L1RT + h.L2RT() + memLat
+	t.DoneAt = now + l1RT + h.L2RT() + memLat
 	return h.push(t)
 }
 
@@ -730,13 +712,13 @@ func (h *Hierarchy) StoreOwned(core, owner int, line arch.LineAddr, now arch.Cyc
 		l1.ClearSpec(line)
 		h.dir.GetX(core, line)
 		h.l2.MarkDirty(line)
-		return h.cfg.L1RT
+		return l1RT
 	}
 	// Miss or upgrade: RFO.
 	grant := h.dir.GetX(core, line)
 	h.applyRemoteActions(line, grant)
 	h.Traffic.add(KindRegular, 1)
-	lat := h.cfg.L1RT + h.L2RT()
+	lat := l1RT + h.L2RT()
 	if _, hit := h.l2.Probe(line); !hit {
 		h.Traffic.add(KindRegular, 1)
 		lat += h.mem.AccessLatency(line, false)
@@ -990,18 +972,20 @@ func (h *Hierarchy) AttachMetrics(reg *metrics.Registry) {
 	h.mem.AttachMetrics(reg)
 }
 
-// ResetTraffic zeroes the traffic counters.
-func (h *Hierarchy) ResetTraffic() { h.Traffic = Traffic{} }
-
-// ResetStats zeroes all measurement counters (traffic, hierarchy, cache and
-// DRAM stats) without touching cache contents — used to exclude warmup from
-// a measurement window.
+// ResetStats zeroes all measurement counters (traffic, hierarchy, cache,
+// MSHR, directory and DRAM stats) without touching cache contents — used to
+// exclude warmup from a measurement window.
 func (h *Hierarchy) ResetStats() {
 	h.Traffic = Traffic{}
 	h.Stats = Stats{}
 	for _, c := range h.l1 {
 		c.ResetStats()
 	}
+	for _, m := range h.l1mshr {
+		m.Stats = cache.MSHRStats{}
+	}
 	h.l2.ResetStats()
+	h.l2mshr.Stats = cache.MSHRStats{}
+	h.dir.Stats = coherence.Stats{}
 	h.mem.ResetStats()
 }

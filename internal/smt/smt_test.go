@@ -193,7 +193,7 @@ func TestSMTNoMoPartitioning(t *testing.T) {
 // hierarchy.
 func TestSMTPairIndependence(t *testing.T) {
 	progFor := func(seed uint64) *isa.Program {
-		return isa.RandomProgram(seed, isa.GenConfig{Calls: true, Loops: true})
+		return isa.RandomProgram(seed, isa.GenConfig{})
 	}
 	refA := isa.NewInterp(progFor(5))
 	refA.Run(0)

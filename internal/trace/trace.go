@@ -24,7 +24,11 @@ const (
 	KindLoadDropped
 	KindSquash
 	KindMemOrderSquash
+	// KindCleanupInval is one invalidation by CleanupSpec's cleanup of a
+	// squashed load's L1 or L2 install; Line is the line invalidated.
 	KindCleanupInval
+	// KindCleanupRestore is one L1 eviction victim restored by the
+	// cleanup; Line is the victim, Arg the restore's latency in cycles.
 	KindCleanupRestore
 	KindCommit
 	KindHalt

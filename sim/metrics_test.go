@@ -158,6 +158,78 @@ var unbound = map[string]string{
 	"cpu.Stats.Cycles": "materialized only when Run returns; the registry publishes the live value as the cpu.cycles CounterFunc",
 }
 
+// carrier is one metrics owner's Stats (or the hierarchy's Traffic), by
+// its registry prefix.
+type carrier struct {
+	owner string
+	stats any
+}
+
+// instrumented builds a machine on astar under pol, registers it through
+// attachMetrics, and returns it with every metrics owner's counters.
+func instrumented(t *testing.T, pol Policy) (*cpu.Machine, *memsys.Hierarchy, cpu.Policy, *metrics.Registry, []carrier) {
+	t.Helper()
+	prof, _ := workload.ProfileByName("astar")
+	p, hcfg, err := BuildPolicy(Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := memsys.New(hcfg)
+	m := cpu.New(cpu.DefaultConfig(), prof.Build(), h, p)
+	reg := metrics.NewRegistry()
+	attachMetrics(reg, m, h, p)
+
+	carriers := []carrier{
+		{"cpu", &m.Stats}, {"mem", &h.Stats}, {"traffic", &h.Traffic},
+		{"l1d", &h.L1(0).Stats}, {"l1d.mshr", &h.L1MSHR(0).Stats},
+		{"l2", &h.L2().Stats}, {"l2.mshr", &h.L2MSHR().Stats},
+		{"coh", &h.Directory().Stats}, {"dram", &h.DRAM().Stats},
+	}
+	switch p := p.(type) {
+	case *core.CleanupSpec:
+		carriers = append(carriers, carrier{"cleanup", &p.Stats})
+	case *invisispec.Policy:
+		carriers = append(carriers, carrier{"inv", &p.Stats})
+	default:
+		t.Fatalf("%s: policy %T exports no counters", pol, p)
+	}
+	return m, h, p, reg, carriers
+}
+
+// counter is one Stats field setCounters set: "<owner> <type>.<field>".
+type counter struct {
+	name  string
+	value uint64
+}
+
+// setCounters gives every exported field of the carriers, but the unbound
+// ones, a distinct non-zero value and returns them. declared collects the
+// "<package>.<type>.<field>" name of every field.
+func setCounters(t *testing.T, carriers []carrier, declared map[string]bool) []counter {
+	t.Helper()
+	var set []counter
+	value := uint64(1_000_003)
+	for _, c := range carriers {
+		v := reflect.ValueOf(c.stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			name := v.Type().String() + "." + f.Name
+			declared[name] = true
+			if !f.IsExported() || unbound[name] != "" {
+				continue
+			}
+			if f.Type.Kind() != reflect.Uint64 {
+				t.Errorf("%s is a %s; the test sets only uint64 counters", name, f.Type)
+				continue
+			}
+			v.Field(i).SetUint(value)
+			set = append(set, counter{c.owner + " " + name, value})
+			value += 1_000_003
+		}
+	}
+	return set
+}
+
 // TestRegistryBindsEveryStatsField builds real machines under the two
 // policies that export counters, gives every exported field of each
 // metrics owner's Stats (and the hierarchy's Traffic) a distinct value,
@@ -165,61 +237,10 @@ var unbound = map[string]string{
 // Stats struct but never bound would drop out of every counter dump,
 // sample series and Perfetto export; it fails here instead.
 func TestRegistryBindsEveryStatsField(t *testing.T) {
-	prof, _ := workload.ProfileByName("astar")
-	named := make(map[string]bool)
+	declared := make(map[string]bool)
 	for _, pol := range []Policy{CleanupSpec, InvisiSpecInitial} {
-		p, hcfg, err := BuildPolicy(Config{Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := memsys.New(hcfg)
-		m := cpu.New(cpu.DefaultConfig(), prof.Build(), h, p)
-		reg := metrics.NewRegistry()
-		attachMetrics(reg, m, h, p)
-
-		type carrier struct {
-			owner string
-			stats any
-		}
-		carriers := []carrier{
-			{"cpu", &m.Stats}, {"mem", &h.Stats}, {"traffic", &h.Traffic},
-			{"l1d", &h.L1(0).Stats}, {"l1d.mshr", &h.L1MSHR(0).Stats},
-			{"l2", &h.L2().Stats}, {"l2.mshr", &h.L2MSHR().Stats},
-			{"coh", &h.Directory().Stats}, {"dram", &h.DRAM().Stats},
-		}
-		switch p := p.(type) {
-		case *core.CleanupSpec:
-			carriers = append(carriers, carrier{"cleanup", &p.Stats})
-		case *invisispec.Policy:
-			carriers = append(carriers, carrier{"inv", &p.Stats})
-		default:
-			t.Fatalf("%s: policy %T exports no counters", pol, p)
-		}
-
-		type field struct {
-			name  string
-			value uint64
-		}
-		var want []field
-		value := uint64(1_000_003)
-		for _, c := range carriers {
-			v := reflect.ValueOf(c.stats).Elem()
-			for i := 0; i < v.NumField(); i++ {
-				f := v.Type().Field(i)
-				name := v.Type().String() + "." + f.Name
-				named[name] = true
-				if !f.IsExported() || unbound[name] != "" {
-					continue
-				}
-				if f.Type.Kind() != reflect.Uint64 {
-					t.Errorf("%s is a %s; the test sets only uint64 counters", name, f.Type)
-					continue
-				}
-				v.Field(i).SetUint(value)
-				want = append(want, field{c.owner + " " + name, value})
-				value += 1_000_003
-			}
-		}
+		_, _, _, reg, carriers := instrumented(t, pol)
+		want := setCounters(t, carriers, declared)
 
 		snap := reg.Snapshot()
 		seen := make(map[uint64]bool)
@@ -236,8 +257,28 @@ func TestRegistryBindsEveryStatsField(t *testing.T) {
 		}
 	}
 	for name := range unbound {
-		if !named[name] {
+		if !declared[name] {
 			t.Errorf("unbound lists %s, which no metrics owner declares", name)
+		}
+	}
+}
+
+// TestWarmupResetZeroesEveryCounter runs real machines through part of a
+// warmup, gives every counter a non-zero value, and requires resetWindow,
+// runProgram's reset after the warmup, to bring every counter in the
+// registry snapshot to 0. A counter it skipped would count the warmup in
+// Result.Metrics, the sampled series and counter dumps, while the others
+// count only the measurement window.
+func TestWarmupResetZeroesEveryCounter(t *testing.T) {
+	for _, pol := range []Policy{CleanupSpec, InvisiSpecInitial} {
+		m, h, p, reg, carriers := instrumented(t, pol)
+		m.Run(5_000)
+		setCounters(t, carriers, make(map[string]bool))
+		resetWindow(m, h, p)
+		for name, v := range reg.Snapshot().Counters {
+			if v != 0 {
+				t.Errorf("%s: %s reads %d after the warmup reset, want 0", pol, name, v)
+			}
 		}
 	}
 }

@@ -208,7 +208,6 @@ func buildPolicy(cfg Config) (cpu.Policy, memsys.Config, error) {
 		pol = cpu.NonSecure{}
 	case CleanupSpec:
 		pol = core.NewWithConfig(core.Config{
-			UseGetSSafe:         true,
 			DisableRestore:      cfg.DisableRestore,
 			ConstantTimeCleanup: arch.Cycle(cfg.ConstantTimeCleanup),
 		})
@@ -353,8 +352,7 @@ func runProgram(name string, prog *Program, cfg Config, prewarm func(*memsys.Hie
 			return Result{}, fmt.Errorf("sim: %s (warmup): %w", name, lerr)
 		}
 		if !m.Halted() {
-			m.ResetStats()
-			h.ResetStats()
+			resetWindow(m, h, pol)
 		}
 	}
 	// Instrumentation attaches after the warmup reset so histograms and
@@ -381,6 +379,21 @@ func runProgram(name string, prog *Program, cfg Config, prewarm func(*memsys.Hie
 	}
 	smp.Flush(st.Cycles)
 	return makeResult(name, cfg, st, h, reg), nil
+}
+
+// resetWindow zeroes every counter attachMetrics registers — the core's,
+// the hierarchy's with its caches, MSHRs, directory and DRAM, and the
+// policy's — so a measurement window that follows a warmup counts only
+// itself.
+func resetWindow(m *cpu.Machine, h *memsys.Hierarchy, pol cpu.Policy) {
+	m.ResetStats()
+	h.ResetStats()
+	switch p := pol.(type) {
+	case *core.CleanupSpec:
+		p.Stats = core.Stats{}
+	case *invisispec.Policy:
+		p.Stats = invisispec.Stats{}
+	}
 }
 
 // attachMetrics registers the counters of the core, of the hierarchy with
@@ -538,5 +551,6 @@ type LivelockError = cpu.LivelockError
 // StorageOverheadBytes returns CleanupSpec's SEFE storage per core for the
 // paper's configuration (Section 6.6).
 func StorageOverheadBytes() int {
-	return core.StorageBitsPerCore(32, 64, 64) / 8
+	h := memsys.DefaultConfig(1)
+	return core.StorageBitsPerCore(cpu.LQSize, h.L1MSHRs, h.L2MSHRs) / 8
 }
