@@ -70,7 +70,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   campaign run    [flags]   expand a grid and run the missing cells
-  campaign status [flags]   show the last run's per-job status
+  campaign status [flags]   show the last finished run's per-job status
   campaign export [flags]   dump every cached result as CSV
   campaign inspect [flags]  per-cell summaries of a cache
   campaign fsck   [flags]   scan a cache for corrupt/orphaned entries
@@ -99,9 +99,6 @@ fsck flags:
   -cache dir          cache directory (default ".campaign")
   -prune              delete corrupt entries and orphaned temp files
                       (pruned cells simply re-simulate on the next run)
-  -deep               also check that every done manifest journal row
-                      has a verified cache entry (-prune resets such a
-                      row to pending)
 
 replay flags:
   -depth N            replay trace capacity in events (default %d)
@@ -157,18 +154,12 @@ func cmdRun(args []string) error {
 				cache.Warn = func(msg string) { fmt.Fprintln(os.Stderr, "campaign: warning:", msg) }
 			}
 			eng.Cache = cache
-			m, ok := campaign.LoadManifest(*cacheDir)
-			if !ok {
-				m = campaign.NewManifest(*cacheDir, grid.Name)
-			}
-			m.Grid = grid.Name
-			eng.Manifest = m
 		}
 	}
 
 	fmt.Fprintf(os.Stderr, "campaign: grid %q: %d workload(s) x %d policy(ies) x %d seed(s) = %d job(s), %d worker(s)\n",
 		grid.Name, len(grid.Workloads), len(grid.Policies), max(1, len(grid.Seeds)), len(jobs), workers(*parallel))
-	results := eng.Run(jobs)
+	results := runRecorded(eng, grid.Name, jobs)
 
 	fmt.Println(campaign.SummaryTable(results).String())
 
@@ -214,14 +205,33 @@ func cmdRun(args []string) error {
 	return nil
 }
 
+// runRecorded runs jobs on eng and, when eng has a cache, records the run
+// there for `campaign status`: an earlier run's status goes before the
+// pool starts, so an interrupted run leaves none, and this run's is
+// written once Run returns. A status that cannot be removed or written is
+// only a warning: every result is in the cache either way.
+func runRecorded(eng *campaign.Engine, grid string, jobs []campaign.Job) []campaign.JobResult {
+	if eng.Cache == nil {
+		return eng.Run(jobs)
+	}
+	dir := eng.Cache.Dir()
+	if err := os.Remove(campaign.StatusPath(dir)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintf(os.Stderr, "campaign: warning: removing the last run's status: %v\n", err)
+	}
+	results := eng.Run(jobs)
+	if err := campaign.NewStatus(grid, results).Save(dir); err != nil {
+		fmt.Fprintf(os.Stderr, "campaign: warning: %v; `campaign status` will not show this run\n", strings.TrimPrefix(err.Error(), "campaign: "))
+	}
+	return results
+}
+
 func cmdFsck(args []string) error {
 	fs := flag.NewFlagSet("campaign fsck", flag.ExitOnError)
 	cacheDir := fs.String("cache", ".campaign", "cache directory")
 	prune := fs.Bool("prune", false, "delete corrupt entries and orphaned temp files")
-	deep := fs.Bool("deep", false, "check that every done manifest journal row has a verified cache entry")
 	fs.Parse(args)
 
-	rep, err := campaign.Fsck(*cacheDir, campaign.FsckOptions{Prune: *prune, Deep: *deep})
+	rep, err := campaign.Fsck(*cacheDir, *prune)
 	if err != nil {
 		return err
 	}
@@ -238,20 +248,22 @@ func cmdStatus(args []string) error {
 	verbose := fs.Bool("v", false, "per-cell rows: wall time, cache hit/miss, IPC")
 	fs.Parse(args)
 
-	m, ok := campaign.LoadManifest(*cacheDir)
-	if !ok {
-		return fmt.Errorf("no manifest at %s (run `campaign run -cache %s` first)", campaign.ManifestPath(*cacheDir), *cacheDir)
+	st, err := campaign.LoadStatus(*cacheDir)
+	if errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("no finished run in %s (a run records its status when it finishes; `campaign run -cache %s` resumes from the cache)", *cacheDir, *cacheDir)
 	}
-	pending, done, failed, quarantined := m.Counts()
-	line := fmt.Sprintf("campaign %q at %s: %d done, %d failed, %d pending", m.Grid, *cacheDir, done, failed, pending)
+	if err != nil {
+		return err
+	}
+	done, failed, quarantined := st.Counts()
+	line := fmt.Sprintf("campaign %q at %s: %d done, %d failed", st.Grid, *cacheDir, done, failed)
 	if quarantined > 0 {
 		line += fmt.Sprintf(", %d quarantined", quarantined)
 	}
 	fmt.Println(line)
-	records := m.Records()
 	hits, misses := 0, 0
 	var wall int64
-	for _, rec := range records {
+	for _, rec := range st.Jobs {
 		if rec.Status != campaign.StatusDone {
 			continue
 		}
@@ -272,7 +284,7 @@ func cmdStatus(args []string) error {
 	}
 	if *verbose {
 		t := stats.NewTable("", "Cell", "Status", "Source", "Wall", "IPC")
-		for _, rec := range records {
+		for _, rec := range st.Jobs {
 			source := "-"
 			if rec.Status == campaign.StatusDone {
 				source = "sim"
@@ -288,17 +300,19 @@ func cmdStatus(args []string) error {
 		}
 		fmt.Print(t.String())
 	}
-	for _, rec := range m.Failures() {
-		fmt.Printf("  FAILED %s/%s seed %d: %s\n", rec.Workload, rec.Policy, rec.Seed, rec.Err)
-	}
-	// Quarantined cells are engine faults, not bad configs — listed
-	// separately with their reason and dump so the distinction is visible.
-	for _, rec := range m.Quarantined() {
-		line := fmt.Sprintf("  QUARANTINED %s/%s seed %d: %s", rec.Workload, rec.Policy, rec.Seed, rec.Err)
-		if rec.Dump != "" {
-			line += " (dump: " + rec.Dump + ")"
+	for _, rec := range st.Jobs {
+		switch rec.Status {
+		case campaign.StatusFailed:
+			fmt.Printf("  FAILED %s/%s seed %d: %s\n", rec.Workload, rec.Policy, rec.Seed, rec.Err)
+		case campaign.StatusQuarantined:
+			// Quarantined cells are engine faults, not bad configs — listed
+			// apart from failures, with their dump.
+			line := fmt.Sprintf("  QUARANTINED %s/%s seed %d: %s", rec.Workload, rec.Policy, rec.Seed, rec.Err)
+			if rec.Dump != "" {
+				line += " (dump: " + rec.Dump + ")"
+			}
+			fmt.Println(line)
 		}
-		fmt.Println(line)
 	}
 	return nil
 }

@@ -98,7 +98,7 @@ func main() {
 	}
 	if *traceOut != "" {
 		check(metrics.WriteChromeTraceFile(*traceOut,
-			metrics.RunTrace(string(r.Policy)+"/"+r.Workload, cfg.Trace.Events(), samples)))
+			metrics.RunTrace(string(r.Policy)+"/"+r.Workload, cfg.Trace.Events(), col)))
 		fmt.Fprintf(os.Stderr, "cleanupspec-sim: wrote Perfetto trace to %s\n", *traceOut)
 	}
 	fmt.Printf("workload:            %s\n", r.Workload)

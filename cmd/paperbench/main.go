@@ -44,7 +44,11 @@ func main() {
 		sampleEvery  = flag.Uint64("sample-every", 1000, "metrics sampling interval in cycles")
 	)
 	flag.Parse()
-	if err := checkSampling(*sampleEvery, *metricsOut); err != nil {
+	err := checkCounts(*instructions, *iterations, *mtsteps)
+	if err == nil {
+		err = checkSampling(*sampleEvery, *metricsOut)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(2)
 	}
@@ -139,6 +143,20 @@ func main() {
 	}
 }
 
+// checkCounts rejects a count below 1 before any cell runs, so each count
+// has one default, its flag's, and a 0 is never run as some other number.
+func checkCounts(instructions uint64, iterations, mtsteps int) error {
+	switch {
+	case instructions < 1:
+		return errors.New("-instructions 0: want at least 1")
+	case iterations < 1:
+		return fmt.Errorf("-iterations %d: want at least 1", iterations)
+	case mtsteps < 1:
+		return fmt.Errorf("-mtsteps %d: want at least 1", mtsteps)
+	}
+	return nil
+}
+
 // checkSampling rejects a zero sampling interval next to -metrics-out: at
 // 0 the sampler records nothing, so every series file would be empty.
 // -trace-out alone needs no samples; its events come from the trace ring.
@@ -173,7 +191,7 @@ func exportObservability(wl string, instructions, sampleEvery uint64, metricsOut
 			}
 			fmt.Fprintf(os.Stderr, "paperbench: wrote %d sample(s) to %s\n", len(samples), path)
 		}
-		runs = append(runs, metrics.RunTrace(string(pol)+"/"+wl, ring.Events(), samples))
+		runs = append(runs, metrics.RunTrace(string(pol)+"/"+wl, ring.Events(), col))
 	}
 	if traceOut != "" {
 		if err := metrics.WriteChromeTraceFile(traceOut, runs...); err != nil {

@@ -125,6 +125,10 @@ func cmdRun(args []string) error {
 		minEff    = fs.Int("min-effective", 0, "exit nonzero unless at least N gadgets leak on the unprotected baseline")
 	)
 	fs.Parse(args)
+	if err := checkCount(*count); err != nil {
+		fmt.Fprintln(os.Stderr, "specfuzz:", err)
+		os.Exit(2)
+	}
 
 	policies, err := campaign.ParsePolicies(*policiesF)
 	if err != nil {
@@ -146,12 +150,6 @@ func cmdRun(args []string) error {
 				cache.Warn = func(msg string) { fmt.Fprintln(os.Stderr, "specfuzz: warning:", msg) }
 			}
 			eng.Cache = cache
-			m, ok := campaign.LoadManifest(*cacheDir)
-			if !ok {
-				m = campaign.NewManifest(*cacheDir, "specfuzz")
-			}
-			m.Grid = "specfuzz"
-			eng.Manifest = m
 		}
 	}
 
@@ -197,6 +195,14 @@ func cmdRun(args []string) error {
 		if eff < *minEff {
 			return fmt.Errorf("only %d gadget(s) effective on the baseline, want ≥%d", eff, *minEff)
 		}
+	}
+	return nil
+}
+
+// checkCount rejects a gadget count below 1 before any cell runs.
+func checkCount(count int) error {
+	if count < 1 {
+		return fmt.Errorf("-count %d: want at least 1", count)
 	}
 	return nil
 }

@@ -14,7 +14,7 @@
 //     and reported where they reach a cache key, a seed, or a Stats
 //     field; direct math/rand calls are always reported.
 //   - lockorder: the lock-acquisition graph across the concurrent layers
-//     (the campaign engine, manifest and reporter, …) is acyclic — the
+//     (the campaign engine and reporter, …) is acyclic — the
 //     deadlock that -race and the tests rarely trip.
 //   - enumexhaustive: every switch over an iota-declared enum covers all
 //     of its constants or carries an explicit default — the class of bug

@@ -34,15 +34,14 @@ import (
 //     campaign.Key becomes a sink automatically.
 //
 // Because only source→sink *flows* are findings, reporting-only wall
-// reads (progress ETA, the journal's per-cell wall time) are proven safe
+// reads (progress ETA, the run status's per-cell wall time) are proven safe
 // and need no directive — the syntactic time.Now check this replaces
 // demanded one at every such site. Direct calls into math/rand are still
 // reported unconditionally: simulator randomness must flow through
 // explicitly seeded internal/xrand generators, and there is no
-// reporting-only excuse for ambient randomness. JSONL output is
-// deliberately NOT a wall sink: the manifest journal carries each cell's
-// wall time, and the exports the byte-identity tests compare leave it
-// out.
+// reporting-only excuse for ambient randomness. JSON output is
+// deliberately NOT a wall sink: the run status carries each cell's wall
+// time, and the exports the byte-identity tests compare leave it out.
 var AnalyzerDeterTaint = &Analyzer{
 	Name: "detertaint",
 	Doc:  "track wall-clock, math/rand, and map-order taint through calls, fields, and closures into key/ID/stats sinks",

@@ -164,10 +164,12 @@ func (p *Predictor) Push(ret arch.Addr) {
 	p.ras[p.rasSP] = ret
 }
 
-// Pop predicts a return target from the RAS (speculative, at fetch).
+// Pop predicts a return target from the RAS (speculative, at fetch). It
+// leaves the slot's address in place: Restore rewinds only the pointer and
+// the top entry, so the entries below a wrong path's pops must survive
+// them.
 func (p *Predictor) Pop() arch.Addr {
 	t := p.ras[p.rasSP]
-	p.ras[p.rasSP] = 0
 	p.rasSP = (p.rasSP - 1 + rasEntries) % rasEntries
 	return t
 }

@@ -114,6 +114,24 @@ func TestRASRestoreAfterWrongPathPop(t *testing.T) {
 	}
 }
 
+// TestRASRestoreAfterTwoWrongPathPops: a wrong path that pops below the
+// checkpoint's top entry must not cost the correct path its deeper
+// return addresses once Restore rewinds the stack.
+func TestRASRestoreAfterTwoWrongPathPops(t *testing.T) {
+	p := New()
+	p.Push(10)
+	p.Push(20)
+	snap := p.Checkpoint()
+	p.Pop()
+	p.Pop()
+	p.Restore(snap)
+	for _, want := range []arch.Addr{20, 10} {
+		if got := p.Pop(); got != want {
+			t.Fatalf("after restore Pop = %d, want %d", got, want)
+		}
+	}
+}
+
 func TestGHRShiftAfterRestore(t *testing.T) {
 	p := New()
 	snap := p.Checkpoint()

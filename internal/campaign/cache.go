@@ -182,24 +182,33 @@ func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("campaign: cache shard: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: cache write: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: cache write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: cache write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeAtomic(path, "."+key+".tmp-*", data); err != nil {
 		return fmt.Errorf("campaign: cache write: %w", err)
 	}
 	return nil
+}
+
+// writeAtomic writes data to path through a temp file in path's
+// directory, named from pattern as os.CreateTemp names it, and a rename:
+// a reader sees the old file or the new one, never a torn one. A crash
+// before the rename leaves the temp file, which fsck reports as an
+// orphan.
+func writeAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Entries returns every cached entry, sorted by (workload, policy, seed)

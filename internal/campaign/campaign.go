@@ -12,9 +12,10 @@
 //     version). Two jobs with the same key are guaranteed to produce the
 //     same sim.Result, so a key is safe to use as a cache address.
 //   - Cache: JSON result files under a cache directory, sharded by key
-//     prefix, written atomically (temp file + rename).
-//   - Manifest: the last run's per-job status (pending / done / failed)
-//     persisted next to the cache for `campaign status` and resumability.
+//     prefix, written atomically (temp file + rename). It is the only
+//     record resume reads.
+//   - Status: a finished run's per-job outcomes (done / failed /
+//     quarantined), written once at the cache root for `campaign status`.
 //   - Engine: the worker pool. Results come back in job order regardless
 //     of scheduling, a failed job is recorded as failed instead of
 //     panicking, and a Reporter streams completed/total + ETA to stderr.
@@ -49,9 +50,10 @@ import (
 // joined merges and dropped), so cached Result.Metrics snapshots from
 // earlier versions are missing keys.
 //
-// Version 4: cache entries carry a content checksum (Entry.Sum), the
-// manifest became an append-only journal (manifest.jsonl), and sim.Config
-// gained the keyed WatchdogWindow parameter.
+// Version 4: cache entries carry a content checksum (Entry.Sum), the run
+// manifest became an append-only journal (gone since; a leftover journal
+// file is ignored), and sim.Config gained the keyed WatchdogWindow
+// parameter.
 //
 // Version 5: Result.Metrics's MSHR, directory and policy counters no
 // longer include the warmup, and the always-zero dram.row_hits and
@@ -62,8 +64,8 @@ const SchemaVersion = 5
 // workload simulation, executed by sim.RunWorkload; any other kind is
 // dispatched to the CellFunc registered for it on the engine (see
 // Engine.RegisterCell). internal/specfuzz registers KindSpecFuzz cells this
-// way: a fuzz cell is a first-class campaign cell — keyed, cached,
-// journaled and resumable exactly like a simulation cell.
+// way: a fuzz cell is a first-class campaign cell — keyed, cached and
+// resumable exactly like a simulation cell.
 type CellKind string
 
 // KindSim is the default cell kind: one sim.RunWorkload invocation.

@@ -3,11 +3,13 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/sim"
 )
@@ -212,9 +214,9 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Entries skips root-level files (manifest) and quarantine dumps, and
-	// returns the clean entries sorted by workload.
-	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), []byte("{}"), 0o644); err != nil {
+	// Entries skips root-level files (the run status) and quarantine
+	// dumps, and returns the clean entries sorted by workload.
+	if err := os.WriteFile(StatusPath(dir), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(QuarantineDir(dir), 0o755); err != nil {
@@ -236,145 +238,65 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
+// TestStatusRoundTrip builds a run's status from its results — one cell
+// simulated, one served from the cache, one failed, one quarantined — and
+// checks that Save and LoadStatus keep every row in job order, that a
+// later run's Save replaces the status whole, and that a torn status file
+// is an error rather than a status.
+func TestStatusRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := NewManifest(dir, "quick")
-	jobs := Grid{Name: "quick", Workloads: []string{"astar", "gcc"},
+	if _, err := LoadStatus(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("status where no run finished: err = %v, want not-exist", err)
+	}
+	jobs := Grid{Name: "quick", Workloads: []string{"astar", "gcc", "lbm", "sphinx3"},
 		Policies: []sim.Policy{sim.NonSecure}, Instructions: 6_000}.Jobs()
-	m.Reconcile("quick", jobs)
-	if p, d, f, q := m.Counts(); p != 2 || d != 0 || f != 0 || q != 0 {
-		t.Fatalf("counts after reconcile: %d/%d/%d/%d", p, d, f, q)
+	results := []JobResult{
+		{Job: jobs[0], Result: sim.Result{IPC: 1.5}, Elapsed: 1500 * time.Millisecond},
+		{Job: jobs[1], Result: sim.Result{IPC: 0.75}, Cached: true},
+		{Job: jobs[2], Err: errors.New("timeout")},
+		{Job: jobs[3], Err: errors.New("worker panic: boom"), Quarantined: true, DumpPath: "q/dead.json"},
 	}
-	if err := m.Append(JobResult{Job: jobs[0], Key: mustKey(t, jobs[0]), Result: sim.Result{Cycles: 123}}); err != nil {
+	if err := NewStatus("quick", results).Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(JobResult{Job: jobs[1], Key: mustKey(t, jobs[1]), Err: os.ErrDeadlineExceeded}); err != nil {
+	st, err := LoadStatus(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(); err != nil {
+	want := []JobRecord{
+		{Workload: "astar", Policy: sim.NonSecure, Seed: 1, Status: StatusDone, IPC: 1.5, MS: 1500},
+		{Workload: "gcc", Policy: sim.NonSecure, Seed: 1, Status: StatusDone, Cached: true, IPC: 0.75},
+		{Workload: "lbm", Policy: sim.NonSecure, Seed: 1, Status: StatusFailed, Err: "timeout"},
+		{Workload: "sphinx3", Policy: sim.NonSecure, Seed: 1, Status: StatusQuarantined, Err: "worker panic: boom", Dump: "q/dead.json"},
+	}
+	if st.Grid != "quick" || !reflect.DeepEqual(st.Jobs, want) {
+		t.Fatalf("status read back as grid %q, rows\n%+v\nwant grid \"quick\", rows\n%+v", st.Grid, st.Jobs, want)
+	}
+	if d, f, q := st.Counts(); d != 2 || f != 1 || q != 1 {
+		t.Fatalf("counts: done=%d failed=%d quarantined=%d, want 2/1/1", d, f, q)
+	}
+
+	if err := NewStatus("again", results[:1]).Save(dir); err != nil {
 		t.Fatal(err)
 	}
-
-	loaded, ok := LoadManifest(dir)
-	if !ok {
-		t.Fatal("manifest did not load back")
+	if st, err = LoadStatus(dir); err != nil || st.Grid != "again" || len(st.Jobs) != 1 {
+		t.Fatalf("status after a second run: %+v (%v), want grid \"again\" with 1 row", st, err)
 	}
-	if loaded.Grid != "quick" {
-		t.Fatalf("grid = %q", loaded.Grid)
-	}
-	p, d, f, q := loaded.Counts()
-	if p != 0 || d != 1 || f != 1 || q != 0 {
-		t.Fatalf("counts after load: pending=%d done=%d failed=%d quarantined=%d", p, d, f, q)
-	}
-	fails := loaded.Failures()
-	if len(fails) != 1 || fails[0].Workload != "gcc" {
-		t.Fatalf("failures: %+v", fails)
-	}
-
-	// Reconciling the same grid again keeps done cells done and re-queues
-	// the failed one as pending.
-	loaded.Reconcile("quick", jobs)
-	p, d, f, q = loaded.Counts()
-	if p != 1 || d != 1 || f != 0 || q != 0 {
-		t.Fatalf("counts after re-reconcile: pending=%d done=%d failed=%d quarantined=%d", p, d, f, q)
-	}
-
-	// Journals written by older binaries carry an "attempts" count per
-	// row; such a row must still load with its status, so their caches
-	// resume.
-	old := t.TempDir()
-	key := mustKey(t, jobs[1])
-	journal := `{"manifest":1,"grid":"quick","schema":4}` + "\n" +
-		`{"key":"` + key + `","rec":{"workload":"gcc","policy":"nonsecure","seed":1,"status":"failed","attempts":2,"err":"timeout"}}` + "\n"
-	if err := os.WriteFile(ManifestPath(old), []byte(journal), 0o644); err != nil {
+	names, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, ok := LoadManifest(old)
-	if !ok {
-		t.Fatal("journal with attempts did not load")
-	}
-	if n := legacy.Dropped(); n != 0 {
-		t.Fatalf("journal with attempts: %d line(s) dropped", n)
-	}
-	if rec := legacy.Jobs[key]; rec == nil || rec.Status != StatusFailed || rec.Err != "timeout" {
-		t.Fatalf("row with attempts loaded as %+v, want failed with its error", rec)
-	}
-}
-
-// TestManifestJournalAppendOnly pins the crash-safety property the journal
-// exists for: outcomes persist without Save, one line per job.
-func TestManifestJournalAppendOnly(t *testing.T) {
-	dir := t.TempDir()
-	m := NewManifest(dir, "quick")
-	jobs := Grid{Name: "quick", Workloads: []string{"astar", "gcc"},
-		Policies: []sim.Policy{sim.NonSecure}, Instructions: 6_000}.Jobs()
-	m.Reconcile("quick", jobs)
-	if err := m.Append(JobResult{Job: jobs[0], Key: mustKey(t, jobs[0]), Result: sim.Result{Cycles: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	// No Save: the appended line alone must survive a "crash" (reload).
-	loaded, ok := LoadManifest(dir)
-	if !ok {
-		t.Fatal("journal did not load back without Save")
-	}
-	if _, d, _, _ := loaded.Counts(); d != 1 {
-		t.Fatalf("done=%d after append-only persistence, want 1", d)
-	}
-
-	// A quarantined outcome round-trips with its status and dump path.
-	if err := m.Append(JobResult{Job: jobs[1], Key: mustKey(t, jobs[1]),
-		Err: errors.New("worker panic: boom"), Quarantined: true, DumpPath: "q/dead.json"}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, ok = LoadManifest(dir)
-	if !ok {
-		t.Fatal("journal did not load back")
-	}
-	qs := loaded.Quarantined()
-	if len(qs) != 1 || qs[0].Status != StatusQuarantined || qs[0].Dump != "q/dead.json" {
-		t.Fatalf("quarantined records: %+v", qs)
-	}
-	if _, _, f, q := loaded.Counts(); f != 0 || q != 1 {
-		t.Fatalf("failed=%d quarantined=%d, want 0/1", f, q)
-	}
-}
-
-// TestManifestDescribesLastRun runs one grid at one window, then twice at
-// another, on one cache, as `campaign run` does: the journal must then
-// describe the last run alone — its two cells done, both served from the
-// cache — not the cells earlier runs left behind.
-func TestManifestDescribesLastRun(t *testing.T) {
-	dir := t.TempDir()
-	for _, window := range []uint64{4_000, 5_000, 5_000} {
-		jobs := Grid{Name: "quick", Workloads: []string{"astar", "gcc"},
-			Policies: []sim.Policy{sim.NonSecure}, Instructions: window}.Jobs()
-		eng := NewEngine()
-		cache, err := OpenCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Cache = cache
-		m, ok := LoadManifest(dir)
-		if !ok {
-			m = NewManifest(dir, "quick")
-		}
-		eng.Manifest = m
-		if n := len(Failed(eng.Run(jobs))); n != 0 {
-			t.Fatalf("window %d: %d jobs failed", window, n)
+	for _, d := range names {
+		if isTempFile(d.Name()) {
+			t.Errorf("Save left temp file %s", d.Name())
 		}
 	}
 
-	m, ok := LoadManifest(dir)
-	if !ok {
-		t.Fatal("manifest did not load back")
+	if err := os.WriteFile(StatusPath(dir), []byte(`{"grid":"qu`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if p, d, f, q := m.Counts(); p != 0 || d != 2 || f != 0 || q != 0 {
-		t.Fatalf("counts after the last run: pending=%d done=%d failed=%d quarantined=%d, want 0/2/0/0", p, d, f, q)
-	}
-	for _, rec := range m.Records() {
-		if !rec.Cached {
-			t.Errorf("row %s/%s: simulated, but the last run served every cell from the cache", rec.Workload, rec.Policy)
-		}
+	if st, err := LoadStatus(dir); err == nil {
+		t.Fatalf("torn status read as %+v", st)
 	}
 }
 

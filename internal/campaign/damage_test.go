@@ -31,8 +31,8 @@ func damageJobs() []Job {
 }
 
 // damageRun runs the damage grid once on the cache at dir the way `campaign
-// run` does (journal loaded or started, two workers), with exec as the
-// kindModel executor and progress written to w.
+// run` does (two workers), with exec as the kindModel executor and
+// progress written to w.
 func damageRun(t *testing.T, dir string, exec CellFunc, w io.Writer) (*Engine, []JobResult) {
 	t.Helper()
 	cache, err := OpenCache(dir)
@@ -44,11 +44,6 @@ func damageRun(t *testing.T, dir string, exec CellFunc, w io.Writer) (*Engine, [
 	eng.Cache = cache
 	eng.Reporter = NewReporter(w)
 	eng.RegisterCell(kindModel, exec)
-	m, ok := LoadManifest(dir)
-	if !ok {
-		m = NewManifest(dir, "damage")
-	}
-	eng.Manifest = m
 	return eng, eng.Run(damageJobs())
 }
 
@@ -97,7 +92,7 @@ func tearEntry(t *testing.T, dir string, jobs []Job) {
 	}
 }
 
-// loseEntry deletes cell 2's entry while its journal row still says done.
+// loseEntry deletes cell 2's entry.
 func loseEntry(t *testing.T, dir string, jobs []Job) {
 	if err := os.Remove(entryPath(dir, mustKey(t, jobs[2]))); err != nil {
 		t.Fatal(err)
@@ -122,54 +117,12 @@ func interruptWrite(t *testing.T, dir string, jobs []Job) {
 	}
 }
 
-// journalLines returns the journal's lines (header first) without the
-// final newline.
-func journalLines(t *testing.T, dir string) []string {
-	t.Helper()
-	data, err := os.ReadFile(ManifestPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-}
-
-// dropJournalRow deletes key's row from the journal.
-func dropJournalRow(t *testing.T, dir, key string) {
-	t.Helper()
-	var kept []string
-	for _, line := range journalLines(t, dir) {
-		if !strings.Contains(line, key) {
-			kept = append(kept, line)
-		}
-	}
-	if err := os.WriteFile(ManifestPath(dir), []byte(strings.Join(kept, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// loseJournalLine drops cell 0's row: a crash between its cache write and
-// its journal append.
-func loseJournalLine(t *testing.T, dir string, jobs []Job) {
-	dropJournalRow(t, dir, mustKey(t, jobs[0]))
-}
-
-// tearJournalLine cuts the final journal line in half, without its
-// newline: a kill mid-append.
-func tearJournalLine(t *testing.T, dir string, _ []Job) {
-	lines := journalLines(t, dir)
-	last := lines[len(lines)-1]
-	lines[len(lines)-1] = last[:len(last)/2]
-	if err := os.WriteFile(ManifestPath(dir), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDamageConverges makes each fault a long campaign meets for real —
-// damage on disk between two runs, a model bug that panics a cell, a
-// journal that cannot be written — and checks recovery: after a deep,
-// pruning fsck, one clean rerun fails no job, simulates only what the
-// fault destroyed, exports results byte-identical to an undamaged
-// campaign's, and leaves a cache a deep fsck finds clean with every cell.
+// damage on disk between two runs, a model bug that panics a cell — and
+// checks recovery: after a pruning fsck, one clean rerun fails no job,
+// simulates only what the fault destroyed, exports results byte-identical
+// to an undamaged campaign's, and leaves a cache fsck finds clean with
+// every cell.
 func TestDamageConverges(t *testing.T) {
 	jobs := damageJobs()
 	var ref strings.Builder
@@ -187,33 +140,21 @@ func TestDamageConverges(t *testing.T) {
 		// panics swaps in the panicking kindModel executor for the first
 		// run; the rerun has the working one.
 		panics bool
-		// unwritable puts a directory at manifest.jsonl for the first run,
-		// so every append and both compactions fail; it is removed before
-		// the rerun.
-		unwritable bool
-		damage     []damage // applied between the runs, in order
-		warn       string   // the first run's progress output must say this
-		sims       int64    // cells the rerun must simulate
+		damage []damage // applied between the runs, in order
+		warn   string   // the first run's progress output must say this
+		sims   int64    // cells the rerun must simulate
 	}{
 		{name: "bit rot", damage: []damage{rotEntry}, sims: 1},
 		{name: "torn entry", damage: []damage{tearEntry}, sims: 1},
 		{name: "lost entry", damage: []damage{loseEntry}, sims: 1},
 		{name: "interrupted write", damage: []damage{interruptWrite}, sims: 1},
-		{name: "torn journal line", damage: []damage{tearJournalLine}},
-		{name: "lost journal line", damage: []damage{loseJournalLine}},
 		{name: "panicking cell", panics: true, warn: "QUARANTINED model:astar", sims: 1},
-		{name: "unwritable journal", unwritable: true, warn: "manifest append failed"},
 		{name: "everything at once", panics: true, warn: "QUARANTINED model:astar", sims: 5,
-			damage: []damage{rotEntry, tearEntry, loseEntry, interruptWrite, loseJournalLine, tearJournalLine}},
+			damage: []damage{rotEntry, tearEntry, loseEntry, interruptWrite}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if row.unwritable {
-				if err := os.Mkdir(ManifestPath(dir), 0o755); err != nil {
-					t.Fatal(err)
-				}
-			}
 			exec := simulateCell
 			if row.panics {
 				exec = panickingCell
@@ -233,16 +174,11 @@ func TestDamageConverges(t *testing.T) {
 			if !strings.Contains(progress.String(), row.warn) {
 				t.Fatalf("first run's progress does not say %q:\n%s", row.warn, progress.String())
 			}
-			if row.unwritable {
-				if err := os.Remove(ManifestPath(dir)); err != nil {
-					t.Fatal(err)
-				}
-			}
 			for _, d := range row.damage {
 				d(t, dir, jobs)
 			}
 
-			if _, err := Fsck(dir, FsckOptions{Prune: true, Deep: true}); err != nil {
+			if _, err := Fsck(dir, true); err != nil {
 				t.Fatalf("fsck -prune: %v", err)
 			}
 			eng, results := damageRun(t, dir, simulateCell, io.Discard)
@@ -261,7 +197,7 @@ func TestDamageConverges(t *testing.T) {
 			if got.String() != ref.String() {
 				t.Fatalf("rerun export diverged from the undamaged campaign\n got: %q\nwant: %q", got.String(), ref.String())
 			}
-			rep, err := Fsck(dir, FsckOptions{Deep: true})
+			rep, err := Fsck(dir, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,9 +36,6 @@ type Engine struct {
 	// job is an independent CPU-bound sim.RunWorkload, so one worker per
 	// processor is the sweet spot.
 	Workers int
-	// Manifest, when non-nil, receives per-job status updates; each
-	// completion is journaled with a single appended line.
-	Manifest *Manifest
 	// Reporter, when non-nil, streams completed/total + ETA as jobs
 	// finish.
 	Reporter *Reporter
@@ -68,12 +65,13 @@ type memoVal struct {
 // job's identity fields (Workload, Config, Kind, Cell) — the engine caches
 // its outcome under the job's content-addressed key, and a later run (or a
 // parallel worker) may serve the cached copy instead of calling it again.
-// The sim.Result half feeds the shared reporting surfaces (manifest rows,
-// status tables); kind-specific output goes in the returned JSON payload.
+// The sim.Result half feeds the shared reporting surfaces (the run
+// status, summary tables); kind-specific output goes in the returned JSON
+// payload.
 type CellFunc func(job Job) (sim.Result, json.RawMessage, error)
 
 // NewEngine returns a memory-only engine with default pool sizing; callers
-// attach Cache / Manifest / Reporter as needed.
+// attach Cache / Reporter as needed.
 func NewEngine() *Engine {
 	return &Engine{memo: make(map[string]memoVal)}
 }
@@ -267,7 +265,7 @@ func (e *Engine) RunJob(job Job) JobResult {
 	e.sims.Add(1)
 	val, err := e.runAttempt(job, cfg)
 	// The error is not wrapped with the job name: every consumer
-	// (reporter, manifest, CLI failure listing) prints jr.Job alongside.
+	// (reporter, run status, CLI failure listing) prints jr.Job alongside.
 	jr := JobResult{Job: job, Key: key, Err: err}
 	var pe *PanicError
 	if errors.As(err, &pe) {
@@ -294,16 +292,10 @@ func (e *Engine) RunJob(job Job) JobResult {
 
 // Run executes jobs on the worker pool and returns their results in job
 // order (independent of scheduling), so aggregation over the returned
-// slice is deterministic for a fixed grid. The manifest, when attached,
-// is reconciled and compacted before execution, journaled line-by-line as
-// jobs complete, and compacted again at the end; Run never aborts on
+// slice is deterministic for a fixed grid. Run never aborts on
 // individual job failures — inspect JobResult.Err/Quarantined (or
 // Failed/Quarantined on the returned slice) for the per-cell outcomes.
 func (e *Engine) Run(jobs []Job) []JobResult {
-	if e.Manifest != nil {
-		e.Manifest.Reconcile(e.Manifest.Grid, jobs)
-		_ = e.Manifest.Save()
-	}
 	if e.Reporter != nil {
 		e.Reporter.Start(len(jobs))
 	}
@@ -324,11 +316,6 @@ func (e *Engine) Run(jobs []Job) []JobResult {
 				jr := e.RunJob(jobs[i])
 				jr.Elapsed = time.Since(start)
 				results[i] = jr
-				if e.Manifest != nil {
-					if merr := e.Manifest.Append(jr); merr != nil && e.Reporter != nil {
-						e.Reporter.Warn(fmt.Sprintf("manifest append failed for %s: %v", jr.Job, merr))
-					}
-				}
 				if e.Reporter != nil {
 					e.Reporter.JobDone(jr)
 				}
@@ -338,9 +325,6 @@ func (e *Engine) Run(jobs []Job) []JobResult {
 	wg.Wait()
 	if e.Reporter != nil {
 		e.Reporter.Finish()
-	}
-	if e.Manifest != nil {
-		_ = e.Manifest.Save()
 	}
 	return results
 }

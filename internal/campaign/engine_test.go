@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -152,16 +151,12 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed.Manifest = NewManifest(dir, "test")
 	results := resumed.Run(jobs)
 	if n := len(Failed(results)); n != 0 {
 		t.Fatalf("%d jobs failed on resume", n)
 	}
 	if got, want := resumed.Simulations(), int64(len(jobs)-len(half)); got != want {
 		t.Fatalf("resumed run simulated %d cells, want exactly the %d missing ones", got, want)
-	}
-	if _, done, failed, _ := resumed.Manifest.Counts(); done != len(jobs) || failed != 0 {
-		t.Fatalf("manifest after resume: done=%d failed=%d, want %d/0", done, failed, len(jobs))
 	}
 }
 
@@ -181,7 +176,6 @@ func TestResumeAfterPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Cache = cache
-	eng.Manifest = NewManifest(dir, "test")
 	results := eng.Run(jobs)
 
 	failed := Failed(results)
@@ -196,20 +190,6 @@ func TestResumeAfterPartialFailure(t *testing.T) {
 			t.Fatalf("good cell %s failed alongside the bad one: %v", r.Job, r.Err)
 		}
 	}
-	if _, done, failedN, _ := eng.Manifest.Counts(); done != len(jobs)-1 || failedN != 1 {
-		t.Fatalf("manifest: done=%d failed=%d", done, failedN)
-	}
-
-	// The manifest survives the process: load it back like `campaign
-	// status` would.
-	loaded, ok := LoadManifest(dir)
-	if !ok {
-		t.Fatal("manifest not persisted")
-	}
-	if fails := loaded.Failures(); len(fails) != 1 || fails[0].Workload != "no-such-workload" {
-		t.Fatalf("persisted failures: %+v", fails)
-	}
-
 	// Resume: only the failed cell is re-attempted, everything else is a
 	// cache hit.
 	resumed := NewEngine()
@@ -245,8 +225,8 @@ func TestMaxCyclesFailsInOneAttempt(t *testing.T) {
 
 // TestPanicQuarantine runs a cell whose executor panics, a model bug: the
 // pool must survive, the job must come back quarantined (not
-// plain-failed) with a diagnostic dump, and the manifest must record the
-// quarantine.
+// plain-failed) with a diagnostic dump, and the run's status must record
+// the quarantine with that dump.
 func TestPanicQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	jobs := smallGrid().Jobs()[:1]
@@ -258,7 +238,6 @@ func TestPanicQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Cache = cache
-	eng.Manifest = NewManifest(dir, "test")
 	eng.RegisterCell(kindModel, panickingCell)
 
 	results := eng.Run(jobs)
@@ -296,13 +275,13 @@ func TestPanicQuarantine(t *testing.T) {
 		t.Fatalf("dump missing evidence: %+v", dump)
 	}
 
-	// The manifest separates quarantined from failed.
-	if _, _, f, q := eng.Manifest.Counts(); f != 0 || q != 1 {
-		t.Fatalf("manifest counts: failed=%d quarantined=%d, want 0/1", f, q)
+	// The run's status separates quarantined from failed.
+	st := NewStatus("test", results)
+	if _, f, q := st.Counts(); f != 0 || q != 1 {
+		t.Fatalf("status counts: failed=%d quarantined=%d, want 0/1", f, q)
 	}
-	qrecs := eng.Manifest.Quarantined()
-	if len(qrecs) != 1 || qrecs[0].Dump != r.DumpPath {
-		t.Fatalf("manifest quarantine records: %+v", qrecs)
+	if rec := st.Jobs[0]; rec.Status != StatusQuarantined || rec.Dump != r.DumpPath {
+		t.Fatalf("status row: %+v, want quarantined with dump %s", rec, r.DumpPath)
 	}
 }
 
@@ -344,79 +323,6 @@ func TestCacheBypassDegradation(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "bypassing") {
 		t.Fatalf("no bypass warning surfaced:\n%s", buf.String())
-	}
-}
-
-// TestTruncatedManifestResume kills the journal mid-append (final line
-// torn in half, the cell's cache entry gone) and resumes: the load must
-// drop exactly the torn record, and the rerun must re-simulate only that
-// one cell.
-func TestTruncatedManifestResume(t *testing.T) {
-	dir := t.TempDir()
-	jobs := smallGrid().Jobs()[:3]
-
-	eng := NewEngine()
-	eng.Workers = 1
-	cache, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Cache = cache
-	eng.Manifest = NewManifest(dir, "test")
-	if n := len(Failed(eng.Run(jobs))); n != 0 {
-		t.Fatalf("%d jobs failed in setup run", n)
-	}
-
-	// Tear the final journal line as a mid-write kill would, and delete
-	// that cell's cache entry so the record loss actually costs a rerun.
-	path := ManifestPath(dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte{'\n'})
-	last := lines[len(lines)-1]
-	var jl struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(last, &jl); err != nil || len(jl.Key) < 2 {
-		t.Fatalf("could not parse final journal line %q: %v", last, err)
-	}
-	torn := append(bytes.Join(lines[:len(lines)-1], []byte{'\n'}), '\n')
-	torn = append(torn, last[:len(last)/2]...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, jl.Key[:2], jl.Key+".json")); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, ok := LoadManifest(dir)
-	if !ok {
-		t.Fatal("truncated manifest failed to load")
-	}
-	if loaded.Dropped() != 1 {
-		t.Fatalf("dropped %d journal lines, want exactly the torn one", loaded.Dropped())
-	}
-	if _, done, _, _ := loaded.Counts(); done != len(jobs)-1 {
-		t.Fatalf("done=%d after truncation, want %d", done, len(jobs)-1)
-	}
-
-	resumed := NewEngine()
-	resumed.Workers = 1
-	resumed.Cache, err = OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.Manifest = loaded
-	if n := len(Failed(resumed.Run(jobs))); n != 0 {
-		t.Fatalf("%d jobs failed on resume", n)
-	}
-	if got := resumed.Simulations(); got != 1 {
-		t.Fatalf("resume simulated %d cells, want only the torn one", got)
-	}
-	if p, done, f, q := resumed.Manifest.Counts(); p != 0 || done != len(jobs) || f != 0 || q != 0 {
-		t.Fatalf("manifest after resume: pending=%d done=%d failed=%d quarantined=%d", p, done, f, q)
 	}
 }
 

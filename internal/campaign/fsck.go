@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // Flaw is one damaged file found by Fsck.
@@ -28,29 +26,13 @@ type FsckReport struct {
 	Corrupt []Flaw // unparseable / checksum-mismatched / misfiled entries
 	Orphans []Flaw // leftover temp files from interrupted writes
 
-	ManifestOK      bool // journal present and header readable
-	ManifestRecords int
-	ManifestDropped int // torn journal lines
-
-	// Deep check results (Fsck with Deep set): a journal row that
-	// says done while no verified entry backs it (a lost Put, or an entry
-	// deleted by hand) makes resume estimates and `campaign status` lie,
-	// so -deep makes it visible. The other direction is no drift: an
-	// entry without a row is what `paperbench -cache`, a manifest-less
-	// engine or an older grid leaves in a shared cache, and the next run
-	// that needs it serves it and journals it.
-	Deep        bool
-	MissingData []Flaw // done journal rows whose cache entry is absent/unusable
-
 	Pruned []string // removed by -prune
 }
 
-// Clean reports whether the scan found nothing to repair. A missing or
-// rebuilt manifest is not dirt — the engine reconstructs it — but corrupt
-// or orphaned entry files are, and so is a done row without an entry
-// found by a deep scan.
+// Clean reports whether the scan found nothing to repair: no corrupt and
+// no orphaned entry files.
 func (r *FsckReport) Clean() bool {
-	return len(r.Corrupt) == 0 && len(r.Orphans) == 0 && len(r.MissingData) == 0
+	return len(r.Corrupt) == 0 && len(r.Orphans) == 0
 }
 
 // String renders the operator-facing summary `campaign fsck` prints.
@@ -61,22 +43,11 @@ func (r *FsckReport) String() string {
 		fmt.Fprintf(&b, ", %d foreign-schema (kept)", r.Foreign)
 	}
 	fmt.Fprintf(&b, ", %d corrupt, %d orphan(s)", len(r.Corrupt), len(r.Orphans))
-	if r.ManifestOK {
-		fmt.Fprintf(&b, "; manifest: %d record(s)", r.ManifestRecords)
-		if r.ManifestDropped > 0 {
-			fmt.Fprintf(&b, ", %d torn line(s) dropped", r.ManifestDropped)
-		}
-	} else {
-		b.WriteString("; manifest: absent or rebuilt")
-	}
 	for _, f := range r.Corrupt {
 		fmt.Fprintf(&b, "\n  corrupt: %s (%s)", f.Path, f.Reason)
 	}
 	for _, f := range r.Orphans {
 		fmt.Fprintf(&b, "\n  orphan:  %s (%s)", f.Path, f.Reason)
-	}
-	for _, f := range r.MissingData {
-		fmt.Fprintf(&b, "\n  missing: %s (%s)", f.Path, f.Reason)
 	}
 	for _, p := range r.Pruned {
 		fmt.Fprintf(&b, "\n  pruned:  %s", p)
@@ -84,23 +55,11 @@ func (r *FsckReport) String() string {
 	return b.String()
 }
 
-// isTempFile matches the temp names Cache.Put and Manifest.Save create
-// (".<key>.tmp-*" / ".manifest.tmp-*"): after a crash between create and
-// rename these linger as orphans.
+// isTempFile matches the temp names writeAtomic creates for entries and
+// the run status (".<key>.tmp-*" / ".status.tmp-*"): after a crash
+// between create and rename these linger as orphans.
 func isTempFile(name string) bool {
 	return strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-")
-}
-
-// FsckOptions selects what a cache scan checks and repairs.
-type FsckOptions struct {
-	// Prune deletes corrupt entries and orphans, and resets done journal
-	// rows with no backing entry to pending — every repair makes the
-	// affected cell simply re-simulate.
-	Prune bool
-	// Deep checks that every done manifest journal row has a verified
-	// cache entry (requires a readable manifest; silently skipped
-	// otherwise, since a rebuilt manifest has nothing to disagree with).
-	Deep bool
 }
 
 // cacheScan is one walk over a cache directory's entry shards, each file
@@ -115,8 +74,9 @@ type cacheScan struct {
 	orphans []Flaw  // leftover temp files from interrupted writes
 }
 
-// scanCache walks dir, skipping the quarantine dumps and the manifest
-// files at the root, and classifies every entry file.
+// scanCache walks dir, skipping the quarantine dumps and the files at
+// the root (the run status, and the journal older versions kept), and
+// classifies every entry file.
 func scanCache(dir string) (*cacheScan, error) {
 	sc := &cacheScan{}
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -135,7 +95,7 @@ func scanCache(dir string) (*cacheScan, error) {
 			return nil
 		}
 		if filepath.Dir(path) == dir || !strings.HasSuffix(name, ".json") {
-			return nil // manifest files live at the root
+			return nil // only entries live in the shards
 		}
 		sc.scanned++
 		data, err := os.ReadFile(path)
@@ -172,12 +132,11 @@ func scanCache(dir string) (*cacheScan, error) {
 
 // Fsck scans a cache directory for corruption the way reads would detect
 // it — unparseable entries, checksum mismatches, entries filed under the
-// wrong key or shard, temp-file orphans, torn manifest lines — and
-// reports everything found. With Prune set, corrupt entries and orphans
-// are deleted (they will simply re-simulate); valid entries from other
-// schema versions are reported but never pruned. Deep adds the check of
-// done journal rows against the entries (see FsckOptions).
-func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
+// wrong key or shard, temp-file orphans — and reports everything found.
+// With prune set, corrupt entries and orphans are deleted (they will
+// simply re-simulate); valid entries from other schema versions are
+// reported but never pruned.
+func Fsck(dir string, prune bool) (*FsckReport, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("campaign: fsck: %w", err)
 	}
@@ -185,56 +144,15 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: fsck: %w", err)
 	}
-	rep := &FsckReport{Dir: dir, Deep: opts.Deep, Scanned: sc.scanned, OK: len(sc.clean),
+	rep := &FsckReport{Dir: dir, Scanned: sc.scanned, OK: len(sc.clean),
 		Foreign: sc.foreign, Corrupt: sc.corrupt, Orphans: sc.orphans}
-	verified := make(map[string]bool, len(sc.clean))
-	for _, e := range sc.clean {
-		verified[e.Key] = true
-	}
-
-	m, manifestOK := LoadManifest(dir)
-	if manifestOK {
-		rep.ManifestOK = true
-		rep.ManifestRecords = len(m.Jobs)
-		rep.ManifestDropped = m.Dropped()
-	}
-
-	var missingKeys []string // done rows to reset on prune
-	if opts.Deep && manifestOK {
-		for _, key := range stats.SortedKeys(m.Jobs) {
-			rec := m.Jobs[key]
-			if rec.Status != StatusDone {
-				continue
-			}
-			if !verified[key] {
-				rep.MissingData = append(rep.MissingData, Flaw{
-					Path:   key,
-					Reason: fmt.Sprintf("journal says %s/%s is done but no verified cache entry backs it", rec.Workload, rec.Policy),
-				})
-				missingKeys = append(missingKeys, key)
-			}
-		}
-	}
-
-	if opts.Prune {
+	if prune {
 		for _, list := range [][]Flaw{rep.Corrupt, rep.Orphans} {
 			for _, f := range list {
 				if err := os.Remove(f.Path); err != nil {
 					return rep, fmt.Errorf("campaign: fsck prune: %w", err)
 				}
 				rep.Pruned = append(rep.Pruned, f.Path)
-			}
-		}
-		if len(missingKeys) > 0 {
-			// A done row with no backing entry lies to resume estimates;
-			// demote it to pending so the cell honestly re-simulates.
-			for _, key := range missingKeys {
-				m.Jobs[key].Status = StatusPending
-				m.Jobs[key].Cached = false
-				rep.Pruned = append(rep.Pruned, "journal:"+key)
-			}
-			if err := m.Save(); err != nil {
-				return rep, fmt.Errorf("campaign: fsck prune: %w", err)
 			}
 		}
 		sort.Strings(rep.Pruned)

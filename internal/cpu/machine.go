@@ -437,6 +437,10 @@ func (m *Machine) ResetStats() {
 	m.Stats = Stats{}
 }
 
+// WindowStart returns the absolute cycle the current measurement window
+// began at: the last ResetStats, or 0.
+func (m *Machine) WindowStart() arch.Cycle { return m.cycleBase }
+
 // windowCycles returns the simulated cycles elapsed in the current
 // measurement window. cycleBase is only ever captured from m.now (which
 // is monotone), so the subtraction cannot wrap; the guard makes that

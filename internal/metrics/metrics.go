@@ -344,6 +344,10 @@ func (r *Registry) gaugeSnapshot(dst map[string]float64) {
 type Collector struct {
 	Registry *Registry
 	Sampler  *Sampler
+	// WindowStart is the absolute cycle the measurement window began at:
+	// the end of the warmup, 0 without one. Sample cycles count from it,
+	// while trace events carry absolute cycles (see RunTrace).
+	WindowStart uint64
 }
 
 // Samples returns the recorded time series (nil when sampling was off).

@@ -190,16 +190,24 @@ func BuildChromeEvents(opts ChromeTraceOpts) []ChromeEvent {
 
 // RunTrace is the Perfetto view of one instrumented run: its event trace,
 // a counter track per gauge, and the derived IPC, squashes per kilo-cycle
-// and L1-D miss-rate tracks.
-func RunTrace(process string, events []trace.Event, samples []Sample) ChromeTraceOpts {
+// and L1-D miss-rate tracks, all on the events' absolute clock.
+func RunTrace(process string, events []trace.Event, col *Collector) ChromeTraceOpts {
+	samples := col.Samples()
 	squashes := Rates(samples, "cpu.squashes")
 	for i := range squashes {
 		squashes[i] *= 1000
 	}
+	// Samples count cycles from the window's start and events from the
+	// run's: put the counter tracks on the events' clock.
+	placed := make([]Sample, len(samples))
+	for i, s := range samples {
+		s.Cycle += col.WindowStart
+		placed[i] = s
+	}
 	return ChromeTraceOpts{
 		Process: process,
 		Events:  events,
-		Samples: samples,
+		Samples: placed,
 		Counters: []CounterSeries{
 			{Name: "ipc", Values: Rates(samples, "cpu.committed")},
 			{Name: "squash-per-kcycle", Values: squashes},

@@ -188,7 +188,7 @@ func TestExportChromeTraceMulti(t *testing.T) {
 // WriteSeriesFile picks CSV by the .csv suffix and JSON Lines otherwise.
 func TestRunTraceAndFiles(t *testing.T) {
 	samples := testSamples()
-	run := RunTrace("cleanupspec/astar", testTraceEvents(), samples)
+	run := RunTrace("cleanupspec/astar", testTraceEvents(), &Collector{Sampler: &Sampler{samples: samples}})
 	var names []string
 	for _, c := range run.Counters {
 		names = append(names, c.Name)

@@ -10,7 +10,7 @@ import (
 
 // Kind is the campaign cell kind for differential-pair fuzz cells. One
 // cell is one (gadget, policy) oracle invocation: Job.Workload carries the
-// gadget ID (so manifest rows read like "g0042/cleanupspec"), Job.Config
+// gadget ID (so progress lines read like "g0042/cleanupspec"), Job.Config
 // carries the policy under test and the hierarchy seed, and Job.Cell
 // carries the full gadget spec — all three feed the content-addressed
 // cache key, so any change to the gadget or the configuration is a new
@@ -47,7 +47,7 @@ func Register(e *campaign.Engine) {
 // runCell is the CellFunc for Kind: it decodes the gadget spec, runs the
 // differential pair under the job's policy, and returns the verdict as the
 // cell's Aux payload. The sim.Result half carries just enough identity for
-// the shared reporting surfaces (manifest rows, status tables).
+// the shared reporting surfaces (progress lines, summary tables).
 func runCell(job campaign.Job) (sim.Result, json.RawMessage, error) {
 	var payload CellPayload
 	if err := json.Unmarshal(job.Cell, &payload); err != nil {

@@ -13,22 +13,11 @@ type Options struct {
 	// every oracle run, so a (Seed, Count, Policies) triple names the
 	// campaign's entire cell grid.
 	Seed uint64
-	// Count is how many gadgets to generate.
+	// Count is how many gadgets to generate (at least 1).
 	Count int
 	// Policies are the defenses under test, in report order. Empty means
 	// every policy the simulator knows.
 	Policies []sim.Policy
-}
-
-// withDefaults fills unset options.
-func (o Options) withDefaults() Options {
-	if o.Count <= 0 {
-		o.Count = 32
-	}
-	if len(o.Policies) == 0 {
-		o.Policies = sim.Policies()
-	}
-	return o
 }
 
 // GadgetReport pairs one gadget with its verdicts, in Options.Policies
@@ -118,10 +107,15 @@ func Jobs(specs []GadgetSpec, policies []sim.Policy, seed uint64) ([]campaign.Jo
 // Run executes a fuzzing campaign on the given engine: generate the
 // gadgets, expand the cell grid, run it on the worker pool (memoized,
 // cached, resumable), and fold the verdicts into a report. The engine may
-// carry a cache, manifest, and reporter exactly like a simulation
-// campaign; Register is called here, so callers only wire the engine.
+// carry a cache and a reporter exactly like a simulation campaign;
+// Register is called here, so callers only wire the engine.
 func Run(e *campaign.Engine, opts Options) (Report, error) {
-	opts = opts.withDefaults()
+	if opts.Count < 1 {
+		return Report{}, fmt.Errorf("specfuzz: %d gadgets, want at least 1", opts.Count)
+	}
+	if len(opts.Policies) == 0 {
+		opts.Policies = sim.Policies()
+	}
 	Register(e)
 
 	specs := Generate(opts.Seed, opts.Count)

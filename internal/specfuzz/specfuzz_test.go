@@ -181,6 +181,18 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunRejectsZeroCount: a campaign of no gadgets is an error, not a
+// campaign of some default size.
+func TestRunRejectsZeroCount(t *testing.T) {
+	eng := campaign.NewEngine()
+	if _, err := Run(eng, Options{Seed: 1, Policies: fuzzPolicies()}); err == nil {
+		t.Fatal("Count 0 ran")
+	}
+	if eng.Simulations() != 0 {
+		t.Fatalf("a rejected campaign simulated %d cells", eng.Simulations())
+	}
+}
+
 // TestRunResumesFromCache: a second campaign over the same grid must be
 // served entirely from the cell cache — zero simulations — and fold to the
 // same verdicts, which is what makes an interrupted fuzz resumable.

@@ -152,6 +152,36 @@ func TestSampleShorterThanInterval(t *testing.T) {
 	}
 }
 
+// TestTraceCountersShareTheEventClock exports a warmed-up run's Perfetto
+// trace: the events carry absolute cycles, the samples window-relative
+// ones, so the last counter-track point must land on the last commit
+// event's timestamp, not a warmup's length before it.
+func TestTraceCountersShareTheEventClock(t *testing.T) {
+	col := &Metrics{}
+	ring := NewTraceRing(1 << 10)
+	if _, err := RunWorkload("astar", Config{
+		Policy: CleanupSpec, Instructions: 20_000,
+		Metrics: col, SampleEvery: 1000, Trace: ring,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if col.WindowStart == 0 {
+		t.Fatal("a warmed-up run's window starts at cycle 0")
+	}
+	var lastCommit, lastCounter uint64
+	for _, e := range metrics.BuildChromeEvents(metrics.RunTrace("cleanupspec/astar", ring.Events(), col)) {
+		switch {
+		case e.Ph == "C":
+			lastCounter = max(lastCounter, e.Ts)
+		case e.Name == "commit":
+			lastCommit = max(lastCommit, e.Ts)
+		}
+	}
+	if lastCounter != lastCommit {
+		t.Fatalf("last counter point at cycle %d, last commit event at %d (window start %d)", lastCounter, lastCommit, col.WindowStart)
+	}
+}
+
 // unbound names the exported Stats fields the registry leaves out on
 // purpose, as "<package>.<type>.<field>", with the reason.
 var unbound = map[string]string{

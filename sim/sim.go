@@ -369,6 +369,7 @@ func runProgram(name string, prog *Program, cfg Config, prewarm func(*memsys.Hie
 		}
 		cfg.Metrics.Registry = reg
 		cfg.Metrics.Sampler = smp
+		cfg.Metrics.WindowStart = uint64(m.WindowStart())
 	}
 	st := m.Run(cfg.Instructions)
 	if lerr := m.LivelockErr(); lerr != nil {
@@ -483,18 +484,20 @@ func NewProgram(name string) *ProgramBuilder { return isa.NewBuilder(name) }
 // SpectreResult is the Figure 11 record for one policy.
 type SpectreResult = attack.SpectreResult
 
-// RunSpectre runs the Spectre Variant-1 PoC under a policy and returns the
-// per-index average probe latencies (Figure 11).
+// RunSpectre runs the Spectre Variant-1 PoC for iterations rounds (at
+// least 1) under a policy and returns the per-index average probe
+// latencies (Figure 11).
 func RunSpectre(p Policy, iterations int) (SpectreResult, error) {
+	if iterations < 1 {
+		return SpectreResult{}, fmt.Errorf("sim: %d Spectre iterations, want at least 1", iterations)
+	}
 	cfg := Config{Policy: p}.withDefaults()
 	pol, hcfg, err := buildPolicy(cfg)
 	if err != nil {
 		return SpectreResult{}, err
 	}
 	scfg := attack.DefaultSpectreConfig()
-	if iterations > 0 {
-		scfg.Iterations = iterations
-	}
+	scfg.Iterations = iterations
 	return attack.RunSpectreV1(pol, hcfg, scfg), nil
 }
 
@@ -506,14 +509,15 @@ type MTResult struct {
 	SafeCacheFrac float64
 }
 
-// RunMTWorkload runs the 4-core characterization for one profile.
+// RunMTWorkload runs the 4-core characterization for one profile, for
+// steps steps (at least 1).
 func RunMTWorkload(name string, steps int) (MTResult, error) {
+	if steps < 1 {
+		return MTResult{}, fmt.Errorf("sim: %d multithreaded steps, want at least 1", steps)
+	}
 	for _, p := range workload.MTProfiles() {
 		if p.Name != name {
 			continue
-		}
-		if steps <= 0 {
-			steps = 20_000
 		}
 		st := multicore.New(p, 4).Run(steps)
 		return MTResult{

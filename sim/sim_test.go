@@ -27,6 +27,12 @@ func TestUnknownNamesError(t *testing.T) {
 	if _, err := RunMTWorkload("nope", 10); err == nil {
 		t.Fatal("unknown MT workload must error")
 	}
+	if _, err := RunMTWorkload("dedup", 0); err == nil {
+		t.Fatal("0 multithreaded steps must error")
+	}
+	if _, err := RunSpectre(NonSecure, 0); err == nil {
+		t.Fatal("0 Spectre iterations must error")
+	}
 }
 
 func TestRunWorkloadBasics(t *testing.T) {
